@@ -1,0 +1,98 @@
+"""Golden report bytes: small pinned runs of every experiment kind.
+
+The sha256 digests of the records, summary and manifest files are pinned, so
+any change to the random streams, the seed layout, the float evaluation order
+or the report format shows up here.  Each run is checked at one and at two
+workers.  The digests were produced with numpy 2.4 and scipy 1.17 on
+CPython 3.11 (x86-64); other numeric library versions may round differently.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from stabledrift import (
+    Schedule,
+    StableParams,
+    builtin_kernel,
+    builtin_model,
+    run_bias_comparison,
+    run_clt,
+    run_consistency,
+    run_lln_check,
+    write_report,
+)
+
+
+def _consistency(workers):
+    return run_consistency(
+        builtin_model("ou_linear", {"gamma": 0.0, "lam": 1.0, "sigma": 1.0}),
+        StableParams(1.5, 0.0), builtin_kernel("epanechnikov"),
+        [Schedule(n=1500, delta=0.02, h=0.5, alpha=1.5),
+         Schedule(n=6000, delta=0.015, h=0.4, alpha=1.5)],
+        [0.0, 0.5], replicates=4, master_seed=77, burn_in=1_000, workers=workers,
+    )
+
+
+def _bias(workers):
+    return run_bias_comparison(
+        builtin_model("ou_linear", {"gamma": 0.0, "lam": 1.0, "sigma": 1.0}),
+        StableParams(1.8, 0.0), builtin_kernel("uniform_right"),
+        Schedule(n=4000, delta=0.01, h=0.4, alpha=1.8),
+        [-0.5, 0.0, 0.5], replicates=4, master_seed=900, burn_in=1_000, workers=workers,
+    )
+
+
+def _clt(workers):
+    return run_clt(
+        builtin_model("bounded_nonlinear", {"sigma1": 0.5}),
+        StableParams(1.5, 0.0), builtin_kernel("epanechnikov"),
+        Schedule(n=3000, delta=0.01, h=0.3, alpha=1.5),
+        0.0, replicates=12, master_seed=606, burn_in=1_000,
+        reference_size=2_000, workers=workers,
+    )
+
+
+def _lln(workers):
+    return run_lln_check(
+        builtin_model("tanh_drift", {"a": 1.0, "sigma": 1.0}),
+        StableParams(1.7, 0.0), builtin_kernel("triangular"),
+        Schedule(n=4000, delta=0.01, h=0.4, alpha=1.7),
+        0.0, k_values=[0, 1, 2, 3], replicates=4, master_seed=501, burn_in=1_000,
+        workers=workers,
+    )
+
+
+RUNS = {"consistency": _consistency, "bias": _bias, "clt": _clt, "lln": _lln}
+
+GOLDEN = {
+    "bias": {
+        "records": "84ee7c554feef69467f0a4ab552132b124572a260ebef9e87fc28692590025e1",
+        "summary": "e613fff528d17ec053edc975c7c54ced7bdcb0f32762133937042063176e2c5b",
+        "manifest": "795d9e7c6dd1ee1f6ca8f44e2d867607315edacff80c39a22bb07b68987119d8",
+    },
+    "clt": {
+        "records": "f6ace0f164638e8535891efb55607c2520d43afe75b612584ac4e8648046e458",
+        "summary": "38182cfcc8550bf83228d422decb656e72faff0f4f5ff5b2d3e353a2cf33343f",
+        "manifest": "6d1957c6502783329027d6d5f25914e994b9eaa8c0f1aeafee1276330a439bad",
+    },
+    "consistency": {
+        "records": "6578af6e76791cbf94c4d93e00606b6de311cf2aeceadd4ff44d7af99a5108dd",
+        "summary": "4ba7374eed1a1243e3b331d3cd4341cb3325a24d55666214dc9835ebdebd1572",
+        "manifest": "7942e67cbd45a62121d6f2124b11a3ad21c1d1f5b0425f4c446483f72a027eaa",
+    },
+    "lln": {
+        "records": "f9e26e15db9872e28ebb72b86c79fe2d05ff851226c21c064fa8d0f5c4d8e9d9",
+        "summary": "9ddc44155a4c6db23f21312b8867f39b8f8074472a5411d8632e79ecc6eaade1",
+        "manifest": "02c4ec714949da868141051b96cf83f0e08fd1da58e351ec097818802ef6a7b0",
+    },
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", sorted(RUNS))
+def test_report_bytes_match_golden(kind, workers, tmp_path):
+    paths = write_report(RUNS[kind](workers), tmp_path)
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert digests == GOLDEN[kind]

@@ -1,12 +1,20 @@
 """Monte Carlo experiments that exercise the estimators' sampling theory.
 
-Each experiment follows the same shape: derive one seed per replicate from a
-master seed, simulate, estimate, and reduce the per-replicate records to
-summary statistics.  Replicate records are the unit of persistence; every
-summary statistic is a deterministic function of the records plus the stored
-configuration, and ``ExperimentReport.verify_integrity`` recomputes the
-summaries from scratch to prove it.  Replicates are independent, so they can
-be distributed over worker processes; results are folded in replicate order,
+Every experiment kind goes through one runner.  A kind supplies only its
+own validation, its extra configuration fields, its provenance, a ``fit``
+that turns one simulated path into the record fields it estimates, and a
+summarizer.  The runner does the rest: replicate ``r`` of schedule ``s`` is
+simulated from the derived seed of index ``s * replicates + r`` (the
+single-schedule kinds are the case ``s = 0``), its fitted rows become
+``ReplicateRecord`` rows, and the summarizer reduces them to summary rows
+and checks.  Where a kind needs the stationary density oracle, it is built
+once per run and shared by the fits, the summarizer and the provenance.
+
+Replicate records are the unit of persistence; every summary statistic is a
+deterministic function of the records plus the stored configuration, and
+``ExperimentReport.verify_integrity`` recomputes the summaries from scratch,
+oracle included, to prove it.  Replicates are independent, so they can be
+distributed over worker processes; results are folded in replicate order,
 which makes the reports byte-identical for any worker count.
 
 Four experiment kinds are provided:
@@ -25,7 +33,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -187,8 +195,10 @@ def validate_schedule(schedule: Schedule, threshold: float = _PROXY_THRESHOLD) -
 class ReplicateRecord:
     """One persisted observation of one replicate.
 
-    ``std_error`` is populated only by the clt experiment (standardized
-    error); elsewhere it is NaN.  NaN fields serialize as empty CSV cells.
+    A kind fills only the fields it estimates; the rest keep their
+    defaults.  ``std_error`` is populated only by the clt experiment
+    (standardized error); elsewhere it is NaN.  NaN fields serialize as
+    empty CSV cells.
     """
 
     replicate: int
@@ -196,9 +206,9 @@ class ReplicateRecord:
     x: float
     method: str
     estimate: float
-    error: float
-    std_error: float
-    degenerate: bool
+    error: float = math.nan
+    std_error: float = math.nan
+    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -232,9 +242,9 @@ class ExperimentReport:
         return all(check.passed for check in self.checks)
 
     def recompute_summaries(self) -> tuple[list[dict], list[Check]]:
-        """Re-derive summaries and checks from the stored records."""
-        summarizer = _SUMMARIZERS[self.kind]
-        return summarizer(self.records, self.config)
+        """Re-derive summaries and checks from the stored records; a
+        density oracle is rebuilt from the stored configuration."""
+        return _SUMMARIZERS[self.kind](self.records, self.config)
 
     def verify_integrity(self) -> bool:
         """True when stored summaries and checks match their recomputation."""
@@ -264,17 +274,12 @@ def _cached_model(name: str, params_items: tuple) -> SdeModel:
     return builtin_model(name, dict(params_items))
 
 
-@lru_cache(maxsize=8)
-def _cached_kernel(name: str) -> Kernel:
-    return builtin_kernel(name)
-
-
 def _model_from_config(config: dict) -> SdeModel:
     return _cached_model(config["model"]["name"], tuple(sorted(config["model"]["params"].items())))
 
 
 def _kernel_from_config(config: dict) -> Kernel:
-    return _cached_kernel(config["kernel"])
+    return builtin_kernel(config["kernel"])
 
 
 def _noise_from_config(config: dict) -> StableParams:
@@ -290,104 +295,25 @@ def _density_from_config(config: dict):
     )
 
 
-def _resolve_workers(workers: int | None, n_payloads: int) -> int:
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ParameterError(f"workers must be a positive integer, got {workers}")
-    return min(workers, n_payloads)
+def _schedules(config: dict) -> list[dict]:
+    return config["schedules"] if "schedules" in config else [config["schedule"]]
 
 
-def _map_payloads(worker, payloads: list, workers: int | None) -> list:
-    count = _resolve_workers(workers, len(payloads))
-    if count <= 1:
-        return [worker(p) for p in payloads]
-    chunk = max(1, len(payloads) // (count * 4))
-    with ProcessPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(worker, payloads, chunksize=chunk))
-
-
-def _simulate_for(payload: dict):
-    model = _cached_model(payload["model_name"], payload["model_params"])
-    kernel = _cached_kernel(payload["kernel"])
-    noise = StableParams(alpha=payload["alpha"], beta=payload["beta"])
-    path = simulate_path(
-        model,
-        noise,
-        x0=payload["x0"],
-        n=payload["n"],
-        delta=payload["delta"],
-        seed=payload["seed"],
-        burn_in=payload["burn_in"],
-    )
-    return model, kernel, path
-
-
-def _consistency_worker(payload: dict) -> list[tuple]:
-    model, kernel, path = _simulate_for(payload)
-    rows = []
-    for xq in payload["x_points"]:
-        est = local_linear_drift(path, xq, payload["h"], kernel)
-        truth = float(model.mu(float(xq)))
-        error = est.value - truth if not est.degenerate else math.nan
-        rows.append((xq, est.value, error, est.degenerate))
-    return rows
-
-
-def _bias_worker(payload: dict) -> list[tuple]:
-    model, kernel, path = _simulate_for(payload)
-    rows = []
-    for xq in payload["x_points"]:
-        truth = float(model.mu(float(xq)))
-        for method, estimator in (
-            ("local_linear", local_linear_drift),
-            ("nadaraya_watson", nadaraya_watson_drift),
-        ):
-            est = estimator(path, xq, payload["h"], kernel)
-            error = est.value - truth if not est.degenerate else math.nan
-            rows.append((xq, method, est.value, error, est.degenerate))
-    return rows
-
-
-def _clt_worker(payload: dict) -> tuple:
-    model, kernel, path = _simulate_for(payload)
-    xq = payload["x_points"][0]
-    est = local_linear_drift(path, xq, payload["h"], kernel)
-    truth = float(model.mu(float(xq)))
-    error = est.value - truth if not est.degenerate else math.nan
-    fhat = density_estimate(path, xq, payload["h"], kernel)
-    return (est.value, error, est.degenerate, fhat)
-
-
-def _lln_worker(payload: dict) -> list[tuple]:
-    model, kernel, path = _simulate_for(payload)
-    xq = payload["x_points"][0]
-    h = payload["h"]
-    rows = []
-    for k in payload["k_values"]:
-        value = s_nk(path, xq, h, kernel, k) / (payload["n"] * h ** k)
-        rows.append((k, value))
-    return rows
-
-
-def _base_payload(config: dict, schedule: Schedule, seed: int) -> dict:
-    return {
-        "model_name": config["model"]["name"],
-        "model_params": tuple(sorted(config["model"]["params"].items())),
-        "kernel": config["kernel"],
-        "alpha": config["noise"]["alpha"],
-        "beta": config["noise"]["beta"],
-        "x0": config["x0"],
-        "burn_in": config["burn_in"],
-        "n": schedule.n,
-        "delta": schedule.delta,
-        "h": schedule.h,
-        "seed": seed,
-        "x_points": tuple(config["x_points"]),
-    }
-
-
-def _check_common(model: SdeModel, noise: StableParams, kernel: Kernel, replicates: int, master_seed: int) -> None:
+def _config(
+    kind: str,
+    model: SdeModel,
+    noise: StableParams,
+    kernel: Kernel,
+    schedules: list[Schedule],
+    x_points: list[float],
+    replicates: int,
+    master_seed: int,
+    x0: float,
+    burn_in: int,
+    **extra,
+) -> dict:
+    """Validate what every kind shares and snapshot it with the kind's
+    ``extra`` fields as the run's configuration."""
     if not isinstance(model, SdeModel):
         raise ParameterError("model must be an SdeModel")
     if not isinstance(noise, StableParams):
@@ -400,37 +326,96 @@ def _check_common(model: SdeModel, noise: StableParams, kernel: Kernel, replicat
         raise ParameterError(f"replicates must be an integer >= 2, got {replicates}")
     if not isinstance(master_seed, int):
         raise ParameterError("master_seed must be an integer")
-
-
-def _check_schedule_noise(schedule: Schedule, noise: StableParams) -> None:
-    if schedule.alpha != noise.alpha:
-        raise ConfigurationError(
-            f"schedule alpha {schedule.alpha} disagrees with noise alpha {noise.alpha}"
-        )
-
-
-def _config_base(
-    kind: str,
-    model: SdeModel,
-    noise: StableParams,
-    kernel: Kernel,
-    x_points: list[float],
-    replicates: int,
-    master_seed: int,
-    x0: float,
-    burn_in: int,
-) -> dict:
-    return {
+    if not schedules:
+        raise ParameterError("at least one schedule is required")
+    for schedule in schedules:
+        if schedule.alpha != noise.alpha:
+            raise ConfigurationError(
+                f"schedule alpha {schedule.alpha} disagrees with noise alpha {noise.alpha}"
+            )
+    config = {
         "kind": kind,
         "model": {"name": model.name, "params": dict(model.params)},
         "noise": {"alpha": noise.alpha, "beta": noise.beta},
         "kernel": kernel.name,
-        "x_points": [float(v) for v in x_points],
+        "x_points": [float(v) for v in np.atleast_1d(np.asarray(x_points, dtype=float))],
         "replicates": replicates,
         "master_seed": master_seed,
         "x0": float(x0),
         "burn_in": int(burn_in),
     }
+    if kind == "consistency":
+        config["schedules"] = [s.as_dict() for s in schedules]
+    else:
+        config["schedule"] = schedules[0].as_dict()
+    config.update(extra)
+    return config
+
+
+def _replicate(job: tuple) -> tuple[int, list[dict]]:
+    """Simulate one replicate and fit it: ``job`` is ``(fit, config,
+    context, schedule_index, replicate_index)``; returns the replicate's
+    seed and the record fields its fit estimated."""
+    fit, config, context, s_idx, r = job
+    schedule = _schedules(config)[s_idx]
+    seed = derive_replicate_seed(config["master_seed"], s_idx * config["replicates"] + r)
+    model = _model_from_config(config)
+    path = simulate_path(
+        model,
+        _noise_from_config(config),
+        x0=config["x0"],
+        n=schedule["n"],
+        delta=schedule["delta"],
+        seed=seed,
+        burn_in=config["burn_in"],
+    )
+    return seed, fit(model, _kernel_from_config(config), path, schedule["h"], config, context)
+
+
+def _run(config: dict, fit, workers: int | None, provenance: dict, context=None, density=None) -> ExperimentReport:
+    """Run every replicate of every schedule through ``fit`` and summarize.
+
+    ``context`` is handed to each fit; ``density`` is the run's oracle,
+    passed on to the summarizer so it is not rebuilt.
+    """
+    jobs = [
+        (fit, config, context, s_idx, r)
+        for s_idx in range(len(_schedules(config)))
+        for r in range(config["replicates"])
+    ]
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ParameterError(f"workers must be a positive integer, got {workers}")
+    count = min(workers, len(jobs))
+    if count <= 1:
+        results = [_replicate(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=count) as pool:
+            results = list(pool.map(_replicate, jobs, chunksize=max(1, len(jobs) // (count * 4))))
+    records = [
+        ReplicateRecord(replicate=index, seed=seed, **row)
+        for index, (seed, rows) in enumerate(results)
+        for row in rows
+    ]
+    summaries, checks = _SUMMARIZERS[config["kind"]](records, config, density)
+    return ExperimentReport(config["kind"], config, records, summaries, checks, provenance)
+
+
+def _fit_drift(model: SdeModel, kernel: Kernel, path, h: float, config: dict, methods: tuple) -> list[dict]:
+    """Estimate and error of each drift estimator in ``methods`` at every
+    query point."""
+    estimators = {"local_linear": local_linear_drift, "nadaraya_watson": nadaraya_watson_drift}
+    rows = []
+    for xq in config["x_points"]:
+        truth = float(model.mu(float(xq)))
+        for method in methods:
+            est = estimators[method](path, xq, h, kernel)
+            error = est.value - truth if not est.degenerate else math.nan
+            rows.append(
+                {"x": xq, "method": method, "estimate": est.value, "error": error, "degenerate": est.degenerate}
+            )
+    return rows
 
 
 def _degenerate_check(name: str, degenerate: int, total: int) -> Check:
@@ -471,46 +456,22 @@ def run_consistency(
     uses the derived seed of index ``s * replicates + j``, so the record
     block of each schedule is self-contained.
     """
-    _check_common(model, noise, kernel, replicates, master_seed)
-    if not schedules:
-        raise ParameterError("at least one schedule is required")
-    for schedule in schedules:
-        _check_schedule_noise(schedule, noise)
+    config = _config(
+        "consistency", model, noise, kernel, schedules, x_points, replicates, master_seed, x0, burn_in
+    )
     for prev, cur in zip(schedules, schedules[1:]):
         if not (cur.n > prev.n and cur.delta <= prev.delta and cur.h <= prev.h):
             raise ParameterError(
                 "schedules must refine: strictly increasing n with non-increasing delta and h"
             )
-    x_list = [float(v) for v in np.atleast_1d(np.asarray(x_points, dtype=float))]
-    config = _config_base("consistency", model, noise, kernel, x_list, replicates, master_seed, x0, burn_in)
-    config["schedules"] = [s.as_dict() for s in schedules]
-
-    payloads = []
-    for s_idx, schedule in enumerate(schedules):
-        for r in range(replicates):
-            index = s_idx * replicates + r
-            payloads.append(_base_payload(config, schedule, derive_replicate_seed(master_seed, index)))
-    results = _map_payloads(_consistency_worker, payloads, workers)
-
-    records: list[ReplicateRecord] = []
-    for index, rows in enumerate(results):
-        seed = payloads[index]["seed"]
-        for xq, estimate, error, degenerate in rows:
-            records.append(
-                ReplicateRecord(
-                    replicate=index, seed=seed, x=xq, method="local_linear",
-                    estimate=estimate, error=error, std_error=math.nan, degenerate=degenerate,
-                )
-            )
-    summaries, checks = _summarize_consistency(records, config)
     provenance = {
         "schedule_diagnostics": [asdict(validate_schedule(s)) for s in schedules],
         "kernel_sign_change": lambda_weight_changes_sign(kernel),
     }
-    return ExperimentReport("consistency", config, records, summaries, checks, provenance)
+    return _run(config, _fit_drift, workers, provenance, context=("local_linear",))
 
 
-def _summarize_consistency(records: list[ReplicateRecord], config: dict) -> tuple[list[dict], list[Check]]:
+def _summarize_consistency(records: list[ReplicateRecord], config: dict, density=None) -> tuple[list[dict], list[Check]]:
     replicates = config["replicates"]
     schedules = config["schedules"]
     summaries = []
@@ -587,43 +548,27 @@ def run_bias_comparison(
     ``h^2 * Gamma``, and the first-order centering ``h * K_1`` (zero for the
     local linear estimator and for symmetric kernels).
     """
-    _check_common(model, noise, kernel, replicates, master_seed)
-    _check_schedule_noise(schedule, noise)
-    x_list = [float(v) for v in np.atleast_1d(np.asarray(x_points, dtype=float))]
-    config = _config_base("bias", model, noise, kernel, x_list, replicates, master_seed, x0, burn_in)
-    config["schedule"] = schedule.as_dict()
-    config["density"] = {"method": density_method, "seed": density_seed}
-
-    payloads = [
-        _base_payload(config, schedule, derive_replicate_seed(master_seed, r))
-        for r in range(replicates)
-    ]
-    results = _map_payloads(_bias_worker, payloads, workers)
-    records: list[ReplicateRecord] = []
-    for index, rows in enumerate(results):
-        seed = payloads[index]["seed"]
-        for xq, method, estimate, error, degenerate in rows:
-            records.append(
-                ReplicateRecord(
-                    replicate=index, seed=seed, x=xq, method=method,
-                    estimate=estimate, error=error, std_error=math.nan, degenerate=degenerate,
-                )
-            )
-    summaries, checks = _summarize_bias(records, config)
+    config = _config(
+        "bias", model, noise, kernel, [schedule], x_points, replicates, master_seed, x0, burn_in,
+        density={"method": density_method, "seed": density_seed},
+    )
     density = _density_from_config(config)
     provenance = {
         "density_provenance": density.provenance,
         "kernel_sign_change": lambda_weight_changes_sign(kernel),
         "schedule_diagnostics": asdict(validate_schedule(schedule)),
     }
-    return ExperimentReport("bias", config, records, summaries, checks, provenance)
+    return _run(
+        config, _fit_drift, workers, provenance, context=("local_linear", "nadaraya_watson"), density=density
+    )
 
 
-def _summarize_bias(records: list[ReplicateRecord], config: dict) -> tuple[list[dict], list[Check]]:
+def _summarize_bias(records: list[ReplicateRecord], config: dict, density=None) -> tuple[list[dict], list[Check]]:
     model = _model_from_config(config)
     noise = _noise_from_config(config)
     kernel = _kernel_from_config(config)
-    density = _density_from_config(config)
+    if density is None:
+        density = _density_from_config(config)
     sched = config["schedule"]
     n, delta, h = sched["n"], sched["delta"], sched["h"]
     summaries = []
@@ -698,51 +643,18 @@ def run_clt(
     tail index compatible with ``alpha`` for heavy-tailed runs, and the
     degenerate-fraction bound.
     """
-    _check_common(model, noise, kernel, replicates, master_seed)
-    _check_schedule_noise(schedule, noise)
+    config = _config(
+        "clt", model, noise, kernel, [schedule], [float(x)], replicates, master_seed, x0, burn_in,
+        density={"method": density_method, "seed": density_seed},
+    )
     if reference_size < 100:
         raise ParameterError(f"reference_size must be at least 100, got {reference_size}")
-    config = _config_base("clt", model, noise, kernel, [float(x)], replicates, master_seed, x0, burn_in)
-    config["schedule"] = schedule.as_dict()
-    config["density"] = {"method": density_method, "seed": density_seed}
-    config["reference_size"] = int(reference_size)
-    config["tail_fraction"] = float(tail_fraction)
-
+    config.update(reference_size=int(reference_size), tail_fraction=float(tail_fraction))
     density = _density_from_config(config)
     constants = asymptotic_constants(
         model, density, noise, kernel, float(x), schedule.n, schedule.delta, schedule.h
     )
     fx = float(density.f(float(x)))
-    exponent = 1.0 - 1.0 / noise.alpha
-
-    payloads = [
-        _base_payload(config, schedule, derive_replicate_seed(master_seed, r))
-        for r in range(replicates)
-    ]
-    results = _map_payloads(_clt_worker, payloads, workers)
-    records: list[ReplicateRecord] = []
-    for index, (estimate, error, degenerate, fhat) in enumerate(results):
-        seed = payloads[index]["seed"]
-        centered = error - constants.bias_term if not degenerate else math.nan
-        std_oracle = constants.rate * constants.lambda_x * centered
-        records.append(
-            ReplicateRecord(
-                replicate=index, seed=seed, x=float(x), method="local_linear",
-                estimate=estimate, error=error, std_error=std_oracle, degenerate=degenerate,
-            )
-        )
-        plug_degenerate = degenerate or not (fhat > 0.0)
-        if plug_degenerate:
-            std_plug = math.nan
-        else:
-            std_plug = std_oracle * (fhat / fx) ** exponent
-        records.append(
-            ReplicateRecord(
-                replicate=index, seed=seed, x=float(x), method="local_linear_fhat",
-                estimate=estimate, error=error, std_error=std_plug, degenerate=plug_degenerate,
-            )
-        )
-    summaries, checks = _summarize_clt(records, config)
     provenance = {
         "density_provenance": density.provenance,
         "kernel_sign_change": lambda_weight_changes_sign(kernel),
@@ -750,7 +662,33 @@ def run_clt(
         "constants": asdict(constants),
         "density_at_x": fx,
     }
-    return ExperimentReport("clt", config, records, summaries, checks, provenance)
+    return _run(config, _fit_clt, workers, provenance, context=(constants, fx))
+
+
+def _fit_clt(model: SdeModel, kernel: Kernel, path, h: float, config: dict, context: tuple) -> list[dict]:
+    """Local linear error standardized by the run's limit ``constants``,
+    once with the oracle density ``f(x)`` and once with the replicate's own
+    kernel density estimate in its place; ``context`` is ``(constants, f(x))``."""
+    constants, fx = context
+    xq = config["x_points"][0]
+    est = local_linear_drift(path, xq, h, kernel)
+    truth = float(model.mu(float(xq)))
+    fhat = density_estimate(path, xq, h, kernel)
+    if est.degenerate:
+        error = std_oracle = math.nan
+    else:
+        error = est.value - truth
+        std_oracle = constants.rate * constants.lambda_x * (error - constants.bias_term)
+    plug_degenerate = est.degenerate or not (fhat > 0.0)
+    if plug_degenerate:
+        std_plug = math.nan
+    else:
+        std_plug = std_oracle * (fhat / fx) ** (1.0 - 1.0 / config["noise"]["alpha"])
+    shared = {"x": xq, "estimate": est.value, "error": error}
+    return [
+        {**shared, "method": "local_linear", "std_error": std_oracle, "degenerate": est.degenerate},
+        {**shared, "method": "local_linear_fhat", "std_error": std_plug, "degenerate": plug_degenerate},
+    ]
 
 
 def _reference_sample(config: dict) -> np.ndarray:
@@ -760,7 +698,7 @@ def _reference_sample(config: dict) -> np.ndarray:
     return np.asarray(sample_standard_stable(noise, rng, size=config["reference_size"]))
 
 
-def _summarize_clt(records: list[ReplicateRecord], config: dict) -> tuple[list[dict], list[Check]]:
+def _summarize_clt(records: list[ReplicateRecord], config: dict, density=None) -> tuple[list[dict], list[Check]]:
     reference = _reference_sample(config)
     alpha = config["noise"]["alpha"]
     ref_iqr = float(np.subtract(*np.quantile(reference, [0.75, 0.25])))
@@ -847,44 +785,35 @@ def run_lln_check(
     absolute terms at 0.02; everything else relatively at 5 percent, with
     the median over replicates as the tested statistic.
     """
-    _check_common(model, noise, kernel, replicates, master_seed)
-    _check_schedule_noise(schedule, noise)
+    config = _config(
+        "lln", model, noise, kernel, [schedule], [float(x)], replicates, master_seed, x0, burn_in,
+        density={"method": density_method, "seed": density_seed},
+    )
     k_list = sorted(set(int(k) for k in k_values))
     if not k_list or any(k not in (0, 1, 2, 3) for k in k_list):
         raise ParameterError(f"k_values must be a nonempty subset of {{0, 1, 2, 3}}, got {k_values}")
-    config = _config_base("lln", model, noise, kernel, [float(x)], replicates, master_seed, x0, burn_in)
-    config["schedule"] = schedule.as_dict()
-    config["density"] = {"method": density_method, "seed": density_seed}
     config["k_values"] = k_list
-
-    payloads = []
-    for r in range(replicates):
-        payload = _base_payload(config, schedule, derive_replicate_seed(master_seed, r))
-        payload["k_values"] = tuple(k_list)
-        payloads.append(payload)
-    results = _map_payloads(_lln_worker, payloads, workers)
-    records: list[ReplicateRecord] = []
-    for index, rows in enumerate(results):
-        seed = payloads[index]["seed"]
-        for k, value in rows:
-            records.append(
-                ReplicateRecord(
-                    replicate=index, seed=seed, x=float(x), method=f"moment_k{k}",
-                    estimate=value, error=math.nan, std_error=math.nan, degenerate=False,
-                )
-            )
-    summaries, checks = _summarize_lln(records, config)
     density = _density_from_config(config)
     provenance = {
         "density_provenance": density.provenance,
         "schedule_diagnostics": asdict(validate_schedule(schedule)),
     }
-    return ExperimentReport("lln", config, records, summaries, checks, provenance)
+    return _run(config, _fit_moments, workers, provenance, density=density)
 
 
-def _summarize_lln(records: list[ReplicateRecord], config: dict) -> tuple[list[dict], list[Check]]:
+def _fit_moments(model: SdeModel, kernel: Kernel, path, h: float, config: dict, context) -> list[dict]:
+    """Normalized kernel moment sums ``s_nk / (n h^k)`` for every ``k``."""
+    xq = config["x_points"][0]
+    return [
+        {"x": xq, "method": f"moment_k{k}", "estimate": s_nk(path, xq, h, kernel, k) / (path.n * h ** k)}
+        for k in config["k_values"]
+    ]
+
+
+def _summarize_lln(records: list[ReplicateRecord], config: dict, density=None) -> tuple[list[dict], list[Check]]:
     kernel = _kernel_from_config(config)
-    density = _density_from_config(config)
+    if density is None:
+        density = _density_from_config(config)
     xq = config["x_points"][0]
     fx = float(density.f(xq))
     moments = {0: 1.0, 1: kernel.k1, 2: kernel.k2, 3: kernel.k3}
@@ -896,10 +825,8 @@ def _summarize_lln(records: list[ReplicateRecord], config: dict) -> tuple[list[d
         target = fx * moments[k]
         abs_errors = np.abs(values - target)
         median_abs = float(np.median(abs_errors))
-        if abs(target) > 1e-12:
-            median_rel = float(np.median(abs_errors / abs(target)))
-        else:
-            median_rel = math.nan
+        relative = abs(target) > 1e-12
+        median_rel = float(np.median(abs_errors / abs(target))) if relative else math.nan
         summaries.append(
             {
                 "k": k,
@@ -911,22 +838,13 @@ def _summarize_lln(records: list[ReplicateRecord], config: dict) -> tuple[list[d
                 "median_rel_error": median_rel,
             }
         )
-        if abs(target) > 1e-12:
-            checks.append(
-                Check(
-                    name=f"lln-moment-k{k}",
-                    passed=median_rel <= 0.05,
-                    detail=f"median relative error {median_rel:.4g} against 0.05 (target {target:.6g})",
-                )
-            )
+        if relative:
+            passed = median_rel <= 0.05
+            detail = f"median relative error {median_rel:.4g} against 0.05 (target {target:.6g})"
         else:
-            checks.append(
-                Check(
-                    name=f"lln-moment-k{k}",
-                    passed=median_abs <= 0.02,
-                    detail=f"median absolute error {median_abs:.4g} against 0.02 (target 0)",
-                )
-            )
+            passed = median_abs <= 0.02
+            detail = f"median absolute error {median_abs:.4g} against 0.02 (target 0)"
+        checks.append(Check(name=f"lln-moment-k{k}", passed=passed, detail=detail))
     return summaries, checks
 
 
@@ -954,50 +872,46 @@ def _cell(value) -> str:
     return str(value)
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(ReplicateRecord))
+_RECORDS_HEADER = ",".join(_RECORD_FIELDS)
+
+
 def _records_csv_lines(records: list[ReplicateRecord]) -> list[str]:
-    lines = ["replicate,seed,x,method,estimate,error,std_error,degenerate"]
-    for r in records:
-        lines.append(
-            ",".join(
-                (
-                    str(r.replicate),
-                    str(r.seed),
-                    f"{r.x:.17g}",
-                    r.method,
-                    _cell(r.estimate),
-                    _cell(r.error),
-                    _cell(r.std_error),
-                    "true" if r.degenerate else "false",
-                )
-            )
-        )
-    return lines
+    rows = (",".join(_cell(getattr(r, name)) for name in _RECORD_FIELDS) for r in records)
+    return [_RECORDS_HEADER, *rows]
+
+
+def _float_cell(text: str) -> float:
+    return float(text) if text else math.nan
+
+
+def _bool_cell(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+# The inverse of ``_cell`` for each record field, picked by its annotation.
+_RECORD_PARSERS = tuple(
+    {"int": int, "float": _float_cell, "str": str, "bool": _bool_cell}[f.type] for f in fields(ReplicateRecord)
+)
 
 
 def read_records_csv(source) -> list[ReplicateRecord]:
     """Load replicate records written by :func:`write_report`."""
     text = Path(source).read_text(encoding="ascii")
     rows = [line for line in text.splitlines() if line.strip()]
-    header = "replicate,seed,x,method,estimate,error,std_error,degenerate"
-    if not rows or rows[0] != header:
-        raise ParameterError(f"{source}: expected a records CSV with header {header!r}")
+    if not rows or rows[0] != _RECORDS_HEADER:
+        raise ParameterError(f"{source}: expected a records CSV with header {_RECORDS_HEADER!r}")
     records = []
-    for line in rows[1:]:
-        fields = line.split(",")
-        if len(fields) != 8:
+    for row, line in enumerate(rows[1:], start=1):
+        cells = line.split(",")
+        if len(cells) != len(_RECORD_PARSERS):
             raise ParameterError(f"{source}: malformed row {line!r}")
-        records.append(
-            ReplicateRecord(
-                replicate=int(fields[0]),
-                seed=int(fields[1]),
-                x=float(fields[2]),
-                method=fields[3],
-                estimate=float(fields[4]) if fields[4] else math.nan,
-                error=float(fields[5]) if fields[5] else math.nan,
-                std_error=float(fields[6]) if fields[6] else math.nan,
-                degenerate=fields[7] == "true",
-            )
-        )
+        try:
+            records.append(ReplicateRecord(*(parse(cell) for parse, cell in zip(_RECORD_PARSERS, cells))))
+        except ValueError:
+            raise ParameterError(f"{source}: row {row}: invalid cell in {line!r}") from None
     return records
 
 

@@ -111,7 +111,9 @@ def simulate_path(
     delta : float
         Time step.
     seed : int
-        Seed for this trajectory's stable increment stream.
+        Non-negative seed for this trajectory's stable increment stream;
+        ``None`` is rejected, since a run drawn from OS entropy cannot be
+        reproduced.
     burn_in : int
         Steps discarded before recording starts, so the recorded segment
         starts close to stationarity.
@@ -136,6 +138,8 @@ def simulate_path(
         raise ParameterError(f"delta must be positive and finite, got {delta}")
     if not math.isfinite(x0):
         raise ParameterError(f"x0 must be finite, got {x0}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     total = burn_in + n
@@ -213,21 +217,36 @@ def write_path_csv(path: ObservedPath, destination) -> None:
 
 
 def read_path_csv(source, *, model_name: str = "external", noise: StableParams | None = None) -> ObservedPath:
-    """Load a trajectory written by :func:`write_path_csv`."""
-    text = Path(source).read_text(encoding="ascii")
-    rows = [line for line in text.splitlines() if line.strip()]
+    """Load a trajectory written by :func:`write_path_csv`.
+
+    Raises
+    ------
+    ParameterError
+        On a wrong header, fewer than two observations, a malformed row, an
+        ``i`` cell that is not the row's index, a cell that is not a finite
+        number, or unequal spacing; row numbers count data rows from 1.
+    """
+    # the file's text is not kept past this line, to bound peak memory
+    rows = [line for line in Path(source).read_text(encoding="ascii").splitlines() if line.strip()]
     if not rows or rows[0] != "i,t,x":
         raise ParameterError(f"{source}: expected a path CSV with header 'i,t,x'")
-    t = np.empty(len(rows) - 1)
-    x = np.empty(len(rows) - 1)
-    for pos, line in enumerate(rows[1:]):
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ParameterError(f"{source}: malformed row {pos + 1}: {line!r}")
-        t[pos] = float(fields[1])
-        x[pos] = float(fields[2])
-    if x.size < 2:
+    if len(rows) < 3:
         raise ParameterError(f"{source}: need at least two observations")
+    try:
+        table = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        table = None
+    valid = (
+        table is not None
+        and table.shape[1] == 3
+        and np.isfinite(table).all()
+        and np.array_equal(table[:, 0], np.arange(len(table)))
+    )
+    if not valid:
+        # the row-by-row parse names the first offending row
+        table = _parse_path_rows(source, rows[1:])
+    t = table[:, 1].copy()
+    x = table[:, 2].copy()
     delta = float(t[1] - t[0])
     steps = np.diff(t)
     if not np.allclose(steps, delta, rtol=1e-9, atol=1e-12):
@@ -235,6 +254,23 @@ def read_path_csv(source, *, model_name: str = "external", noise: StableParams |
     return ObservedPath(
         x=x, delta=delta, n=x.size - 1, seed=None, model_name=model_name, noise=noise
     )
+
+
+def _parse_path_rows(source, lines: list[str]) -> np.ndarray:
+    table = np.empty((len(lines), 3))
+    for pos, line in enumerate(lines):
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ParameterError(f"{source}: malformed row {pos + 1}: {line!r}")
+        try:
+            table[pos] = [float(cell) for cell in fields]
+        except ValueError:
+            raise ParameterError(f"{source}: row {pos + 1}: cells must be numbers, got {line!r}") from None
+        if table[pos, 0] != pos:
+            raise ParameterError(f"{source}: row {pos + 1}: expected i = {pos}, got {fields[0]!r}")
+        if not np.isfinite(table[pos]).all():
+            raise ParameterError(f"{source}: row {pos + 1}: t and x must be finite, got {line!r}")
+    return table
 
 
 def increment_diagnostics(path: ObservedPath, sigma_scale: float) -> dict:

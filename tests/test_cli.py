@@ -112,6 +112,16 @@ class TestEstimate:
         slope = np.polyfit(xs, values, 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.25)
 
+    def test_bad_path_csv_cell_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("i,t,x\n0,0.0,1.0\n1,0.01,abc\n2,0.02,1.2\n")
+        code = main(["estimate", "--model", "ou_linear", "--path-csv", str(bad),
+                     "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "row 2" in err
+        assert "Traceback" not in err
+
     def test_unknown_method_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE)
         code = main(["estimate", "--config", cfg, "--out-dir", str(tmp_path / "o"),
@@ -155,6 +165,13 @@ class TestConfigErrors:
         code = main(["simulate", "--config", str(tmp_path / "absent.json")])
         assert code == 2
         capsys.readouterr()
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        code = main(["simulate", "--model", "ou_linear", "--n", "100", "--burn-in", "10",
+                     "--seed", "-1", "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["error: seed must be a non-negative integer, got -1"]
 
     def test_model_flag_without_config(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from stabledrift import experiments
 from stabledrift import (
     ConfigurationError,
     ParameterError,
@@ -259,3 +260,42 @@ class TestConfigHash:
         bad.write_text("foo,bar\n1,2\n")
         with pytest.raises(ParameterError):
             read_records_csv(bad)
+
+    @pytest.mark.parametrize("row", [
+        "1,7,0,moment_k0,zz,,,false",
+        "x,7,0,moment_k0,0.5,,,false",
+        "1,7,0,moment_k0,0.5,,,maybe",
+    ])
+    def test_read_records_rejects_bad_cell_with_row(self, tmp_path, row):
+        bad = tmp_path / "records.csv"
+        header = "replicate,seed,x,method,estimate,error,std_error,degenerate"
+        bad.write_text(f"{header}\n0,7,0,moment_k0,0.25,,,false\n{row}\n")
+        with pytest.raises(ParameterError, match="row 2"):
+            read_records_csv(bad)
+
+
+class TestDensityOracleBuiltOncePerRun:
+    @pytest.fixture
+    def oracle_calls(self, monkeypatch):
+        calls = []
+        original = experiments.stationary_density_oracle
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "stationary_density_oracle", counting)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["bias", "clt", "lln"])
+    def test_one_build_per_run(self, ou, noise, epan, oracle_calls, kind):
+        sched = Schedule(n=3_000, delta=0.01, h=0.4, alpha=1.5)
+        common = dict(replicates=12, master_seed=11, burn_in=1_000, workers=1)
+        if kind == "bias":
+            rep = run_bias_comparison(ou, noise, epan, sched, [0.0, 0.5], **common)
+        elif kind == "clt":
+            rep = run_clt(ou, noise, epan, sched, 0.0, reference_size=1_000, **common)
+        else:
+            rep = run_lln_check(ou, noise, epan, sched, 0.0, k_values=[0, 2], **common)
+        assert len(oracle_calls) == 1
+        assert rep.verify_integrity()

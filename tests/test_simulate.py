@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from stabledrift import simulate
 from stabledrift import (
     ObservedPath,
     ParameterError,
@@ -144,6 +145,20 @@ class TestGuards:
             simulate_path(m, StableParams(1.5, 0.0), x0=0.0, n=10, delta=0.01, seed=1,
                           burn_in=-1)
 
+    @pytest.mark.parametrize("seed", [None, -1, True, 1.0, "7"])
+    def test_seed_must_be_nonnegative_integer(self, seed):
+        m = builtin_model("ou_linear")
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            simulate_path(m, StableParams(1.5, 0.0), x0=0.0, n=10, delta=0.01, seed=seed,
+                          burn_in=0)
+
+    def test_numpy_integer_seed_accepted(self):
+        m = builtin_model("ou_linear")
+        a = simulate_path(m, StableParams(1.5, 0.0), x0=0.0, n=10, delta=0.01, seed=np.int64(5),
+                          burn_in=0)
+        b = simulate_path(m, StableParams(1.5, 0.0), x0=0.0, n=10, delta=0.01, seed=5, burn_in=0)
+        assert np.array_equal(a.x, b.x)
+
 
 class TestSeedDerivation:
     def test_distinct_and_deterministic(self):
@@ -199,3 +214,47 @@ class TestCsvRoundTrip:
         bad.write_text("i,t,x\n0,0.0,1.0\n1,0.1,1.1\n2,0.3,1.2\n")
         with pytest.raises(ParameterError):
             read_path_csv(bad)
+
+    @pytest.mark.parametrize(
+        "body, row",
+        [
+            ("0,0.0,1.0\n1,0.1,abc\n2,0.2,1.2\n", 2),
+            ("0,0.0,1.0\n1,0.1,1.1\n2,,1.2\n", 3),
+            ("0,0.0,nan\n1,0.1,1.1\n2,0.2,1.2\n", 1),
+            ("0,0.0,1.0\n1,inf,1.1\n2,0.2,1.2\n", 2),
+            ("0,0.0,1.0\n1,0.1,1.1\n2,0.2,-inf\n", 3),
+            ("0,0.0,1.0\nx,0.1,1.1\n2,0.2,1.2\n", 2),
+            ("0,0.0,1.0\n1,0.1,1.1,7\n2,0.2,1.2\n", 2),
+        ],
+    )
+    def test_bad_cell_names_its_row(self, tmp_path, body, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("i,t,x\n" + body)
+        with pytest.raises(ParameterError, match=f"row {row}:"):
+            read_path_csv(bad)
+
+    @pytest.mark.parametrize("body, row", [
+        ("0,0.0,1.0\n2,0.1,1.1\n", 2),
+        ("1,0.0,1.0\n2,0.1,1.1\n", 1),
+        ("0,0.0,1.0\n1,0.1,1.1\n1,0.2,1.2\n", 3),
+    ])
+    def test_index_column_checked(self, tmp_path, body, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("i,t,x\n" + body)
+        with pytest.raises(ParameterError, match=f"row {row}: expected i ="):
+            read_path_csv(bad)
+
+    def test_row_parser_matches_bulk_parse(self, tmp_path):
+        # the row-by-row parser, which names bad rows, is the reference for
+        # the bulk parse that handles well-formed files
+        path = simulate_path(builtin_model("tanh_drift"), StableParams(1.7, 0.0), x0=0.0,
+                             n=2_000, delta=0.01, seed=21, burn_in=100)
+        target = tmp_path / "path.csv"
+        write_path_csv(path, target)
+        lines = target.read_text().splitlines()[1:]
+        table = simulate._parse_path_rows(target, lines)
+        loaded = read_path_csv(target)
+        assert np.array_equal(table[:, 0], np.arange(path.n + 1))
+        assert np.array_equal(table[:, 2], loaded.x)
+        assert np.array_equal(loaded.x, path.x)
+        assert loaded.delta == float(table[1, 1] - table[0, 1])

@@ -3,7 +3,9 @@
 The sha256 digests of the records, summary and manifest files are pinned, so
 any change to the random streams, the seed layout, the float evaluation order
 or the report format shows up here.  Each run is checked at one and at two
-workers.  The digests were produced with numpy 2.4 and scipy 1.17 on
+workers.  The wide runs have enough replicates for the runner to simulate
+them in lockstep batches, whose boundaries follow the worker count; they are
+checked at one, two and three workers.  The digests were produced with numpy 2.4 and scipy 1.17 on
 CPython 3.11 (x86-64); other numeric library versions may round differently.
 """
 from __future__ import annotations
@@ -64,7 +66,37 @@ def _lln(workers):
     )
 
 
+def _clt_wide(workers):
+    return run_clt(
+        builtin_model("bounded_nonlinear", {"sigma1": 0.5}),
+        StableParams(1.5, 0.0), builtin_kernel("epanechnikov"),
+        Schedule(n=2000, delta=0.01, h=0.3, alpha=1.5),
+        0.0, replicates=48, master_seed=4242, burn_in=1_000,
+        reference_size=2_000, workers=workers,
+    )
+
+
+def _bias_wide(workers):
+    return run_bias_comparison(
+        builtin_model("ou_linear", {"gamma": 0.0, "lam": 1.0, "sigma": 1.0}),
+        StableParams(1.8, 0.0), builtin_kernel("uniform_right"),
+        Schedule(n=3000, delta=0.01, h=0.4, alpha=1.8),
+        [-0.5, 0.0, 0.5], replicates=48, master_seed=3131, burn_in=1_000, workers=workers,
+    )
+
+
+def _lln_wide(workers):
+    return run_lln_check(
+        builtin_model("tanh_drift", {"a": 1.0, "sigma": 1.0}),
+        StableParams(1.7, 0.0), builtin_kernel("triangular"),
+        Schedule(n=2000, delta=0.01, h=0.4, alpha=1.7),
+        0.0, k_values=[0, 1, 2], replicates=32, master_seed=5150, burn_in=1_000,
+        workers=workers,
+    )
+
+
 RUNS = {"consistency": _consistency, "bias": _bias, "clt": _clt, "lln": _lln}
+WIDE_RUNS = {"bias_wide": _bias_wide, "clt_wide": _clt_wide, "lln_wide": _lln_wide}
 
 GOLDEN = {
     "bias": {
@@ -82,6 +114,21 @@ GOLDEN = {
         "summary": "4ba7374eed1a1243e3b331d3cd4341cb3325a24d55666214dc9835ebdebd1572",
         "manifest": "7942e67cbd45a62121d6f2124b11a3ad21c1d1f5b0425f4c446483f72a027eaa",
     },
+    "bias_wide": {
+        "records": "015593743949cb33fe1586238ad6cef6b238318a11654f5c0d0821fa692eeb80",
+        "summary": "8d3496c168a86c606828aeea9e63116576d81676d5f870d21f733d964afa91e0",
+        "manifest": "0bcace3b85c40d5421f407b3bb0fbf0ab6bb093bc97a2d08e039475dab1d550f",
+    },
+    "clt_wide": {
+        "records": "f6e2dd145269f3eb4bb5d192571acadfdeba243e0acef1a5248d24285b8346ff",
+        "summary": "75df98fe5a1a97dd285b1d1797cf63d2f3bfef08461e67152fbd660903742074",
+        "manifest": "44f90442be2d2973521ca5095495fe40baad9c65e19660eda68338a617d5dc66",
+    },
+    "lln_wide": {
+        "records": "58977261a8bbaf8361973c95246a6b2d134f24dcc05049f2ed45d773412a6685",
+        "summary": "10e878d1ad11b8ac4829254a0bb38018cefd57e5e350169d8c291903c299ec1f",
+        "manifest": "fa2a956ff37b847463125475f7da1e9bbd653178970abe6796b1a4de367f4e60",
+    },
     "lln": {
         "records": "f9e26e15db9872e28ebb72b86c79fe2d05ff851226c21c064fa8d0f5c4d8e9d9",
         "summary": "9ddc44155a4c6db23f21312b8867f39b8f8074472a5411d8632e79ecc6eaade1",
@@ -94,5 +141,13 @@ GOLDEN = {
 @pytest.mark.parametrize("kind", sorted(RUNS))
 def test_report_bytes_match_golden(kind, workers, tmp_path):
     paths = write_report(RUNS[kind](workers), tmp_path)
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert digests == GOLDEN[kind]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(WIDE_RUNS))
+def test_wide_report_bytes_match_golden(kind, workers, tmp_path):
+    paths = write_report(WIDE_RUNS[kind](workers), tmp_path)
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
     assert digests == GOLDEN[kind]

@@ -61,6 +61,7 @@ from .simulate import (
     increment_diagnostics,
     read_path_csv,
     simulate_path,
+    simulate_paths,
     write_path_csv,
 )
 from .stable import (
@@ -103,6 +104,7 @@ __all__ = [
     "stationary_density_oracle",
     "ObservedPath",
     "simulate_path",
+    "simulate_paths",
     "derive_replicate_seed",
     "write_path_csv",
     "read_path_csv",

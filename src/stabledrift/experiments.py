@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, SimulationError
 from .estimate import (
     asymptotic_constants,
     density_estimate,
@@ -51,7 +51,7 @@ from .estimate import (
 )
 from .kernels import Kernel, builtin_kernel, lambda_weight_changes_sign
 from .models import SdeModel, builtin_model, stationary_density_oracle
-from .simulate import derive_replicate_seed, simulate_path
+from .simulate import derive_replicate_seed, simulate_paths
 from .stable import (
     StableParams,
     hill_tail_index,
@@ -77,6 +77,11 @@ __all__ = [
 
 _PROXY_THRESHOLD = 10.0
 _MAX_DEGENERATE_FRACTION = 0.01
+# Below this many paths a lockstep batch steps more slowly than the same
+# paths stepped one at a time on Python floats (measured crossover).
+_MIN_BATCH_WIDTH = 24
+# Recorded states of one batch: 2**22 doubles, 32 MiB.
+_MAX_BATCH_STATES = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -310,10 +315,12 @@ def _config(
     master_seed: int,
     x0: float,
     burn_in: int,
+    workers: int | None,
     **extra,
 ) -> dict:
     """Validate what every kind shares and snapshot it with the kind's
-    ``extra`` fields as the run's configuration."""
+    ``extra`` fields as the run's configuration; ``workers`` is checked but
+    kept out of the snapshot, since it must not influence any output."""
     if not isinstance(model, SdeModel):
         raise ParameterError("model must be an SdeModel")
     if not isinstance(noise, StableParams):
@@ -326,6 +333,8 @@ def _config(
         raise ParameterError(f"replicates must be an integer >= 2, got {replicates}")
     if not isinstance(master_seed, int):
         raise ParameterError("master_seed must be an integer")
+    if workers is not None and workers < 1:
+        raise ParameterError(f"workers must be a positive integer, got {workers}")
     if not schedules:
         raise ParameterError("at least one schedule is required")
     for schedule in schedules:
@@ -352,24 +361,47 @@ def _config(
     return config
 
 
-def _replicate(job: tuple) -> tuple[int, list[dict]]:
-    """Simulate one replicate and fit it: ``job`` is ``(fit, config,
-    context, schedule_index, replicate_index)``; returns the replicate's
-    seed and the record fields its fit estimated."""
-    fit, config, context, s_idx, r = job
+def _batches(replicates: int, n: int, workers: int) -> list[tuple[int, int]]:
+    """Split one schedule's replicates into contiguous ``(first, count)``
+    ranges, each simulated as one lockstep batch.
+
+    There are at least as many batches as workers, and enough that a
+    batch's recorded states stay within ``_MAX_BATCH_STATES``; when that
+    leaves batches narrower than ``_MIN_BATCH_WIDTH``, every replicate is
+    its own batch.  The boundaries move with the worker count, which is
+    safe because the engine's arithmetic is elementwise: a path's bytes do
+    not depend on the batch it is stepped in.
+    """
+    count = max(min(workers, replicates), math.ceil(replicates * (n + 1) / _MAX_BATCH_STATES))
+    if replicates // count < _MIN_BATCH_WIDTH:
+        return [(r, 1) for r in range(replicates)]
+    bounds = [replicates * i // count for i in range(count + 1)]
+    return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _replicates(job: tuple) -> list[tuple[int, list[dict]]]:
+    """Simulate one batch of replicates and fit each path: ``job`` is
+    ``(fit, config, context, schedule_index, first, count)``; returns each
+    replicate's seed and the record fields its fit estimated."""
+    fit, config, context, s_idx, first, count = job
     schedule = _schedules(config)[s_idx]
-    seed = derive_replicate_seed(config["master_seed"], s_idx * config["replicates"] + r)
+    offset = s_idx * config["replicates"] + first
+    seeds = [derive_replicate_seed(config["master_seed"], offset + j) for j in range(count)]
     model = _model_from_config(config)
-    path = simulate_path(
-        model,
-        _noise_from_config(config),
-        x0=config["x0"],
-        n=schedule["n"],
-        delta=schedule["delta"],
-        seed=seed,
-        burn_in=config["burn_in"],
-    )
-    return seed, fit(model, _kernel_from_config(config), path, schedule["h"], config, context)
+    try:
+        paths = simulate_paths(
+            model,
+            _noise_from_config(config),
+            x0=config["x0"],
+            n=schedule["n"],
+            delta=schedule["delta"],
+            seeds=seeds,
+            burn_in=config["burn_in"],
+        )
+    except SimulationError as exc:
+        raise SimulationError(f"replicate {offset + exc.path_index}, {exc}") from None
+    kernel = _kernel_from_config(config)
+    return [(path.seed, fit(model, kernel, path, schedule["h"], config, context)) for path in paths]
 
 
 def _run(config: dict, fit, workers: int | None, provenance: dict, context=None, density=None) -> ExperimentReport:
@@ -378,24 +410,22 @@ def _run(config: dict, fit, workers: int | None, provenance: dict, context=None,
     ``context`` is handed to each fit; ``density`` is the run's oracle,
     passed on to the summarizer so it is not rebuilt.
     """
-    jobs = [
-        (fit, config, context, s_idx, r)
-        for s_idx in range(len(_schedules(config)))
-        for r in range(config["replicates"])
-    ]
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ParameterError(f"workers must be a positive integer, got {workers}")
+    jobs = [
+        (fit, config, context, s_idx, first, count)
+        for s_idx, schedule in enumerate(_schedules(config))
+        for first, count in _batches(config["replicates"], schedule["n"], workers)
+    ]
     count = min(workers, len(jobs))
     if count <= 1:
-        results = [_replicate(job) for job in jobs]
+        results = [_replicates(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=count) as pool:
-            results = list(pool.map(_replicate, jobs, chunksize=max(1, len(jobs) // (count * 4))))
+            results = list(pool.map(_replicates, jobs, chunksize=max(1, len(jobs) // (count * 4))))
     records = [
         ReplicateRecord(replicate=index, seed=seed, **row)
-        for index, (seed, rows) in enumerate(results)
+        for index, (seed, rows) in enumerate(pair for batch in results for pair in batch)
         for row in rows
     ]
     summaries, checks = _SUMMARIZERS[config["kind"]](records, config, density)
@@ -457,7 +487,8 @@ def run_consistency(
     block of each schedule is self-contained.
     """
     config = _config(
-        "consistency", model, noise, kernel, schedules, x_points, replicates, master_seed, x0, burn_in
+        "consistency", model, noise, kernel, schedules, x_points, replicates, master_seed, x0, burn_in,
+        workers,
     )
     for prev, cur in zip(schedules, schedules[1:]):
         if not (cur.n > prev.n and cur.delta <= prev.delta and cur.h <= prev.h):
@@ -549,7 +580,7 @@ def run_bias_comparison(
     local linear estimator and for symmetric kernels).
     """
     config = _config(
-        "bias", model, noise, kernel, [schedule], x_points, replicates, master_seed, x0, burn_in,
+        "bias", model, noise, kernel, [schedule], x_points, replicates, master_seed, x0, burn_in, workers,
         density={"method": density_method, "seed": density_seed},
     )
     density = _density_from_config(config)
@@ -644,11 +675,20 @@ def run_clt(
     degenerate-fraction bound.
     """
     config = _config(
-        "clt", model, noise, kernel, [schedule], [float(x)], replicates, master_seed, x0, burn_in,
+        "clt", model, noise, kernel, [schedule], [float(x)], replicates, master_seed, x0, burn_in, workers,
         density={"method": density_method, "seed": density_seed},
     )
     if reference_size < 100:
         raise ParameterError(f"reference_size must be at least 100, got {reference_size}")
+    if not (0.0 < tail_fraction < 1.0):
+        raise ParameterError(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
+    # the Hill estimate needs more usable replicates than its tail size
+    tail_size = max(10, int(round(tail_fraction * replicates)))
+    if replicates <= tail_size:
+        raise ParameterError(
+            f"clt needs more than {tail_size} replicates for a Hill tail estimate "
+            f"at tail_fraction {tail_fraction}, got {replicates}"
+        )
     config.update(reference_size=int(reference_size), tail_fraction=float(tail_fraction))
     density = _density_from_config(config)
     constants = asymptotic_constants(
@@ -786,7 +826,7 @@ def run_lln_check(
     the median over replicates as the tested statistic.
     """
     config = _config(
-        "lln", model, noise, kernel, [schedule], [float(x)], replicates, master_seed, x0, burn_in,
+        "lln", model, noise, kernel, [schedule], [float(x)], replicates, master_seed, x0, burn_in, workers,
         density={"method": density_method, "seed": density_seed},
     )
     k_list = sorted(set(int(k) for k in k_values))

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _VALIDATION_GRID = np.linspace(-50.0, 50.0, 10_001)
+_exact_tanh = np.frompyfunc(math.tanh, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,9 @@ def _make_ou_linear(params: dict) -> SdeModel:
     if sigma0 <= 0.0:
         raise ParameterError(f"ou_linear requires sigma > 0, got {sigma0}")
 
-    # Scalar branches keep the Euler recursion on plain Python floats, which
-    # is several times faster than routing every step through numpy scalars.
+    # The scalar branches serve the Euler recursion of a single path, which
+    # steps on plain Python floats; the array branches serve lockstep
+    # batches and must agree with the scalar branches bit for bit.
     def mu(x):
         if isinstance(x, float):
             return gamma - lam * x
@@ -165,7 +167,9 @@ def _make_tanh_drift(params: dict) -> SdeModel:
     def mu(x):
         if isinstance(x, float):
             return -a * math.tanh(x)
-        return -a * np.tanh(np.asarray(x, dtype=float))
+        # np.tanh is not math.tanh to the last bit; a batch of paths must
+        # step exactly as each path alone does
+        return -a * np.asarray(_exact_tanh(np.asarray(x, dtype=float)), dtype=float)
 
     def mu_prime(x):
         if isinstance(x, float):

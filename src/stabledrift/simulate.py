@@ -10,6 +10,16 @@ factor is the self-similarity scaling of the driving noise; at ``alpha = 2``
 it reduces to the familiar ``sqrt(delta)`` (up to the variance-2 convention
 of the standard stable law).
 
+One engine steps every path.  :func:`simulate_path` steps a single path on
+plain Python floats; :func:`simulate_paths` steps a batch of seeds in
+lockstep, with the state a numpy vector holding one entry per path, through
+the same loop body.  Every per-step operation is elementwise IEEE
+arithmetic, so a path's states are bit for bit the same in a batch of any
+width as alone.  Each path's stable increments are drawn in blocks of 4096
+steps from its own seed's stream, so neither a full-length draw array nor a
+full-length list is ever built; the bound check runs once per block and
+still names the first offending step.
+
 Seeding is two-level: experiments hold one master seed and derive one
 independent stream per replicate through a fixed 64-bit mixing function, so
 any replicate can be regenerated in isolation and parallel execution cannot
@@ -26,11 +36,12 @@ import numpy as np
 
 from .errors import ParameterError, SimulationError
 from .models import SdeModel
-from .stable import StableParams, sample_standard_stable
+from .stable import StableParams, _cms_transform
 
 __all__ = [
     "ObservedPath",
     "simulate_path",
+    "simulate_paths",
     "derive_replicate_seed",
     "write_path_csv",
     "read_path_csv",
@@ -38,6 +49,9 @@ __all__ = [
 ]
 
 _STATE_BOUND = 1e12
+# Steps per block of stable draws: the draws held at once stay a few
+# hundred KiB per path, whatever the path length.
+_CHUNK = 4096
 _MASK64 = (1 << 64) - 1
 
 
@@ -97,6 +111,12 @@ def simulate_path(
 ) -> ObservedPath:
     """Simulate an observed trajectory after discarding a burn-in prefix.
 
+    The path is stepped on plain Python floats, one block of at most
+    4096 steps at a time; its increments are the first ``burn_in + n``
+    values of ``sample_standard_stable(noise, Generator(PCG64(seed)))``,
+    drawn block by block, so no array or list of the full length is built
+    except the recorded states.
+
     Parameters
     ----------
     model : SdeModel
@@ -122,8 +142,63 @@ def simulate_path(
     ------
     SimulationError
         If the state leaves ``(-1e12, 1e12)`` or becomes non-finite; the
-        message carries the offending step index.
+        message carries the first offending step index.
     """
+    _check_run(model, noise, x0, n, delta, burn_in)
+    _check_seed(seed)
+    states = _euler(model, noise, x0, n, delta, [seed], burn_in)
+    return ObservedPath(
+        x=states[0], delta=delta, n=n, seed=seed, model_name=model.name, noise=noise
+    )
+
+
+def simulate_paths(
+    model: SdeModel,
+    noise: StableParams,
+    x0: float,
+    n: int,
+    delta: float,
+    seeds,
+    burn_in: int = 100_000,
+) -> list[ObservedPath]:
+    """Simulate one trajectory per seed, stepping all of them in lockstep.
+
+    With several seeds the state is a numpy vector with one entry per path,
+    so each Euler step costs a few array operations for the whole batch.
+    Every operation is elementwise IEEE arithmetic, so path ``j`` is bit for
+    bit ``simulate_path(..., seed=seeds[j], ...)``; a single seed takes the
+    float path of :func:`simulate_path`.  The recorded states of the batch
+    share one ``(len(seeds), n + 1)`` array.
+
+    Parameters are those of :func:`simulate_path`, with ``seeds`` a
+    nonempty sequence of non-negative integers.
+
+    Raises
+    ------
+    SimulationError
+        When a path leaves ``(-1e12, 1e12)``; the message names the first
+        offending step and that path's seed, and the error's ``path_index``
+        is the path's position in ``seeds``.
+    """
+    _check_run(model, noise, x0, n, delta, burn_in)
+    seeds = list(seeds)
+    if not seeds:
+        raise ParameterError("seeds must be a nonempty sequence")
+    for seed in seeds:
+        _check_seed(seed)
+    try:
+        states = _euler(model, noise, x0, n, delta, seeds, burn_in)
+    except SimulationError as exc:
+        error = SimulationError(f"seed {seeds[exc.path_index]}: {exc}")
+        error.path_index = exc.path_index
+        raise error from None
+    return [
+        ObservedPath(x=row, delta=delta, n=n, seed=seed, model_name=model.name, noise=noise)
+        for row, seed in zip(states, seeds)
+    ]
+
+
+def _check_run(model, noise, x0, n, delta, burn_in) -> None:
     if not isinstance(model, SdeModel):
         raise ParameterError("model must be an SdeModel")
     if not isinstance(noise, StableParams):
@@ -138,47 +213,98 @@ def simulate_path(
         raise ParameterError(f"delta must be positive and finite, got {delta}")
     if not math.isfinite(x0):
         raise ParameterError(f"x0 must be finite, got {x0}")
+
+
+def _check_seed(seed) -> None:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    total = burn_in + n
-    xi = np.asarray(sample_standard_stable(noise, rng, size=total))
-    root = delta ** (1.0 / noise.alpha)
+
+def _stable_blocks(noise: StableParams, seeds: list, total: int):
+    """Yield the first ``total`` standard stable increments of every seed's
+    stream as ``(len(seeds), steps)`` blocks of at most ``_CHUNK`` steps.
+
+    The stream is that of ``sample_standard_stable(noise, rng, size=total)``
+    with ``rng = Generator(PCG64(seed))``: all ``total`` uniform angles come
+    first, then the exponentials.  A uniform double consumes exactly one
+    64-bit output, so the exponentials are read from a second generator
+    advanced by ``total``, and both streams can be consumed block by block.
+    """
+    angles = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    waits = [np.random.Generator(np.random.PCG64(seed).advance(total)) for seed in seeds]
+    for start in range(0, total, _CHUNK):
+        steps = min(_CHUNK, total - start)
+        v = np.empty((len(seeds), steps))
+        w = np.empty((len(seeds), steps))
+        for row, (angle, wait) in enumerate(zip(angles, waits)):
+            v[row] = angle.uniform(-math.pi / 2.0, math.pi / 2.0, steps)
+            wait.standard_exponential(steps, out=w[row])
+        yield _cms_transform(noise, v, w)
+
+
+def _euler(
+    model: SdeModel, noise: StableParams, x0: float, n: int, delta: float, seeds: list, burn_in: int
+) -> np.ndarray:
+    """Recorded states of every seed's path, one row per seed.
+
+    One seed keeps the state a Python float, which steps faster than any
+    numpy scalar; several seeds make it a vector stepped by the same loop
+    body.  The bound check runs once per block, on the block's states.
+    """
+    width = len(seeds)
     mu = model.mu
-    states = np.empty(n + 1)
-    state = float(x0)
-    # The recursion below runs on plain Python floats; pre-scaling the
-    # increments and keeping the loop body minimal is what makes desk-scale
-    # Monte Carlo runs (~1e8 steps) affordable without compiled extensions.
-    if model.sigma_constant:
-        terms = (xi * (model.sigma_bounds[0] * root)).tolist()
-        for k in range(burn_in):
-            state = state + mu(state) * delta + terms[k]
-            if not (-_STATE_BOUND < state < _STATE_BOUND):
-                raise SimulationError(f"state left the stable range at burn-in step {k}")
-        states[0] = state
-        for k in range(burn_in, total):
-            state = state + mu(state) * delta + terms[k]
-            if not (-_STATE_BOUND < state < _STATE_BOUND):
-                raise SimulationError(f"state left the stable range at step {k - burn_in}")
-            states[k - burn_in + 1] = state
-    else:
-        sigma = model.sigma
-        terms = (xi * root).tolist()
-        for k in range(burn_in):
-            state = state + mu(state) * delta + sigma(state) * terms[k]
-            if not (-_STATE_BOUND < state < _STATE_BOUND):
-                raise SimulationError(f"state left the stable range at burn-in step {k}")
-        states[0] = state
-        for k in range(burn_in, total):
-            state = state + mu(state) * delta + sigma(state) * terms[k]
-            if not (-_STATE_BOUND < state < _STATE_BOUND):
-                raise SimulationError(f"state left the stable range at step {k - burn_in}")
-            states[k - burn_in + 1] = state
-    return ObservedPath(
-        x=states, delta=delta, n=n, seed=seed, model_name=model.name, noise=noise
-    )
+    # A constant sigma folds into the increments as sigma * delta^(1/alpha).
+    sigma = None if model.sigma_constant else model.sigma
+    scale = delta ** (1.0 / noise.alpha)
+    if sigma is None:
+        scale = model.sigma_bounds[0] * scale
+    states = np.empty((width, n + 1))
+    state = float(x0) if width == 1 else np.full(width, float(x0))
+    states[:, 0] = state  # x0, kept only when there is no burn-in
+    done = 0
+    with np.errstate(all="ignore"):
+        for xi in _stable_blocks(noise, seeds, burn_in + n):
+            terms = (xi[0] * scale).tolist() if width == 1 else np.ascontiguousarray((xi * scale).T)
+            trail: list = []
+            append = trail.append
+            failure = None
+            try:
+                if sigma is None:
+                    for term in terms:
+                        state = state + mu(state) * delta + term
+                        append(state)
+                else:
+                    for term in terms:
+                        state = state + mu(state) * delta + sigma(state) * term
+                        append(state)
+            except (ArithmeticError, ValueError) as exc:
+                # Float arithmetic (x ** 3, say) may overflow once a state
+                # has left the range, before the block's check is reached.
+                failure = exc
+            block = np.array(trail).reshape(len(trail), width)
+            _check_block(block, done, burn_in)
+            if failure is not None:
+                raise failure
+            # the state after step k is recorded at index k + 1 - burn_in
+            skip = max(0, burn_in - 1 - done)
+            if skip < len(block):
+                states[:, done + skip + 1 - burn_in : done + len(block) + 1 - burn_in] = block[skip:].T
+            done += len(block)
+    return states
+
+
+def _check_block(block: np.ndarray, done: int, burn_in: int) -> None:
+    """Raise at the first state of a ``(steps, width)`` block, taken after
+    ``done`` earlier steps, that is outside ``(-1e12, 1e12)`` or not finite."""
+    inside = np.abs(block) < _STATE_BOUND
+    if inside.all():
+        return
+    row, column = np.argwhere(~inside)[0]
+    step = done + int(row)
+    where = f"burn-in step {step}" if step < burn_in else f"step {step - burn_in}"
+    error = SimulationError(f"state left the stable range at {where}")
+    error.path_index = int(column)
+    raise error
 
 
 def derive_replicate_seed(master_seed: int, replicate_index: int) -> int:

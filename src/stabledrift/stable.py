@@ -67,6 +67,29 @@ def _tan_half(alpha: float) -> float:
     return math.tan(math.pi * alpha / 2.0)
 
 
+def _cms_transform(params: StableParams, v, w):
+    """The Chambers-Mallows-Stuck map from uniform angles ``v`` on
+    ``(-pi/2, pi/2)`` and unit exponentials ``w`` to standard stable
+    variates; elementwise, so any split of the draws into blocks maps to the
+    same values."""
+    alpha = params.alpha
+    beta = params.beta
+    if alpha == 1.0:
+        half_pi = math.pi / 2.0
+        shifted = half_pi + beta * v
+        return (shifted * np.tan(v) - beta * np.log(half_pi * w * np.cos(v) / shifted)) / half_pi
+    t = _tan_half(alpha)
+    b0 = math.atan(beta * t) / alpha
+    s = (1.0 + beta * beta * t * t) ** (1.0 / (2.0 * alpha))
+    arg = alpha * (v + b0)
+    return (
+        s
+        * np.sin(arg)
+        / np.cos(v) ** (1.0 / alpha)
+        * (np.cos(v - arg) / w) ** ((1.0 - alpha) / alpha)
+    )
+
+
 def sample_standard_stable(
     params: StableParams,
     rng: np.random.Generator,
@@ -94,31 +117,16 @@ def sample_standard_stable(
         raise ParameterError("params must be a StableParams instance")
     if not isinstance(rng, np.random.Generator):
         raise ParameterError("rng must be a numpy.random.Generator")
-    alpha = params.alpha
-    beta = params.beta
     v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
     w = rng.standard_exponential(size)
-    if alpha == 1.0:
+    if params.alpha == 1.0:
         warnings.warn(
             "alpha = 1 uses the logarithmic scale convention and is outside "
             "the range where drift estimation concentrates",
             RuntimeWarning,
             stacklevel=2,
         )
-        half_pi = math.pi / 2.0
-        shifted = half_pi + beta * v
-        x = (shifted * np.tan(v) - beta * np.log(half_pi * w * np.cos(v) / shifted)) / half_pi
-    else:
-        t = _tan_half(alpha)
-        b0 = math.atan(beta * t) / alpha
-        s = (1.0 + beta * beta * t * t) ** (1.0 / (2.0 * alpha))
-        arg = alpha * (v + b0)
-        x = (
-            s
-            * np.sin(arg)
-            / np.cos(v) ** (1.0 / alpha)
-            * (np.cos(v - arg) / w) ** ((1.0 - alpha) / alpha)
-        )
+    x = _cms_transform(params, v, w)
     if size is None:
         return float(x)
     return x

@@ -4,24 +4,28 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from stabledrift import experiments
+from stabledrift import experiments, simulate
 from stabledrift import (
     ConfigurationError,
     ParameterError,
     Schedule,
+    SimulationError,
     StableParams,
     builtin_kernel,
     builtin_model,
     config_hash,
+    derive_replicate_seed,
     read_records_csv,
     run_bias_comparison,
     run_clt,
     run_consistency,
     run_lln_check,
+    simulate_path,
     validate_schedule,
     write_report,
 )
@@ -299,3 +303,71 @@ class TestDensityOracleBuiltOncePerRun:
             rep = run_lln_check(ou, noise, epan, sched, 0.0, k_values=[0, 2], **common)
         assert len(oracle_calls) == 1
         assert rep.verify_integrity()
+
+
+class TestFailBeforeExpensiveWork:
+    @pytest.fixture
+    def expensive_calls(self, monkeypatch):
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((experiments, "stationary_density_oracle"), (experiments, "simulate_paths"),
+                             (simulate, "simulate_path")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return calls
+
+    @pytest.mark.parametrize("kind", ["consistency", "bias", "clt", "lln"])
+    def test_bad_worker_count(self, ou, noise, epan, expensive_calls, kind):
+        sched = Schedule(n=3_000, delta=0.01, h=0.4, alpha=1.5)
+        common = dict(replicates=12, master_seed=11, burn_in=1_000, workers=0)
+        with pytest.raises(ParameterError, match="workers"):
+            if kind == "consistency":
+                finer = Schedule(n=6_000, delta=0.01, h=0.3, alpha=1.5)
+                run_consistency(ou, noise, epan, [sched, finer], [0.0], **common)
+            elif kind == "bias":
+                run_bias_comparison(ou, noise, epan, sched, [0.0], **common)
+            elif kind == "clt":
+                run_clt(ou, noise, epan, sched, 0.0, reference_size=1_000, **common)
+            else:
+                run_lln_check(ou, noise, epan, sched, 0.0, k_values=[0], **common)
+        assert expensive_calls == []
+
+    def test_too_few_clt_replicates_for_the_tail_estimate(self, ou, noise, epan, expensive_calls):
+        sched = Schedule(n=3_000, delta=0.01, h=0.4, alpha=1.5)
+        with pytest.raises(ParameterError, match="Hill"):
+            run_clt(ou, noise, epan, sched, 0.0, replicates=4, master_seed=1, burn_in=1_000,
+                    reference_size=1_000, workers=1, tail_fraction=0.1)
+        assert expensive_calls == []
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, math.nan])
+    def test_tail_fraction_outside_unit_interval(self, ou, noise, epan, expensive_calls, fraction):
+        sched = Schedule(n=3_000, delta=0.01, h=0.4, alpha=1.5)
+        with pytest.raises(ParameterError, match="tail_fraction"):
+            run_clt(ou, noise, epan, sched, 0.0, replicates=40, master_seed=1, burn_in=1_000,
+                    reference_size=1_000, workers=1, tail_fraction=fraction)
+        assert expensive_calls == []
+
+
+class TestFailingReplicateNamesItself:
+    # Euler with delta = 3 on x' = -x flips and doubles the state each step.
+    @pytest.mark.parametrize("replicates, workers", [(2, 1), (2, 2), (32, 1), (48, 2)])
+    def test_unstable_schedule(self, ou, noise, epan, replicates, workers):
+        sched = Schedule(n=200, delta=3.0, h=0.4, alpha=1.5)
+        with pytest.raises(SimulationError) as caught:
+            run_lln_check(ou, noise, epan, sched, 0.0, k_values=[0], replicates=replicates,
+                          master_seed=5, burn_in=100, workers=workers)
+        found = re.fullmatch(
+            r"replicate (\d+), seed (\d+): state left the stable range at burn-in step (\d+)", str(caught.value)
+        )
+        assert found, str(caught.value)
+        index, seed, step = (int(v) for v in found.groups())
+        assert 0 <= index < replicates
+        assert seed == derive_replicate_seed(5, index)
+        # the named replicate fails alone at the named step
+        with pytest.raises(SimulationError, match=f"at burn-in step {step}$"):
+            simulate_path(ou, noise, 0.0, 200, 3.0, seed, burn_in=100)

@@ -22,6 +22,7 @@ from stabledrift import (
     read_path_csv,
     sample_standard_stable,
     simulate_path,
+    simulate_paths,
     two_sample_ks,
     write_path_csv,
 )
@@ -130,6 +131,29 @@ class TestGuards:
         with pytest.raises(SimulationError, match="step"):
             simulate_path(cubic, StableParams(1.5, 0.0), x0=5.0, n=50, delta=0.5,
                           seed=1, burn_in=0)
+
+    def test_overflow_past_the_bound_reports_the_first_offending_step(self):
+        # x ** 3 overflows Python floats two steps after the state passes
+        # 1e12; the block's bound check must still name that first step
+        cubic = raw_model(lambda x: x ** 3 if isinstance(x, float) else np.asarray(x) ** 3, 0.0)
+        with pytest.raises(SimulationError, match=r"^state left the stable range at step 2$"):
+            simulate_path(cubic, StableParams(1.5, 0.0), x0=5.0, n=50, delta=0.5, seed=1, burn_in=0)
+        with pytest.raises(SimulationError, match=r"^state left the stable range at burn-in step 2$"):
+            simulate_path(cubic, StableParams(1.5, 0.0), x0=5.0, n=50, delta=0.5, seed=1, burn_in=10)
+
+    def test_explosion_in_a_batch_names_seed_and_step(self):
+        cubic = raw_model(lambda x: x ** 3 if isinstance(x, float) else np.asarray(x) ** 3, 0.0)
+        with pytest.raises(SimulationError, match=r"^seed 9: state left the stable range at step 2$") as caught:
+            simulate_paths(cubic, StableParams(1.5, 0.0), x0=5.0, n=50, delta=0.5, seeds=[9, 2, 3],
+                           burn_in=0)
+        assert caught.value.path_index == 0
+
+    def test_batch_validation(self):
+        m = builtin_model("ou_linear")
+        with pytest.raises(ParameterError, match="seeds"):
+            simulate_paths(m, StableParams(1.5, 0.0), x0=0.0, n=10, delta=0.01, seeds=[], burn_in=0)
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            simulate_paths(m, StableParams(1.5, 0.0), x0=0.0, n=10, delta=0.01, seeds=[1, -1], burn_in=0)
 
     def test_parameter_validation(self):
         m = builtin_model("ou_linear")

@@ -5,12 +5,16 @@ any change to the random streams, the seed layout, the float evaluation order
 or the report format shows up here.  Each run is checked at one and at two
 workers.  The wide runs have enough replicates for the runner to simulate
 them in lockstep batches, whose boundaries follow the worker count; they are
-checked at one, two and three workers.  The digests were produced with numpy 2.4 and scipy 1.17 on
+checked at one, two and three workers.  The ``estimates.csv`` of the
+``estimate`` command is pinned for both methods and two kernels, on a grid
+with one point far outside the path's range, where every fit is degenerate.
+The digests were produced with numpy 2.4 and scipy 1.17 on
 CPython 3.11 (x86-64); other numeric library versions may round differently.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -25,6 +29,7 @@ from stabledrift import (
     run_lln_check,
     write_report,
 )
+from stabledrift.cli import main
 
 
 def _consistency(workers):
@@ -129,6 +134,8 @@ GOLDEN = {
         "summary": "10e878d1ad11b8ac4829254a0bb38018cefd57e5e350169d8c291903c299ec1f",
         "manifest": "fa2a956ff37b847463125475f7da1e9bbd653178970abe6796b1a4de367f4e60",
     },
+    "estimate_epanechnikov": "e2daa7e16d9ce17e76f779fac0c047b820de96f9c6a38f41bee28bce5c40a78b",
+    "estimate_uniform_right": "fc18457074e5b755685276e94ad0940223226d9fe254ee5e4fd8df1e72960ad5",
     "lln": {
         "records": "f9e26e15db9872e28ebb72b86c79fe2d05ff851226c21c064fa8d0f5c4d8e9d9",
         "summary": "9ddc44155a4c6db23f21312b8867f39b8f8074472a5411d8632e79ecc6eaade1",
@@ -151,3 +158,28 @@ def test_wide_report_bytes_match_golden(kind, workers, tmp_path):
     paths = write_report(WIDE_RUNS[kind](workers), tmp_path)
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
     assert digests == GOLDEN[kind]
+
+
+ESTIMATE_CONFIG = {
+    "model": "tanh_drift",
+    "model_params": {"a": 1.0, "sigma": 1.0},
+    "alpha": 1.6,
+    "n": 5000,
+    "delta": 0.01,
+    "h": 0.35,
+    "burn_in": 1_000,
+    "seed": 8080,
+    "x_points": [-1.0, -0.25, 0.0, 0.4, 1.2, 40.0],
+}
+
+
+@pytest.mark.parametrize("kernel", ["epanechnikov", "uniform_right"])
+def test_estimate_csv_bytes_match_golden(kernel, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(ESTIMATE_CONFIG))
+    code = main(["estimate", "--config", str(config), "--kernel", kernel, "--method", "both",
+                 "--out-dir", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "out" / "estimates.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN[f"estimate_{kernel}"]

@@ -12,9 +12,10 @@ from .errors import ConfigurationError, NumericError, ParameterError, Simulation
 from .estimate import (
     AsymptoticConstants,
     DriftEstimate,
+    KernelSums,
     asymptotic_constants,
     density_estimate,
-    drift_curve,
+    kernel_sums,
     local_linear_drift,
     local_linear_drift_ratio,
     nadaraya_watson_drift,
@@ -45,7 +46,6 @@ from .kernels import (
     lambda_fractional_integral,
     lambda_weight_changes_sign,
     nw_fractional_integral,
-    scaled_eval,
 )
 from .models import (
     SdeModel,
@@ -92,7 +92,6 @@ __all__ = [
     "Kernel",
     "builtin_kernel",
     "kernel_names",
-    "scaled_eval",
     "lambda_fractional_integral",
     "lambda_weight_changes_sign",
     "nw_fractional_integral",
@@ -111,6 +110,8 @@ __all__ = [
     "increment_diagnostics",
     "DriftEstimate",
     "AsymptoticConstants",
+    "KernelSums",
+    "kernel_sums",
     "s_nk",
     "local_linear_drift",
     "local_linear_drift_ratio",
@@ -119,7 +120,6 @@ __all__ = [
     "asymptotic_constants",
     "nw_asymptotic_constants",
     "nw_scheme_one_centering",
-    "drift_curve",
     "write_drift_curve_csv",
     "Schedule",
     "ScheduleDiagnostics",

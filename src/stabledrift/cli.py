@@ -265,7 +265,7 @@ def cmd_simulate(config: RunConfig) -> int:
 def cmd_estimate(config: RunConfig) -> int:
     """Estimate the drift over the configured grid and write
     ``<out_dir>/estimates.csv``."""
-    from .estimate import drift_curve, write_drift_curve_csv
+    from .estimate import kernel_sums, write_drift_curve_csv
     from .simulate import read_path_csv, simulate_path
 
     model, noise, kernel = _build_components(config)
@@ -284,9 +284,8 @@ def cmd_estimate(config: RunConfig) -> int:
         raise ConfigurationError(
             f"unknown method {config.method!r}; expected local_linear, nadaraya_watson, or both"
         )
-    estimates = []
-    for method in methods:
-        estimates.extend(drift_curve(path, config.x_points, config.h, kernel, method))
+    sums = kernel_sums(path, config.x_points, config.h, kernel)
+    estimates = [est for method in methods for est in sums.estimates(method)]
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     destination = out_dir / "estimates.csv"

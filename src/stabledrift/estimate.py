@@ -8,6 +8,11 @@ the local linear estimator also fits a slope in the offset ``X_i - x``,
 which cancels the first-order term of the drift's Taylor expansion and is
 what removes the design-dependent part of the bias.
 
+One pass over the path per query point feeds every estimate:
+:func:`kernel_sums` forms the sums ``S_0, S_1, S_2, T_0, T_1`` over a grid,
+and the local linear, ratio and density (``S_0 / n``) estimates are derived
+from them elementwise.
+
 The asymptotic description of the local linear estimator at an interior
 point with ``1 < alpha < 2`` is
 
@@ -37,6 +42,8 @@ from .stable import StableParams
 __all__ = [
     "DriftEstimate",
     "AsymptoticConstants",
+    "KernelSums",
+    "kernel_sums",
     "s_nk",
     "local_linear_drift",
     "local_linear_drift_ratio",
@@ -45,7 +52,6 @@ __all__ = [
     "asymptotic_constants",
     "nw_asymptotic_constants",
     "nw_scheme_one_centering",
-    "drift_curve",
     "write_drift_curve_csv",
 ]
 
@@ -99,8 +105,67 @@ def _design(path: ObservedPath, x: float, h: float, kernel: Kernel):
     return xs, z, w
 
 
-def _threshold(n: int, h: float, kernel: Kernel) -> float:
-    return _DEGENERACY_COEFF * n * kernel.peak / h
+@dataclass(frozen=True)
+class KernelSums:
+    """Kernel sums of one path over a query grid, from :func:`kernel_sums`.
+
+    At ``x = grid[j]``, with ``z_i = (X_i - x) / h``, ``w_i = K(z_i) / h``
+    and ``Y_i = (X_{i+1} - X_i) / delta`` for ``i < n``, ``s0, s1, s2[j]``
+    are ``sum_i w_i z_i^k`` and ``t0, t1[j]`` are ``sum_i w_i z_i^k Y_i``;
+    ``threshold`` is the degeneracy threshold ``1e-12 * n * max(K) / h``.
+    """
+
+    grid: np.ndarray
+    h: float
+    n: int
+    threshold: float
+    s0: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+
+    def estimates(self, method: str) -> list[DriftEstimate]:
+        """The ``local_linear`` or ``nadaraya_watson`` estimate at every grid
+        point, in grid order."""
+        if method == "local_linear":
+            det = self.s0 * self.s2 - self.s1 * self.s1
+            numerator, divisor, denominator = self.s2 * self.t0 - self.s1 * self.t1, det, det / float(self.n ** 2)
+        elif method == "nadaraya_watson":
+            numerator, divisor, denominator = self.t0, self.s0, self.s0
+        else:
+            raise ConfigurationError(f"unknown method {method!r}; expected 'local_linear' or 'nadaraya_watson'")
+        degenerate = ~(np.abs(denominator) >= self.threshold)
+        value = np.divide(numerator, divisor, out=np.full(self.grid.size, math.nan), where=~degenerate)
+        return [
+            DriftEstimate(x=x, value=v, h=self.h, method=method, denominator=d, degenerate=g)
+            for x, v, d, g in zip(self.grid.tolist(), value.tolist(), denominator.tolist(), degenerate.tolist())
+        ]
+
+    def density(self) -> list[float]:
+        """The kernel density estimate ``S_0 / n`` at every grid point."""
+        return (self.s0 / self.n).tolist()
+
+
+def kernel_sums(path: ObservedPath, grid, h: float, kernel: Kernel) -> KernelSums:
+    """Form the kernel sums of :class:`KernelSums` at every grid point.
+
+    Every point is validated before any work.  The kernel is evaluated once
+    per point, over the first ``n`` observations; no ``(len(grid), n)``
+    array is built.
+    """
+    points = np.asarray(grid, dtype=float).ravel()
+    if points.size == 0:
+        raise ParameterError("grid must be nonempty")
+    for x in points.tolist():
+        _check_point(x, h)
+    y = np.diff(path.x) / path.delta
+    sums = np.empty((5, points.size))
+    for j, x in enumerate(points.tolist()):
+        _, z, w = _design(path, x, h, kernel)
+        wz = w * z
+        sums[:, j] = w.sum(), wz.sum(), (wz * z).sum(), (w * y).sum(), (wz * y).sum()
+    return KernelSums(points, h, path.n, _DEGENERACY_COEFF * path.n * kernel.peak / h, *sums)
 
 
 def s_nk(path: ObservedPath, x: float, h: float, kernel: Kernel, k: int) -> float:
@@ -131,29 +196,12 @@ def local_linear_drift(path: ObservedPath, x: float, h: float, kernel: Kernel) -
 
         (S~_0 S~_2 - S~_1^2) / n^2
 
-    falls below ``1e-12 * n * max(K) / h`` in magnitude, which happens
-    exactly when fewer than two distinct states carry kernel weight.
+    falls below ``1e-12 * n * max(K) / h`` in magnitude.  Fewer than two
+    distinct states carrying kernel weight make the determinant vanish up to
+    rounding, which is flagged whenever ``n * h >= 1``; states that nearly
+    coincide may also be flagged.
     """
-    _check_point(x, h)
-    xs, z, w = _design(path, x, h, kernel)
-    s0 = float(w.sum())
-    s1 = float((w * z).sum())
-    s2 = float((w * z * z).sum())
-    y = np.diff(path.x) / path.delta
-    t0 = float((w * y).sum())
-    t1 = float((w * z * y).sum())
-    det = s0 * s2 - s1 * s1
-    normalized = det / (path.n ** 2)
-    if not (abs(normalized) >= _threshold(path.n, h, kernel)):
-        return DriftEstimate(
-            x=x, value=math.nan, h=h, method="local_linear",
-            denominator=normalized, degenerate=True,
-        )
-    value = (s2 * t0 - s1 * t1) / det
-    return DriftEstimate(
-        x=x, value=value, h=h, method="local_linear",
-        denominator=normalized, degenerate=False,
-    )
+    return kernel_sums(path, [x], h, kernel).estimates("local_linear")[0]
 
 
 def local_linear_drift_ratio(path: ObservedPath, x: float, h: float, kernel: Kernel) -> float:
@@ -191,26 +239,28 @@ def nadaraya_watson_drift(path: ObservedPath, x: float, h: float, kernel: Kernel
     same threshold as the local linear fit; a single in-support state is
     enough to produce a value here, unlike the linear fit.
     """
-    _check_point(x, h)
-    xs, z, w = _design(path, x, h, kernel)
-    s0 = float(w.sum())
-    if not (abs(s0) >= _threshold(path.n, h, kernel)):
-        return DriftEstimate(
-            x=x, value=math.nan, h=h, method="nadaraya_watson",
-            denominator=s0, degenerate=True,
-        )
-    y = np.diff(path.x) / path.delta
-    value = float((w * y).sum()) / s0
-    return DriftEstimate(
-        x=x, value=value, h=h, method="nadaraya_watson",
-        denominator=s0, degenerate=False,
-    )
+    return kernel_sums(path, [x], h, kernel).estimates("nadaraya_watson")[0]
 
 
 def density_estimate(path: ObservedPath, x: float, h: float, kernel: Kernel) -> float:
     """Kernel density estimate ``(1/n) sum_i K_h(X_i - x)`` of the
     stationary density at ``x``, from the first ``n`` observations."""
-    return s_nk(path, x, h, kernel, 0) / path.n
+    return kernel_sums(path, [x], h, kernel).density()[0]
+
+
+def _limit_inputs(model, density, noise, x, n, delta, h) -> tuple[float, float, float, float]:
+    """Validate what both limit-constant functions share; return ``alpha``,
+    ``f(x)``, ``sigma(x)`` and the rate ``(n delta h)^(1 - 1/alpha)``."""
+    alpha = noise.alpha
+    if not (1.0 < alpha <= 2.0):
+        raise ParameterError(f"asymptotic constants require 1 < alpha <= 2, got {alpha}")
+    _check_point(x, h)
+    if not (n >= 1 and delta > 0.0):
+        raise ParameterError("n must be positive and delta > 0")
+    fx = float(density.f(float(x)))
+    if not (fx > 0.0):
+        raise ParameterError(f"stationary density vanishes at x = {x}; constants are undefined there")
+    return alpha, fx, float(model.sigma(float(x))), (n * delta * h) ** (1.0 - 1.0 / alpha)
 
 
 def asymptotic_constants(
@@ -235,16 +285,7 @@ def asymptotic_constants(
         If the stationary density vanishes at ``x`` or the kernel has zero
         moment variance.
     """
-    alpha = noise.alpha
-    if not (1.0 < alpha <= 2.0):
-        raise ParameterError(f"asymptotic constants require 1 < alpha <= 2, got {alpha}")
-    _check_point(x, h)
-    if not (n >= 1 and delta > 0.0):
-        raise ParameterError("n must be positive and delta > 0")
-    fx = float(density.f(float(x)))
-    if not (fx > 0.0):
-        raise ParameterError(f"stationary density vanishes at x = {x}; constants are undefined there")
-    sx = float(model.sigma(float(x)))
+    alpha, fx, sx, rate = _limit_inputs(model, density, noise, x, n, delta, h)
     var_k = kernel.k2 - kernel.k1 ** 2
     if not (var_k > 0.0):
         raise ParameterError(f"kernel {kernel.name} has no moment variance")
@@ -253,7 +294,6 @@ def asymptotic_constants(
     gamma_x = float(model.mu_double_prime(float(x))) * (
         kernel.k2 ** 2 - kernel.k1 * kernel.k3
     ) / (2.0 * var_k)
-    rate = (n * delta * h) ** (1.0 - 1.0 / alpha)
     return AsymptoticConstants(
         lambda_x=lambda_x, gamma_x=gamma_x, rate=rate, bias_term=h * h * gamma_x
     )
@@ -277,24 +317,14 @@ def nw_asymptotic_constants(
     constant coincides with the local linear one because the moment-variance
     factors cancel against the fractional integral.
     """
-    alpha = noise.alpha
-    if not (1.0 < alpha <= 2.0):
-        raise ParameterError(f"asymptotic constants require 1 < alpha <= 2, got {alpha}")
-    _check_point(x, h)
-    if not (n >= 1 and delta > 0.0):
-        raise ParameterError("n must be positive and delta > 0")
-    fx = float(density.f(float(x)))
-    if not (fx > 0.0):
-        raise ParameterError(f"stationary density vanishes at x = {x}; constants are undefined there")
+    alpha, fx, sx, rate = _limit_inputs(model, density, noise, x, n, delta, h)
     fpx = float(density.f_prime(float(x)))
-    sx = float(model.sigma(float(x)))
     nw_int = nw_fractional_integral(kernel, alpha)
     lambda_x = fx ** (1.0 - 1.0 / alpha) / (sx * nw_int ** (1.0 / alpha))
     gamma_x = (
         float(model.mu_prime(float(x))) * fpx / fx
         + 0.5 * float(model.mu_double_prime(float(x)))
     ) * kernel.k2
-    rate = (n * delta * h) ** (1.0 - 1.0 / alpha)
     return AsymptoticConstants(
         lambda_x=lambda_x, gamma_x=gamma_x, rate=rate, bias_term=h * h * gamma_x
     )
@@ -311,22 +341,6 @@ def nw_scheme_one_centering(kernel: Kernel, h: float) -> float:
     if not (h > 0.0 and math.isfinite(h)):
         raise ParameterError(f"bandwidth h must be positive and finite, got {h}")
     return h * kernel.k1
-
-
-def drift_curve(path: ObservedPath, grid, h: float, kernel: Kernel, method: str) -> list[DriftEstimate]:
-    """Evaluate one estimator over a grid of query points, preserving order."""
-    if method == "local_linear":
-        estimator = local_linear_drift
-    elif method == "nadaraya_watson":
-        estimator = nadaraya_watson_drift
-    else:
-        raise ConfigurationError(
-            f"unknown method {method!r}; expected 'local_linear' or 'nadaraya_watson'"
-        )
-    grid_arr = np.asarray(grid, dtype=float).ravel()
-    if grid_arr.size == 0:
-        raise ParameterError("grid must be nonempty")
-    return [estimator(path, float(xq), h, kernel) for xq in grid_arr]
 
 
 def write_drift_curve_csv(estimates: list[DriftEstimate], destination) -> None:

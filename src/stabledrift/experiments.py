@@ -42,9 +42,7 @@ import numpy as np
 from .errors import ConfigurationError, ParameterError, SimulationError
 from .estimate import (
     asymptotic_constants,
-    density_estimate,
-    local_linear_drift,
-    nadaraya_watson_drift,
+    kernel_sums,
     nw_asymptotic_constants,
     nw_scheme_one_centering,
     s_nk,
@@ -434,16 +432,15 @@ def _run(config: dict, fit, workers: int | None, provenance: dict, context=None,
 
 def _fit_drift(model: SdeModel, kernel: Kernel, path, h: float, config: dict, methods: tuple) -> list[dict]:
     """Estimate and error of each drift estimator in ``methods`` at every
-    query point."""
-    estimators = {"local_linear": local_linear_drift, "nadaraya_watson": nadaraya_watson_drift}
+    query point, from one kernel-sum pass over the query points."""
+    sums = kernel_sums(path, config["x_points"], h, kernel)
     rows = []
-    for xq in config["x_points"]:
+    for xq, *estimates in zip(config["x_points"], *(sums.estimates(method) for method in methods)):
         truth = float(model.mu(float(xq)))
-        for method in methods:
-            est = estimators[method](path, xq, h, kernel)
+        for est in estimates:
             error = est.value - truth if not est.degenerate else math.nan
             rows.append(
-                {"x": xq, "method": method, "estimate": est.value, "error": error, "degenerate": est.degenerate}
+                {"x": xq, "method": est.method, "estimate": est.value, "error": error, "degenerate": est.degenerate}
             )
     return rows
 
@@ -711,9 +708,10 @@ def _fit_clt(model: SdeModel, kernel: Kernel, path, h: float, config: dict, cont
     kernel density estimate in its place; ``context`` is ``(constants, f(x))``."""
     constants, fx = context
     xq = config["x_points"][0]
-    est = local_linear_drift(path, xq, h, kernel)
+    sums = kernel_sums(path, [xq], h, kernel)
+    est = sums.estimates("local_linear")[0]
     truth = float(model.mu(float(xq)))
-    fhat = density_estimate(path, xq, h, kernel)
+    fhat = sums.density()[0]
     if est.degenerate:
         error = std_oracle = math.nan
     else:

@@ -10,20 +10,18 @@ noise index enters the limit constants.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy import integrate
 
-from .errors import NumericError, ParameterError
+from .errors import ConfigurationError, NumericError, ParameterError
 
 __all__ = [
     "Kernel",
     "builtin_kernel",
     "kernel_names",
-    "scaled_eval",
     "lambda_fractional_integral",
     "lambda_weight_changes_sign",
     "nw_fractional_integral",
@@ -144,21 +142,11 @@ def builtin_kernel(name: str) -> Kernel:
     ConfigurationError
         If the name is not registered.
     """
-    from .errors import ConfigurationError
-
     try:
         return _BUILTINS[name]
     except KeyError:
         known = ", ".join(_BUILTINS)
         raise ConfigurationError(f"unknown kernel {name!r}; available: {known}") from None
-
-
-def scaled_eval(kernel: Kernel, h: float, v) -> np.ndarray:
-    """Bandwidth-scaled evaluation ``K_h(v) = K(v / h) / h``."""
-    if not (h > 0.0) or not math.isfinite(h):
-        raise ParameterError(f"bandwidth h must be positive and finite, got {h}")
-    v = np.asarray(v, dtype=float)
-    return kernel.evaluate(v / h) / h
 
 
 def _check_alpha_power(alpha: float) -> None:

@@ -18,7 +18,7 @@ from stabledrift import (
     builtin_kernel,
     builtin_model,
     density_estimate,
-    drift_curve,
+    kernel_sums,
     local_linear_drift,
     local_linear_drift_ratio,
     nadaraya_watson_drift,
@@ -185,6 +185,19 @@ class TestDegeneracy:
         est = local_linear_drift(path, 1.0, 0.5, epan)
         assert est.degenerate
 
+    def test_nearly_coincident_states_are_flagged(self):
+        # two distinct states carry weight, yet their normalized determinant
+        # 5.6e-11 falls below the threshold 1e-12 * 1000 * 0.75 / 1
+        x = np.full(1001, 100.0)
+        x[:2] = [0.0, 0.01]
+        est = local_linear_drift(make_path(x), 0.0, 1.0, builtin_kernel("epanechnikov"))
+        assert est.degenerate
+        assert est.denominator == pytest.approx(5.6244375e-11, rel=1e-9)
+        assert est.denominator < 1e-12 * 1000 * 0.75 / 1.0
+        # spread the pair to 0.05 and the determinant 1.4e-9 clears it
+        x[1] = 0.05
+        assert not local_linear_drift(make_path(x), 0.0, 1.0, builtin_kernel("epanechnikov")).degenerate
+
     def test_ratio_form_returns_nan_when_degenerate(self):
         path = make_path([0.0, 0.5, -0.25])
         assert math.isnan(local_linear_drift_ratio(path, 50.0, 0.5, builtin_kernel("epanechnikov")))
@@ -271,9 +284,11 @@ class TestAsymptoticConstants:
 
 
 class TestDriftCurve:
+    """Drift curves: estimates over a grid, read from one kernel-sum pass."""
+
     def test_curve_and_csv(self, ou_path15, epan, tmp_path):
         grid = [-0.5, 0.0, 0.5, 40.0]
-        curve = drift_curve(ou_path15, grid, 0.3, epan, "local_linear")
+        curve = kernel_sums(ou_path15, grid, 0.3, epan).estimates("local_linear")
         assert [e.x for e in curve] == grid
         assert all(e.method == "local_linear" for e in curve)
         assert curve[-1].degenerate
@@ -290,10 +305,10 @@ class TestDriftCurve:
         assert good[4] == "false"
 
     def test_curve_against_point_calls(self, ou_path15, epan):
-        curve = drift_curve(ou_path15, [0.1, 0.6], 0.35, epan, "nadaraya_watson")
+        curve = kernel_sums(ou_path15, [0.1, 0.6], 0.35, epan).estimates("nadaraya_watson")
         direct = nadaraya_watson_drift(ou_path15, 0.1, 0.35, epan)
         assert curve[0].value == direct.value
 
     def test_method_validation(self, ou_path15, epan):
         with pytest.raises(ConfigurationError):
-            drift_curve(ou_path15, [0.0], 0.3, epan, "local_quadratic")
+            kernel_sums(ou_path15, [0.0], 0.3, epan).estimates("local_quadratic")

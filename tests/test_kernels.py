@@ -1,12 +1,11 @@
 """Kernels: stored moments against quadrature, closed-form fractional
-integrals, and the scaled-evaluation contract."""
+integrals, and the unit mass of the bandwidth-scaled kernel."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from stabledrift import (
@@ -17,7 +16,6 @@ from stabledrift import (
     lambda_fractional_integral,
     lambda_weight_changes_sign,
     nw_fractional_integral,
-    scaled_eval,
 )
 
 ALL_NAMES = ("epanechnikov", "triangular", "uniform_sym", "uniform_right")
@@ -64,22 +62,10 @@ def test_exact_moment_values():
 
 
 class TestScaledEval:
-    def test_matches_direct_scaling(self):
-        k = builtin_kernel("epanechnikov")
-        v = np.linspace(-2.5, 2.5, 41)
-        assert_allclose(scaled_eval(k, 2.0, v), k.evaluate(v / 2.0) / 2.0, rtol=1e-15)
-
     def test_integrates_to_one(self):
         k = builtin_kernel("triangular")
-        value, _ = quad(lambda v: scaled_eval(k, 0.7, v), -0.7, 0.7, points=[0.0])
+        value, _ = quad(lambda v: k.evaluate(v / 0.7) / 0.7, -0.7, 0.7, points=[0.0])
         assert value == pytest.approx(1.0, abs=1e-10)
-
-    def test_bandwidth_validation(self):
-        k = builtin_kernel("epanechnikov")
-        with pytest.raises(ParameterError):
-            scaled_eval(k, 0.0, np.array([0.1]))
-        with pytest.raises(ParameterError):
-            scaled_eval(k, -1.0, np.array([0.1]))
 
 
 class TestFractionalIntegrals:

@@ -11,7 +11,8 @@ what removes the design-dependent part of the bias.
 One pass over the path per query point feeds every estimate:
 :func:`kernel_sums` forms the sums ``S_0, S_1, S_2, T_0, T_1`` over a grid,
 and the local linear, ratio and density (``S_0 / n``) estimates are derived
-from them elementwise.
+from them elementwise.  Every kernel has compact support, so each pass
+weights only the states inside the kernel window around the query point.
 
 The asymptotic description of the local linear estimator at an interior
 point with ``1 < alpha < 2`` is
@@ -56,6 +57,9 @@ __all__ = [
 ]
 
 _DEGENERACY_COEFF = 1e-12
+# relative slack on the window edges of ``kernel_sums``: 2^-50 of |x| + h*max(|a|, |b|)
+# exceeds the rounding of the edges and of z, also where an edge cancels to about zero
+_EDGE_SLACK = 2.0 ** -50
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,9 @@ class KernelSums:
     At ``x = grid[j]``, with ``z_i = (X_i - x) / h``, ``w_i = K(z_i) / h``
     and ``Y_i = (X_{i+1} - X_i) / delta`` for ``i < n``, ``s0, s1, s2[j]``
     are ``sum_i w_i z_i^k`` and ``t0, t1[j]`` are ``sum_i w_i z_i^k Y_i``;
-    ``threshold`` is the degeneracy threshold ``1e-12 * n * max(K) / h``.
+    ``threshold`` is the degeneracy threshold ``1e-12 * n * max(K) / h``, and
+    ``two_offsets[j]`` tells whether at least two distinct ``z_i`` carry
+    nonzero weight, without which a local linear fit is degenerate.
     """
 
     grid: np.ndarray
@@ -124,6 +130,7 @@ class KernelSums:
     s2: np.ndarray
     t0: np.ndarray
     t1: np.ndarray
+    two_offsets: np.ndarray
 
     def estimates(self, method: str) -> list[DriftEstimate]:
         """The ``local_linear`` or ``nadaraya_watson`` estimate at every grid
@@ -131,11 +138,12 @@ class KernelSums:
         if method == "local_linear":
             det = self.s0 * self.s2 - self.s1 * self.s1
             numerator, divisor, denominator = self.s2 * self.t0 - self.s1 * self.t1, det, det / float(self.n ** 2)
+            one_offset = ~self.two_offsets
         elif method == "nadaraya_watson":
-            numerator, divisor, denominator = self.t0, self.s0, self.s0
+            numerator, divisor, denominator, one_offset = self.t0, self.s0, self.s0, False
         else:
             raise ConfigurationError(f"unknown method {method!r}; expected 'local_linear' or 'nadaraya_watson'")
-        degenerate = ~(np.abs(denominator) >= self.threshold)
+        degenerate = ~(np.abs(denominator) >= self.threshold) | one_offset
         value = np.divide(numerator, divisor, out=np.full(self.grid.size, math.nan), where=~degenerate)
         return [
             DriftEstimate(x=x, value=v, h=self.h, method=method, denominator=d, degenerate=g)
@@ -150,22 +158,39 @@ class KernelSums:
 def kernel_sums(path: ObservedPath, grid, h: float, kernel: Kernel) -> KernelSums:
     """Form the kernel sums of :class:`KernelSums` at every grid point.
 
-    Every point is validated before any work.  The kernel is evaluated once
-    per point, over the first ``n`` observations; no ``(len(grid), n)``
-    array is built.
+    Every point is validated before any work.  At each point only the
+    window of states with ``z_i`` in the closed interval ``kernel.support``
+    is weighted, kept in time order: a comparison of the states with the
+    window edges ``x + a*h`` and ``x + b*h``, widened by a slack that covers
+    their rounding, gives a superset, which is trimmed to exactly
+    ``a <= z_i <= b``.  Each point's sums so depend only on the path, the
+    point, ``h`` and the kernel, and no ``(len(grid), n)`` array is built.
+    This relies on ``kernel.evaluate`` being zero outside ``support``.
     """
     points = np.asarray(grid, dtype=float).ravel()
     if points.size == 0:
         raise ParameterError("grid must be nonempty")
     for x in points.tolist():
         _check_point(x, h)
+    xs = path.x[:-1]
     y = np.diff(path.x) / path.delta
+    a, b = kernel.support
+    reach = h * max(abs(a), abs(b))
     sums = np.empty((5, points.size))
+    two_offsets = np.empty(points.size, dtype=bool)
     for j, x in enumerate(points.tolist()):
-        _, z, w = _design(path, x, h, kernel)
+        slack = _EDGE_SLACK * (abs(x) + reach)
+        index = np.flatnonzero((xs >= x + a * h - slack) & (xs <= x + b * h + slack))
+        z = (xs[index] - x) / h
+        inside = (z >= a) & (z <= b)
+        index, z = index[inside], z[inside]
+        w = kernel.evaluate(z) / h
         wz = w * z
-        sums[:, j] = w.sum(), wz.sum(), (wz * z).sum(), (w * y).sum(), (wz * y).sum()
-    return KernelSums(points, h, path.n, _DEGENERACY_COEFF * path.n * kernel.peak / h, *sums)
+        yw = y[index]
+        sums[:, j] = w.sum(), wz.sum(), (wz * z).sum(), (w * yw).sum(), (wz * yw).sum()
+        weighted = z[w != 0.0]
+        two_offsets[j] = weighted.size > 1 and weighted.min() < weighted.max()
+    return KernelSums(points, h, path.n, _DEGENERACY_COEFF * path.n * kernel.peak / h, *sums, two_offsets)
 
 
 def s_nk(path: ObservedPath, x: float, h: float, kernel: Kernel, k: int) -> float:
@@ -192,14 +217,13 @@ def local_linear_drift(path: ObservedPath, x: float, h: float, kernel: Kernel) -
     determinant well conditioned for small bandwidths; the result is
     algebraically identical to the ratio of offset power sums.
 
-    The fit is flagged degenerate when the normalized determinant
+    The fit is flagged degenerate when fewer than two distinct scaled
+    offsets carry kernel weight, or when the normalized determinant
 
         (S~_0 S~_2 - S~_1^2) / n^2
 
-    falls below ``1e-12 * n * max(K) / h`` in magnitude.  Fewer than two
-    distinct states carrying kernel weight make the determinant vanish up to
-    rounding, which is flagged whenever ``n * h >= 1``; states that nearly
-    coincide may also be flagged.
+    falls below ``1e-12 * n * max(K) / h`` in magnitude, so states that
+    nearly coincide may also be flagged.
     """
     return kernel_sums(path, [x], h, kernel).estimates("local_linear")[0]
 

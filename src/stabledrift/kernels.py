@@ -38,6 +38,8 @@ class Kernel:
         Registry name.
     evaluate : callable
         Vectorized evaluator, zero outside ``support``.
+        :func:`~stabledrift.estimate.kernel_sums` relies on this: it
+        evaluates the kernel only at offsets inside ``support``.
     support : tuple of float
         Closed interval outside which the kernel vanishes.
     k1, k2, k3 : float

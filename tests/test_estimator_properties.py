@@ -1,7 +1,8 @@
 """Properties of the drift estimators over random inputs: translation
 equivariance on exactly representable designs, affine reproduction, the
-grid contract of ``kernel_sums``, and the degeneracy flag on designs with
-fewer than two distinct weighted states."""
+grid contract of ``kernel_sums``, its agreement with a full-array reference
+on paths that crowd the kernel window's edges, and the degeneracy flag on
+designs with fewer than two distinct weighted states."""
 from __future__ import annotations
 
 import math
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stabledrift import (
+    KernelSums,
     ObservedPath,
     ParameterError,
     builtin_kernel,
@@ -136,6 +138,89 @@ def test_kernel_sums_rejects_an_empty_grid():
         kernel_sums(make_path([0.0, 0.5, -0.25]), [], 1.0, builtin_kernel("epanechnikov"))
 
 
+def full_array_sums(states, x, h, kernel, delta):
+    """Brute-force ``S_0, S_1, S_2, T_0, T_1`` at ``x``: the kernel evaluated
+    at every state, each sum taken exactly rounded, with the sum of its terms'
+    absolute values, and whether two distinct offsets carry weight.  A state
+    of zero weight adds nothing, also where its offset overflows."""
+    xs = np.asarray(states[:-1], dtype=float)
+    y = np.diff(np.asarray(states, dtype=float)) / delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (xs - x) / h
+        w = kernel.evaluate(z) / h
+    weighted = w != 0.0
+    z, w, y = z[weighted], w[weighted], y[weighted]
+    wz = w * z
+    terms = (w, wz, wz * z, w * y, wz * y)
+    sums = [math.fsum(t.tolist()) for t in terms]
+    scales = [math.fsum(np.abs(t).tolist()) for t in terms]
+    return sums, scales, np.unique(z).size > 1
+
+
+def test_a_window_edge_that_cancels_to_zero_keeps_its_state():
+    # x + a*h is exactly 0; the state at -1e-20 has z = -1 after rounding and
+    # weight 0.5, which a slack of one ulp around that edge would drop
+    sums = kernel_sums(make_path([-1e-20, 0.5, 1.2, 0.9, 2.5]), [1.0], 1.0, builtin_kernel("uniform_sym"))
+    assert (sums.s0[0], sums.t0[0]) == (2.0, 1.25)
+    assert sums.estimates("nadaraya_watson")[0].value == 0.625
+
+
+@st.composite
+def crowded_windows(draw):
+    """A query point, a bandwidth and a path whose states sit at the kernel
+    window's edges, one ulp either side of them, inside the window and far
+    outside it."""
+    kernel = draw(kernels)
+    x = draw(st.one_of(st.floats(-10.0, 10.0), st.floats(-1e12, 1e12)))
+    h = draw(st.one_of(st.floats(1e-12, 10.0), st.floats(1e-12, 1e300)))
+    a, b = kernel.support
+    edges = [x + a * h, x + b * h]
+    near = [float(v) for e in edges for v in (np.nextafter(e, -math.inf), e, np.nextafter(e, math.inf))]
+    state = st.one_of(
+        st.sampled_from(near),
+        st.floats(a, b).map(lambda u: x + u * h),
+        st.floats(-3.0, 3.0).map(lambda u: x + u * h),
+        st.floats(-1e200, 1e200),
+    )
+    states = draw(st.lists(state, min_size=2, max_size=60))
+    grid = [x] + draw(st.lists(st.sampled_from(near + states), max_size=3))
+    delta = draw(st.floats(1e-3, 1.0))
+    return kernel, h, delta, states, grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(crowded_windows())
+def test_kernel_sums_agrees_with_a_full_array_reference(case):
+    kernel, h, delta, states, grid = case
+    got = kernel_sums(make_path(states, delta), grid, h, kernel)
+    n = len(states) - 1
+    for j, x in enumerate(grid):
+        sums, scales, two_offsets = full_array_sums(states, x, h, kernel, delta)
+        for value, ref, scale in zip((got.s0, got.s1, got.s2, got.t0, got.t1), sums, scales):
+            assert abs(value[j] - ref) <= 1e-12 * scale
+        assert got.two_offsets[j] == two_offsets
+        ref = KernelSums(np.array([x]), h, n, got.threshold, *(np.array([s]) for s in sums), np.array([two_offsets]))
+        # a flag may differ only where the reference's denominator ties with
+        # the threshold to within the rounding of the sums it is formed from
+        ties = {
+            "local_linear": (scales[0] * scales[2] + scales[1] ** 2) / float(n ** 2),
+            "nadaraya_watson": scales[0],
+        }
+        for method in METHODS:
+            mine, theirs = got.estimates(method)[j], ref.estimates(method)[0]
+            if abs(abs(theirs.denominator) - got.threshold) > 1e-12 * ties[method]:
+                assert mine.degenerate == theirs.degenerate
+
+
+def test_a_single_weighted_state_is_degenerate_when_n_h_is_tiny():
+    # n * h = 4.2e-9: the rounding residue of S0*S2 - S1^2 alone clears the
+    # threshold, so only the count of distinct weighted offsets flags the fit
+    path = make_path([0.017587767251939723, 1.0])
+    est = local_linear_drift(path, 0.01758777041940872, 4.218282987293216e-09, builtin_kernel("triangular"))
+    assert est.degenerate
+    assert math.isnan(est.value)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     data=st.data(),
@@ -145,8 +230,7 @@ def test_kernel_sums_rejects_an_empty_grid():
     kernel=kernels,
 )
 def test_fewer_than_two_distinct_weighted_states_is_degenerate(data, n, state, offset, kernel):
-    # the documented direction of the flag, for n * h >= 1
-    h = data.draw(st.floats(min_value=1.0 / n, max_value=100.0))
+    h = data.draw(st.floats(min_value=1e-12 / n, max_value=100.0))
     weighted = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     far = state + 10.0 * h + 1.0
     x = [state if w else far for w in weighted] + [data.draw(finite)]

@@ -105,28 +105,28 @@ WIDE_RUNS = {"bias_wide": _bias_wide, "clt_wide": _clt_wide, "lln_wide": _lln_wi
 
 GOLDEN = {
     "bias": {
-        "records": "84ee7c554feef69467f0a4ab552132b124572a260ebef9e87fc28692590025e1",
-        "summary": "e613fff528d17ec053edc975c7c54ced7bdcb0f32762133937042063176e2c5b",
+        "records": "9517da829425ce4fa45cfed58c55eb364f288e3be2a0a30b7d7c9b6a3d978ee6",
+        "summary": "b220f4a4b008913f3c8f9c04a9d662feeb98f69d44b14f3b950bc3aec34cf9f0",
         "manifest": "795d9e7c6dd1ee1f6ca8f44e2d867607315edacff80c39a22bb07b68987119d8",
     },
     "clt": {
-        "records": "f6ace0f164638e8535891efb55607c2520d43afe75b612584ac4e8648046e458",
-        "summary": "38182cfcc8550bf83228d422decb656e72faff0f4f5ff5b2d3e353a2cf33343f",
+        "records": "f12164860a0fc81d050e9eee5afc459b56451fab95c7603b32f1e806a3418403",
+        "summary": "0f1908ffb7c26c5fbb21ad6d1cb606eb3d0fd8f9b19308416acd83b2f589ac9c",
         "manifest": "6d1957c6502783329027d6d5f25914e994b9eaa8c0f1aeafee1276330a439bad",
     },
     "consistency": {
-        "records": "6578af6e76791cbf94c4d93e00606b6de311cf2aeceadd4ff44d7af99a5108dd",
-        "summary": "4ba7374eed1a1243e3b331d3cd4341cb3325a24d55666214dc9835ebdebd1572",
+        "records": "2f27c68b94f9b5488a90e5b6cbd0a91a2635d90f484747bf7fdc973b1eb9058a",
+        "summary": "5e5f395469dd8b5bee776c13bcfdb45d74e0a72b93bc1adaeaadfc7b49254dee",
         "manifest": "7942e67cbd45a62121d6f2124b11a3ad21c1d1f5b0425f4c446483f72a027eaa",
     },
     "bias_wide": {
-        "records": "015593743949cb33fe1586238ad6cef6b238318a11654f5c0d0821fa692eeb80",
-        "summary": "8d3496c168a86c606828aeea9e63116576d81676d5f870d21f733d964afa91e0",
+        "records": "b2c363a1769221a6d2b91766bab8caf17a556ab9b2ffef07fd9c39e468938f13",
+        "summary": "f1cb32465570447bdb0cd515e3fc97566d4ce1545fdde8e9429c6d44c092049b",
         "manifest": "0bcace3b85c40d5421f407b3bb0fbf0ab6bb093bc97a2d08e039475dab1d550f",
     },
     "clt_wide": {
-        "records": "f6e2dd145269f3eb4bb5d192571acadfdeba243e0acef1a5248d24285b8346ff",
-        "summary": "75df98fe5a1a97dd285b1d1797cf63d2f3bfef08461e67152fbd660903742074",
+        "records": "c79377da5cbfecd64a6a7e1165f9fff1923bfd057a05c76a85df3b6b72a79863",
+        "summary": "3df7b93a25d3d12f90d751c2f594b05f3207074a9b43abc9060cb5b50b80af9a",
         "manifest": "44f90442be2d2973521ca5095495fe40baad9c65e19660eda68338a617d5dc66",
     },
     "lln_wide": {
@@ -134,8 +134,8 @@ GOLDEN = {
         "summary": "10e878d1ad11b8ac4829254a0bb38018cefd57e5e350169d8c291903c299ec1f",
         "manifest": "fa2a956ff37b847463125475f7da1e9bbd653178970abe6796b1a4de367f4e60",
     },
-    "estimate_epanechnikov": "e2daa7e16d9ce17e76f779fac0c047b820de96f9c6a38f41bee28bce5c40a78b",
-    "estimate_uniform_right": "fc18457074e5b755685276e94ad0940223226d9fe254ee5e4fd8df1e72960ad5",
+    "estimate_epanechnikov": "49ea05510a0a2bd288af3fbcb600386f1a7f20ae07f9897bc2e90ca7a733824a",
+    "estimate_uniform_right": "26df22539c632e95dfb0bedbfe044f3a5612e35a15c718be9b38b1dbd02a6c7e",
     "lln": {
         "records": "f9e26e15db9872e28ebb72b86c79fe2d05ff851226c21c064fa8d0f5c4d8e9d9",
         "summary": "9ddc44155a4c6db23f21312b8867f39b8f8074472a5411d8632e79ecc6eaade1",

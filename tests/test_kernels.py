@@ -42,6 +42,25 @@ def test_support_and_peak(name):
     assert np.min(k.evaluate(grid)) >= 0.0
 
 
+# K at the two ends of the support, from each kernel's formula
+END_VALUES = {
+    "epanechnikov": (0.0, 0.0),
+    "triangular": (0.0, 0.0),
+    "uniform_sym": (0.5, 0.5),
+    "uniform_right": (1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", kernel_names())
+def test_kernel_vanishes_one_ulp_outside_its_support(name):
+    # kernel_sums weights only the states inside the closed support
+    k = builtin_kernel(name)
+    lo, hi = k.support
+    outside = np.array([np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)])
+    assert np.all(np.asarray(k.evaluate(outside)) == 0.0)
+    assert np.asarray(k.evaluate(np.array([lo, hi]))).tolist() == list(END_VALUES[name])
+
+
 def test_symmetry_flags():
     for name in ALL_NAMES:
         k = builtin_kernel(name)

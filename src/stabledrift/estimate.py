@@ -135,16 +135,20 @@ class KernelSums:
     def estimates(self, method: str) -> list[DriftEstimate]:
         """The ``local_linear`` or ``nadaraya_watson`` estimate at every grid
         point, in grid order."""
-        if method == "local_linear":
-            det = self.s0 * self.s2 - self.s1 * self.s1
-            numerator, divisor, denominator = self.s2 * self.t0 - self.s1 * self.t1, det, det / float(self.n ** 2)
-            one_offset = ~self.two_offsets
-        elif method == "nadaraya_watson":
-            numerator, divisor, denominator, one_offset = self.t0, self.s0, self.s0, False
-        else:
+        if method not in ("local_linear", "nadaraya_watson"):
             raise ConfigurationError(f"unknown method {method!r}; expected 'local_linear' or 'nadaraya_watson'")
-        degenerate = ~(np.abs(denominator) >= self.threshold) | one_offset
-        value = np.divide(numerator, divisor, out=np.full(self.grid.size, math.nan), where=~degenerate)
+        with np.errstate(all="ignore"):
+            if method == "local_linear":
+                det = self.s0 * self.s2 - self.s1 * self.s1
+                numerator, divisor, denominator = self.s2 * self.t0 - self.s1 * self.t1, det, det / float(self.n ** 2)
+                one_offset = ~self.two_offsets
+            else:
+                numerator, divisor, denominator, one_offset = self.t0, self.s0, self.s0, False
+            value = numerator / divisor
+        # a sum that overflowed leaves no estimate, whatever the threshold says
+        finite = np.isfinite(numerator) & np.isfinite(divisor) & np.isfinite(value)
+        degenerate = ~(np.abs(denominator) >= self.threshold) | one_offset | ~finite
+        value[degenerate] = math.nan
         return [
             DriftEstimate(x=x, value=v, h=self.h, method=method, denominator=d, degenerate=g)
             for x, v, d, g in zip(self.grid.tolist(), value.tolist(), denominator.tolist(), degenerate.tolist())
@@ -223,7 +227,9 @@ def local_linear_drift(path: ObservedPath, x: float, h: float, kernel: Kernel) -
         (S~_0 S~_2 - S~_1^2) / n^2
 
     falls below ``1e-12 * n * max(K) / h`` in magnitude, so states that
-    nearly coincide may also be flagged.
+    nearly coincide may also be flagged.  It is also flagged when the
+    numerator, the determinant or the intercept is not finite, as when a
+    response sum overflows.
     """
     return kernel_sums(path, [x], h, kernel).estimates("local_linear")[0]
 
@@ -260,7 +266,8 @@ def nadaraya_watson_drift(path: ObservedPath, x: float, h: float, kernel: Kernel
     the kernel-weighted average of the normalized increments.
 
     Degenerate when the kernel mass ``sum_i K_h(X_i - x)`` falls below the
-    same threshold as the local linear fit; a single in-support state is
+    same threshold as the local linear fit, or when the response sum, the
+    kernel mass or their ratio is not finite; a single in-support state is
     enough to produce a value here, unlike the linear fit.
     """
     return kernel_sums(path, [x], h, kernel).estimates("nadaraya_watson")[0]

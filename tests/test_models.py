@@ -75,6 +75,17 @@ class TestBuiltinModels:
         with pytest.raises(ConfigurationError):
             builtin_model("geometric", {})
 
+    @pytest.mark.parametrize("name", ["ou_linear", "tanh_drift", "bounded_nonlinear"])
+    @pytest.mark.parametrize("fn", ["mu", "mu_prime", "mu_double_prime", "sigma"])
+    def test_float_in_float_out_and_array_in_array_out(self, name, fn):
+        f = getattr(builtin_model(name), fn)
+        for x in (0.0, -1.5, 2.25):
+            assert isinstance(f(x), float)
+        for arr in (np.array(0.7), np.linspace(-3.0, 3.0, 7), np.linspace(-3.0, 3.0, 12).reshape(3, 4)):
+            out = f(arr)
+            assert np.shape(out) == arr.shape
+            assert np.asarray(out).dtype == np.float64
+
     def test_registry(self):
         assert set(model_names()) == {"ou_linear", "tanh_drift", "bounded_nonlinear"}
         defaults = builtin_model("ou_linear")
@@ -102,6 +113,22 @@ class TestValidateModel:
         fields["mu_double_prime"] = lambda x: np.ones_like(np.asarray(x, dtype=float))
         with pytest.raises(ParameterError):
             validate_model(SdeModel(**fields))
+
+    @pytest.mark.parametrize("lam", [1.0, 1875.0])
+    def test_slightly_wrong_second_derivative_rejected(self, lam):
+        fields = self._ou_fields()
+        fields["mu"] = builtin_model("ou_linear", {"lam": lam}).mu
+        fields["mu_prime"] = lambda x: np.full_like(np.asarray(x, dtype=float), -lam)
+        fields["lipschitz_mu"] = lam
+        fields["mu_double_prime"] = lambda x: np.full_like(np.asarray(x, dtype=float), 1e-5)
+        with pytest.raises(ParameterError, match="mu_double_prime"):
+            validate_model(SdeModel(**fields))
+
+    @pytest.mark.parametrize("lam", [1875.0, 3000.0, 1e4])
+    def test_steep_linear_drift_builds(self, lam):
+        # the second difference of gamma - lam * x rounds to about
+        # eps * lam / step^2 near |x| = 1, above the 1e-6 relative tolerance
+        assert builtin_model("ou_linear", {"lam": lam}).lipschitz_mu == lam
 
     def test_sigma_outside_bounds_rejected(self):
         fields = self._ou_fields()

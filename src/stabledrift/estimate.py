@@ -11,8 +11,9 @@ what removes the design-dependent part of the bias.
 One pass over the path per query point feeds every estimate:
 :func:`kernel_sums` forms the sums ``S_0, S_1, S_2, T_0, T_1`` over a grid,
 and the local linear, ratio and density (``S_0 / n``) estimates are derived
-from them elementwise.  Every kernel has compact support, so each pass
-weights only the states inside the kernel window around the query point.
+from them elementwise.  Every kernel has compact support, so that pass and
+the moment sums :func:`s_nk` weight only the states inside the kernel window
+around the query point, however far the others lie.
 
 The asymptotic description of the local linear estimator at an interior
 point with ``1 < alpha < 2`` is
@@ -57,7 +58,7 @@ __all__ = [
 ]
 
 _DEGENERACY_COEFF = 1e-12
-# relative slack on the window edges of ``kernel_sums``: 2^-50 of |x| + h*max(|a|, |b|)
+# relative slack on the window edges of ``_window``: 2^-50 of |x| + h*max(|a|, |b|)
 # exceeds the rounding of the edges and of z, also where an edge cancels to about zero
 _EDGE_SLACK = 2.0 ** -50
 
@@ -102,11 +103,18 @@ def _check_point(x: float, h: float) -> None:
         raise ParameterError(f"bandwidth h must be positive and finite, got {h}")
 
 
-def _design(path: ObservedPath, x: float, h: float, kernel: Kernel):
-    xs = path.x[:-1]
-    z = (xs - x) / h
-    w = kernel.evaluate(z) / h
-    return xs, z, w
+def _window(xs: np.ndarray, x: float, h: float, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Indices, in time order, and offsets ``z_i = (X_i - x) / h`` of the
+    states with ``a <= z_i <= b`` for ``(a, b) = kernel.support``: the states
+    between the edges ``x + a*h`` and ``x + b*h``, widened by a slack that
+    covers their rounding, trimmed to exactly that interval.  Sums over it
+    rely on ``kernel.evaluate`` being zero outside ``support``."""
+    a, b = kernel.support
+    slack = _EDGE_SLACK * (abs(x) + h * max(abs(a), abs(b)))
+    index = np.flatnonzero((xs >= x + a * h - slack) & (xs <= x + b * h + slack))
+    z = (xs[index] - x) / h
+    inside = (z >= a) & (z <= b)
+    return index[inside], z[inside]
 
 
 @dataclass(frozen=True)
@@ -163,13 +171,8 @@ def kernel_sums(path: ObservedPath, grid, h: float, kernel: Kernel) -> KernelSum
     """Form the kernel sums of :class:`KernelSums` at every grid point.
 
     Every point is validated before any work.  At each point only the
-    window of states with ``z_i`` in the closed interval ``kernel.support``
-    is weighted, kept in time order: a comparison of the states with the
-    window edges ``x + a*h`` and ``x + b*h``, widened by a slack that covers
-    their rounding, gives a superset, which is trimmed to exactly
-    ``a <= z_i <= b``.  Each point's sums so depend only on the path, the
-    point, ``h`` and the kernel, and no ``(len(grid), n)`` array is built.
-    This relies on ``kernel.evaluate`` being zero outside ``support``.
+    states of its kernel window (see :func:`_window`) are weighted, so no
+    ``(len(grid), n)`` array is built.
     """
     points = np.asarray(grid, dtype=float).ravel()
     if points.size == 0:
@@ -178,16 +181,10 @@ def kernel_sums(path: ObservedPath, grid, h: float, kernel: Kernel) -> KernelSum
         _check_point(x, h)
     xs = path.x[:-1]
     y = np.diff(path.x) / path.delta
-    a, b = kernel.support
-    reach = h * max(abs(a), abs(b))
     sums = np.empty((5, points.size))
     two_offsets = np.empty(points.size, dtype=bool)
     for j, x in enumerate(points.tolist()):
-        slack = _EDGE_SLACK * (abs(x) + reach)
-        index = np.flatnonzero((xs >= x + a * h - slack) & (xs <= x + b * h + slack))
-        z = (xs[index] - x) / h
-        inside = (z >= a) & (z <= b)
-        index, z = index[inside], z[inside]
+        index, z = _window(xs, x, h, kernel)
         w = kernel.evaluate(z) / h
         wz = w * z
         yw = y[index]
@@ -198,18 +195,19 @@ def kernel_sums(path: ObservedPath, grid, h: float, kernel: Kernel) -> KernelSum
 
 
 def s_nk(path: ObservedPath, x: float, h: float, kernel: Kernel, k: int) -> float:
-    """Kernel-weighted offset power sum ``sum_i K_h(X_i - x) (X_i - x)^k``.
-
-    The sum runs over ``i = 0 .. n-1``; the final observation is excluded.
+    """Kernel-weighted offset power sum ``sum_i K_h(X_i - x) (X_i - x)^k``
+    over the window (see :func:`_window`) of the states ``X_0 .. X_{n-1}``;
+    a state of zero weight adds nothing, however far it lies from ``x``.
     ``k`` must be one of 0, 1, 2, 3.
     """
     if k not in (0, 1, 2, 3):
         raise ParameterError(f"k must be one of 0, 1, 2, 3, got {k}")
     _check_point(x, h)
-    xs, z, w = _design(path, x, h, kernel)
-    if k == 0:
-        return float(w.sum())
-    return float((w * (xs - x) ** k).sum())
+    index, z = _window(path.x[:-1], x, h, kernel)
+    w = kernel.evaluate(z) / h
+    # an edge state of zero weight may still have an offset power that overflows
+    weighted = w != 0.0
+    return float((w[weighted] * (path.x[index[weighted]] - x) ** k).sum())
 
 
 def local_linear_drift(path: ObservedPath, x: float, h: float, kernel: Kernel) -> DriftEstimate:
@@ -243,14 +241,14 @@ def local_linear_drift_ratio(path: ObservedPath, x: float, h: float, kernel: Ker
         -----------------------------------------------------------
         delta * sum_i K_h(X_i - x) (S_2 - (X_i - x) S_1)
 
-    with ``S_k = s_nk(path, x, h, kernel, k)``.  Numerically inferior to
-    :func:`local_linear_drift` for small bandwidths, kept as an independent
-    cross-check of the solver algebra.  Returns NaN when the denominator is
-    exactly zero.
+    with ``S_k`` the :func:`s_nk` sums, weighted over the whole path.
+    Numerically inferior to :func:`local_linear_drift` for small bandwidths,
+    kept as an independent cross-check of the solver algebra.  Returns NaN
+    when the denominator is exactly zero.
     """
     _check_point(x, h)
-    xs, z, w = _design(path, x, h, kernel)
-    d = xs - x
+    d = path.x[:-1] - x
+    w = kernel.evaluate(d / h) / h
     s1 = float((w * d).sum())
     s2 = float((w * d * d).sum())
     weight = w * (s2 - d * s1)

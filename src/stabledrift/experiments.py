@@ -150,7 +150,7 @@ class ScheduleDiagnostics:
         return out
 
 
-def validate_schedule(schedule: Schedule, threshold: float = _PROXY_THRESHOLD) -> ScheduleDiagnostics:
+def validate_schedule(schedule: Schedule) -> ScheduleDiagnostics:
     """Classify a schedule by which centering scheme its proxies admit."""
     if not isinstance(schedule, Schedule):
         raise ParameterError("schedule must be a Schedule instance")
@@ -160,8 +160,8 @@ def validate_schedule(schedule: Schedule, threshold: float = _PROXY_THRESHOLD) -
     proxy_centering = rate * schedule.h
     proxy_bias = rate * schedule.h * schedule.h
     proxy_disc = rate * schedule.delta ** (1.0 - 1.0 / schedule.kappa)
-    scheme_i = proxy_centering <= threshold and proxy_disc <= threshold
-    scheme_ii = proxy_bias <= threshold and proxy_disc <= threshold
+    scheme_i = proxy_centering <= _PROXY_THRESHOLD and proxy_disc <= _PROXY_THRESHOLD
+    scheme_ii = proxy_bias <= _PROXY_THRESHOLD and proxy_disc <= _PROXY_THRESHOLD
     if scheme_i and scheme_ii:
         classification = "both"
     elif scheme_i:
@@ -176,7 +176,7 @@ def validate_schedule(schedule: Schedule, threshold: float = _PROXY_THRESHOLD) -
             "alpha = 1: the rate (n*delta*h)^(1-1/alpha) is identically 1, "
             "so the estimator does not concentrate at this index"
         )
-    if ndh < threshold:
+    if ndh < _PROXY_THRESHOLD:
         notes.append(
             f"effective local sample size n*delta*h = {ndh:.4g} is small; "
             "asymptotic approximations are unreliable"

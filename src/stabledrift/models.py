@@ -62,7 +62,7 @@ class SdeModel:
     lipschitz_mu : float
         Global bound on ``|mu'|``.
     sigma_constant : bool
-        True when sigma does not depend on the state.
+        Derived, not a field: True when the two ``sigma_bounds`` coincide.
     affine_drift : tuple of float or None
         ``(gamma, lam)`` when the drift is exactly ``gamma - lam * x`` and
         sigma is constant; the Euler engine then steps each block of draws
@@ -78,8 +78,11 @@ class SdeModel:
     sigma: Callable
     sigma_bounds: tuple[float, float]
     lipschitz_mu: float
-    sigma_constant: bool
     affine_drift: tuple[float, float] | None = None
+
+    @property
+    def sigma_constant(self) -> bool:
+        return self.sigma_bounds[0] == self.sigma_bounds[1]
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,6 @@ def _make_ou_linear(params: dict) -> SdeModel:
         sigma=_constant(sigma0),
         sigma_bounds=(sigma0, sigma0),
         lipschitz_mu=lam,
-        sigma_constant=True,
         affine_drift=(gamma, lam),
     )
 
@@ -190,7 +192,6 @@ def _make_tanh_drift(params: dict) -> SdeModel:
         sigma=_constant(sigma0),
         sigma_bounds=(sigma0, sigma0),
         lipschitz_mu=a,
-        sigma_constant=True,
     )
 
 
@@ -232,7 +233,6 @@ def _make_bounded_nonlinear(params: dict) -> SdeModel:
         sigma=sigma,
         sigma_bounds=(s0, s0 + s1),
         lipschitz_mu=lam + c,
-        sigma_constant=(s1 == 0.0),
         # with lam = 0 the drift is -c * x: the same value, up to the sign of zero
         affine_drift=(0.0, c) if lam == 0.0 and s1 == 0.0 else None,
     )
@@ -250,7 +250,7 @@ def model_names() -> tuple[str, ...]:
     return tuple(_FACTORIES)
 
 
-def validate_model(model: SdeModel, grid: np.ndarray | None = None) -> None:
+def validate_model(model: SdeModel) -> None:
     """Check a model's declared structure on a dense grid.
 
     Verifies finiteness of all coefficient functions, consistency of the
@@ -268,7 +268,7 @@ def validate_model(model: SdeModel, grid: np.ndarray | None = None) -> None:
     ParameterError
         On any violated invariant.
     """
-    x = _VALIDATION_GRID if grid is None else np.asarray(grid, dtype=float)
+    x = _VALIDATION_GRID
     mu = model.mu(x)
     mu_p = model.mu_prime(x)
     mu_pp = model.mu_double_prime(x)

@@ -82,11 +82,12 @@ def _cms_transform(params: StableParams, v, w):
     b0 = math.atan(beta * t) / alpha
     s = (1.0 + beta * beta * t * t) ** (1.0 / (2.0 * alpha))
     arg = alpha * (v + b0)
+    # cos(v - arg) >= 0 rounds below zero next to alpha = 1 at |beta| = 1
     return (
         s
         * np.sin(arg)
         / np.cos(v) ** (1.0 / alpha)
-        * (np.cos(v - arg) / w) ** ((1.0 - alpha) / alpha)
+        * (np.abs(np.cos(v - arg)) / w) ** ((1.0 - alpha) / alpha)
     )
 
 

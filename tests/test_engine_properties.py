@@ -157,7 +157,7 @@ def _zero_drift(sigma: float) -> SdeModel:
 
     return SdeModel(
         name="zero_drift", params={}, mu=zero, mu_prime=zero, mu_double_prime=zero,
-        sigma=constant, sigma_bounds=(sigma, sigma), lipschitz_mu=1.0, sigma_constant=True,
+        sigma=constant, sigma_bounds=(sigma, sigma), lipschitz_mu=1.0,
     )
 
 

@@ -3,6 +3,7 @@ ratio-form identity, degeneracy handling, and the limit constants."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ class TestMomentSums:
         assert s_nk(path, 0.0, 1.0, epan, 1) == pytest.approx(0.5625 * 0.5, rel=1e-15)
         assert s_nk(path, 0.0, 1.0, epan, 2) == pytest.approx(0.140625, rel=1e-15)
         assert s_nk(path, 0.0, 1.0, epan, 3) == pytest.approx(0.5625 * 0.125, rel=1e-15)
+
+    def test_states_far_outside_the_window_add_nothing(self):
+        # (1e200 - 0)^2 overflows; outside the window it must not reach the sum
+        path = make_path([0.0, 1e200, 0.5, 0.3])
+        epan = builtin_kernel("epanechnikov")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sums = [s_nk(path, 0.0, 1.0, epan, k) for k in range(4)]
+        assert sums == [1.3125, 0.28125, 0.140625, 0.0703125]
 
     def test_bandwidth_scaling(self):
         path = make_path([0.0, 0.5, 2.0])

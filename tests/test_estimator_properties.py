@@ -1,8 +1,8 @@
 """Properties of the drift estimators over random inputs: translation
 equivariance on exactly representable designs, affine reproduction, the
-grid contract of ``kernel_sums``, its agreement with a full-array reference
-on paths that crowd the kernel window's edges, and the degeneracy flag on
-designs with fewer than two distinct weighted states."""
+grid contract of ``kernel_sums``, its agreement and that of ``s_nk`` with a
+full-array reference on paths that crowd the kernel window's edges, and the
+degeneracy flag on designs with fewer than two distinct weighted states."""
 from __future__ import annotations
 
 import math
@@ -21,6 +21,7 @@ from stabledrift import (
     kernel_sums,
     local_linear_drift,
     nadaraya_watson_drift,
+    s_nk,
 )
 
 kernels = st.sampled_from(sorted(kernel_names())).map(builtin_kernel)
@@ -188,16 +189,37 @@ def crowded_windows(draw):
     return kernel, h, delta, states, grid
 
 
+def full_array_moments(states, x, h, kernel):
+    """Brute-force ``s_nk`` at ``x`` for k = 0..3: ``w_i (X_i - x)^k`` over
+    the states of nonzero weight, each sum taken exactly rounded, with the sum
+    of its terms' absolute values; None for a k whose terms overflow."""
+    xs = np.asarray(states[:-1], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = xs - x
+        w = kernel.evaluate(d / h) / h
+        d, w = d[w != 0.0], w[w != 0.0]
+        terms = [w * d ** k for k in range(4)]
+    return [
+        (math.fsum(t.tolist()), math.fsum(np.abs(t).tolist())) if np.isfinite(t).all() else None
+        for t in terms
+    ]
+
+
 @settings(max_examples=300, deadline=None)
 @given(crowded_windows())
 def test_kernel_sums_agrees_with_a_full_array_reference(case):
     kernel, h, delta, states, grid = case
-    got = kernel_sums(make_path(states, delta), grid, h, kernel)
+    path = make_path(states, delta)
+    got = kernel_sums(path, grid, h, kernel)
     n = len(states) - 1
     for j, x in enumerate(grid):
         sums, scales, two_offsets = full_array_sums(states, x, h, kernel, delta)
         for value, ref, scale in zip((got.s0, got.s1, got.s2, got.t0, got.t1), sums, scales):
             assert abs(value[j] - ref) <= 1e-12 * scale
+        for k, moment in enumerate(full_array_moments(states, x, h, kernel)):
+            if moment is not None:
+                ref, scale = moment
+                assert abs(s_nk(path, x, h, kernel, k) - ref) <= 1e-12 * scale
         assert got.two_offsets[j] == two_offsets
         ref = KernelSums(np.array([x]), h, n, got.threshold, *(np.array([s]) for s in sums), np.array([two_offsets]))
         # a flag may differ only where the reference's denominator ties with

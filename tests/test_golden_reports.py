@@ -130,15 +130,15 @@ GOLDEN = {
         "manifest": "44f90442be2d2973521ca5095495fe40baad9c65e19660eda68338a617d5dc66",
     },
     "lln_wide": {
-        "records": "58977261a8bbaf8361973c95246a6b2d134f24dcc05049f2ed45d773412a6685",
-        "summary": "10e878d1ad11b8ac4829254a0bb38018cefd57e5e350169d8c291903c299ec1f",
+        "records": "8dcd3cd1f87587778b57fd0e8f4f96250534853f20125bb9788ce0d1719944d9",
+        "summary": "db53e144d069eb090c2787a4c6a7bbb6f9aa6e1f5f21bb0046325882f3929868",
         "manifest": "fa2a956ff37b847463125475f7da1e9bbd653178970abe6796b1a4de367f4e60",
     },
     "estimate_epanechnikov": "49ea05510a0a2bd288af3fbcb600386f1a7f20ae07f9897bc2e90ca7a733824a",
     "estimate_uniform_right": "26df22539c632e95dfb0bedbfe044f3a5612e35a15c718be9b38b1dbd02a6c7e",
     "lln": {
-        "records": "f9e26e15db9872e28ebb72b86c79fe2d05ff851226c21c064fa8d0f5c4d8e9d9",
-        "summary": "9ddc44155a4c6db23f21312b8867f39b8f8074472a5411d8632e79ecc6eaade1",
+        "records": "50d3d56a28d3b963cbb888e91fc381f18db4bb85e8ee182f0cb044ea1c15adaa",
+        "summary": "38ffebad103a3119bfd3216389ea54274242824767d27ddb05aee372d660c7c9",
         "manifest": "02c4ec714949da868141051b96cf83f0e08fd1da58e351ec097818802ef6a7b0",
     },
 }

@@ -99,7 +99,6 @@ class TestValidateModel:
             "name": m.name, "params": m.params, "mu": m.mu, "mu_prime": m.mu_prime,
             "mu_double_prime": m.mu_double_prime, "sigma": m.sigma,
             "sigma_bounds": m.sigma_bounds, "lipschitz_mu": m.lipschitz_mu,
-            "sigma_constant": m.sigma_constant,
         }
 
     def test_wrong_first_derivative_rejected(self):
@@ -168,6 +167,23 @@ class TestValidateModel:
 
     def test_valid_model_passes(self):
         validate_model(builtin_model("tanh_drift"))
+
+    @pytest.mark.parametrize("name, params, constant", [
+        ("ou_linear", {}, True),
+        ("tanh_drift", {}, True),
+        ("bounded_nonlinear", {"sigma1": 0.0}, True),
+        ("bounded_nonlinear", {"sigma1": 0.5}, False),
+    ])
+    def test_sigma_constant_reads_the_bounds(self, name, params, constant):
+        m = builtin_model(name, params)
+        lo, hi = m.sigma_bounds
+        assert m.sigma_constant == (lo == hi) == constant
+
+    def test_sigma_constant_cannot_be_declared(self):
+        # bounds (0.5, 1.0): a declared constant sigma would step with 0.5
+        m = builtin_model("bounded_nonlinear")
+        with pytest.raises(TypeError):
+            dataclasses.replace(m, sigma_constant=True)
 
 
 class TestStationaryDensity:

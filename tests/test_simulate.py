@@ -46,7 +46,6 @@ def raw_model(mu, sigma_value, name="test"):
         name=name, params={}, mu=mu, mu_prime=constant(0.0),
         mu_double_prime=constant(0.0), sigma=constant(sigma_value),
         sigma_bounds=(sigma_value, sigma_value), lipschitz_mu=1.0,
-        sigma_constant=True,
     )
 
 

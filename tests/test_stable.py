@@ -3,10 +3,13 @@ and the two-sample machinery used by the experiment checks."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from stabledrift import (
@@ -111,6 +114,28 @@ class TestSampler:
         emp = np.asarray(empirical_char_fn(z, u))
         theo = np.asarray(theoretical_char_fn(params, u))
         assert np.max(np.abs(emp - theo)) < 5.0 / math.sqrt(z.size)
+
+    # Nearer to alpha = 1 the shift tan(pi alpha / 2) of a skewed law passes
+    # 6e13, where one ulp of a draw moves exp(i u Z) by about the bound itself
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(alpha=st.floats(1.0 + 1e-12, 2.0), beta=st.floats(-1.0, 1.0))
+    def test_char_fn_match_at_random_parameters(self, alpha, beta):
+        params = StableParams(alpha, beta)
+        # the stream follows from the drawn parameters alone
+        rng = np.random.default_rng(np.array([alpha, beta]).view(np.uint64).tolist())
+        z = sample_standard_stable(params, rng, size=40_000)
+        u = np.array([-3.0, -1.0, 0.5, 2.0])
+        emp = np.asarray(empirical_char_fn(z, u))
+        theo = np.asarray(theoretical_char_fn(params, u))
+        assert np.max(np.abs(emp - theo)) < 5.0 / math.sqrt(z.size)
+
+    @pytest.mark.parametrize("beta", [-1.0, 1.0])
+    def test_fully_skewed_draws_next_to_alpha_one_are_finite(self, beta):
+        # cos(v - arg) is about alpha - 1 here and may round below zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = sample_standard_stable(StableParams(1.0 + 2.0 ** -52, beta), np.random.default_rng(0), size=40_000)
+        assert np.isfinite(z).all()
 
     def test_cauchy_branch_warns_and_matches(self):
         params = StableParams(1.0, 0.0)

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigurationError, NumericError, ParameterError, SimulationError
+from .errors import ConfigurationError, NumericError, ParameterError, SimulationError, read_text
 from .estimate import kernel_sums, write_drift_curve_csv
 from .experiments import (
     Schedule,
@@ -152,7 +152,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise ConfigurationError(f"config file not found: {path}")
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            data = json.loads(read_text(path, "utf-8", ConfigurationError))
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config file {path}: {exc}") from None
     overrides = _flag_overrides(args)

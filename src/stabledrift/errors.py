@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 __all__ = [
     "ParameterError",
     "ConfigurationError",
@@ -24,3 +26,14 @@ class NumericError(RuntimeError):
 
 class SimulationError(RuntimeError):
     """A simulated trajectory left the numerically representable range."""
+
+
+def read_text(source, encoding: str, error: type[ValueError]) -> str:
+    """The text of the file ``source``; bytes that are not valid
+    ``encoding`` raise ``error`` naming the file and the offset of the first
+    such byte."""
+    try:
+        return Path(source).read_text(encoding=encoding)
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise error(f"{source}: byte 0x{bad:02x} at offset {exc.start} is not valid {encoding} text") from None

@@ -8,7 +8,9 @@ simulated from the derived seed of index ``s * replicates + r`` (the
 single-schedule kinds are the case ``s = 0``), its fitted rows become
 ``ReplicateRecord`` rows, and the summarizer reduces them to summary rows
 and checks.  Where a kind needs the stationary density oracle, it is built
-once per run and shared by the fits, the summarizer and the provenance.
+once per run, in the parent process, while the replicates simulate; the
+provenance, the summarizer and any standardization of the fitted rows (the
+clt limit constants) read it there, and no fit ever receives it.
 
 Replicate records are the unit of persistence; every summary statistic is a
 deterministic function of the records plus the stored configuration, and
@@ -39,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError, SimulationError
+from .errors import ConfigurationError, ParameterError, SimulationError, read_text
 from .estimate import (
     asymptotic_constants,
     kernel_sums,
@@ -380,7 +382,7 @@ def _batches(replicates: int, n: int, workers: int) -> list[tuple[int, int]]:
 def _replicates(job: tuple) -> list[tuple[int, list[dict]]]:
     """Simulate one batch of replicates and fit each path: ``job`` is
     ``(fit, config, context, schedule_index, first, count)``; returns each
-    replicate's seed and the record fields its fit estimated."""
+    replicate's seed and the rows its fit returned."""
     fit, config, context, s_idx, first, count = job
     schedule = _schedules(config)[s_idx]
     offset = s_idx * config["replicates"] + first
@@ -402,11 +404,19 @@ def _replicates(job: tuple) -> list[tuple[int, list[dict]]]:
     return [(path.seed, fit(model, kernel, path, schedule["h"], config, context)) for path in paths]
 
 
-def _run(config: dict, fit, workers: int | None, provenance: dict, context=None, density=None) -> ExperimentReport:
+def _run(config: dict, fit, workers: int | None, describe, context=None, finish=None) -> ExperimentReport:
     """Run every replicate of every schedule through ``fit`` and summarize.
 
-    ``context`` is handed to each fit; ``density`` is the run's oracle,
-    passed on to the summarizer so it is not rebuilt.
+    ``context`` is handed to each fit.  A kind whose config has a
+    ``density`` entry has a stationary density oracle, built once in the
+    parent and handed to the summarizer; no fit receives it.
+    ``describe(density)`` (``density`` is None without an oracle) gives the
+    report's provenance, and ``finish(rows, config, provenance)``, when
+    given, turns the rows a fit returned for one replicate into its record
+    fields.  A serial run builds the oracle before it simulates, so an
+    oracle failure costs no simulation.  A pooled run submits every batch
+    first and builds the oracle while the workers simulate; if the oracle
+    fails, the pending batches are cancelled and its error is raised.
     """
     if workers is None:
         workers = os.cpu_count() or 1
@@ -415,16 +425,29 @@ def _run(config: dict, fit, workers: int | None, provenance: dict, context=None,
         for s_idx, schedule in enumerate(_schedules(config))
         for first, count in _batches(config["replicates"], schedule["n"], workers)
     ]
+
+    def oracle():
+        density = _density_from_config(config) if "density" in config else None
+        return density, describe(density)
+
     count = min(workers, len(jobs))
     if count <= 1:
+        density, provenance = oracle()
         results = [_replicates(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=count) as pool:
-            results = list(pool.map(_replicates, jobs, chunksize=max(1, len(jobs) // (count * 4))))
+            # map submits every batch before it returns
+            batches = pool.map(_replicates, jobs, chunksize=max(1, len(jobs) // (count * 4)))
+            try:
+                density, provenance = oracle()
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+            results = list(batches)
     records = [
         ReplicateRecord(replicate=index, seed=seed, **row)
         for index, (seed, rows) in enumerate(pair for batch in results for pair in batch)
-        for row in rows
+        for row in (finish(rows, config, provenance) if finish else rows)
     ]
     summaries, checks = _SUMMARIZERS[config["kind"]](records, config, density)
     return ExperimentReport(config["kind"], config, records, summaries, checks, provenance)
@@ -499,7 +522,7 @@ def run_consistency(
         "schedule_diagnostics": [asdict(validate_schedule(s)) for s in schedules],
         "kernel_sign_change": lambda_weight_changes_sign(kernel),
     }
-    return _run(config, _fit_drift, workers, provenance, context=("local_linear",))
+    return _run(config, _fit_drift, workers, lambda density: provenance, context=("local_linear",))
 
 
 def _summarize_consistency(records: list[ReplicateRecord], config: dict, density=None) -> tuple[list[dict], list[Check]]:
@@ -583,15 +606,15 @@ def run_bias_comparison(
         "bias", model, noise, kernel, [schedule], x_points, replicates, master_seed, x0, burn_in, workers,
         density={"method": density_method, "seed": density_seed},
     )
-    density = _density_from_config(config)
-    provenance = {
-        "density_provenance": density.provenance,
-        "kernel_sign_change": lambda_weight_changes_sign(kernel),
-        "schedule_diagnostics": asdict(validate_schedule(schedule)),
-    }
-    return _run(
-        config, _fit_drift, workers, provenance, context=("local_linear", "nadaraya_watson"), density=density
-    )
+
+    def describe(density):
+        return {
+            "density_provenance": density.provenance,
+            "kernel_sign_change": lambda_weight_changes_sign(kernel),
+            "schedule_diagnostics": asdict(validate_schedule(schedule)),
+        }
+
+    return _run(config, _fit_drift, workers, describe, context=("local_linear", "nadaraya_watson"))
 
 
 def _summarize_bias(records: list[ReplicateRecord], config: dict, density=None) -> tuple[list[dict], list[Check]]:
@@ -663,9 +686,12 @@ def run_clt(
     error: ``method = "local_linear"`` standardizes with the oracle
     stationary density at ``x``; ``method = "local_linear_fhat"`` replaces
     it with the replicate's own kernel density estimate, which is what a
-    practitioner without the oracle would do.  The reference sample of
-    standard stable draws uses the derived seed index ``replicates``, the
-    first one past the replicate block.
+    practitioner without the oracle would do.  The workers return only the
+    estimate, the error and the kernel density estimate of each replicate;
+    the parent builds the oracle and the limit constants while they
+    simulate, and standardizes the errors once their batches are back.  The
+    reference sample of standard stable draws uses the derived seed index
+    ``replicates``, the first one past the replicate block.
 
     Checks: symmetry of the standardized errors, closeness to the stable
     reference (both KS at the 1 percent level; the reference comparison is
@@ -690,44 +716,53 @@ def run_clt(
             f"at tail_fraction {tail_fraction}, got {replicates}"
         )
     config.update(reference_size=int(reference_size), tail_fraction=float(tail_fraction))
-    density = _density_from_config(config)
-    constants = asymptotic_constants(
-        model, density, noise, kernel, float(x), schedule.n, schedule.delta, schedule.h
-    )
-    fx = float(density.f(float(x)))
-    provenance = {
-        "density_provenance": density.provenance,
-        "kernel_sign_change": lambda_weight_changes_sign(kernel),
-        "schedule_diagnostics": asdict(validate_schedule(schedule)),
-        "constants": asdict(constants),
-        "density_at_x": fx,
-    }
-    return _run(config, _fit_clt, workers, provenance, context=(constants, fx))
+
+    def describe(density):
+        constants = asymptotic_constants(
+            model, density, noise, kernel, float(x), schedule.n, schedule.delta, schedule.h
+        )
+        return {
+            "density_provenance": density.provenance,
+            "kernel_sign_change": lambda_weight_changes_sign(kernel),
+            "schedule_diagnostics": asdict(validate_schedule(schedule)),
+            "constants": asdict(constants),
+            "density_at_x": float(density.f(float(x))),
+        }
+
+    return _run(config, _fit_clt, workers, describe, finish=_standardize_clt)
 
 
-def _fit_clt(model: SdeModel, kernel: Kernel, path, h: float, config: dict, context: tuple) -> list[dict]:
-    """Local linear error standardized by the run's limit ``constants``,
-    once with the oracle density ``f(x)`` and once with the replicate's own
-    kernel density estimate in its place; ``context`` is ``(constants, f(x))``."""
-    constants, fx = context
+def _fit_clt(model: SdeModel, kernel: Kernel, path, h: float, config: dict, context) -> list[dict]:
+    """The local linear estimate and error at the query point and the
+    replicate's own kernel density estimate ``fhat`` there; the parent
+    standardizes them with :func:`_standardize_clt`."""
     xq = config["x_points"][0]
     sums = kernel_sums(path, [xq], h, kernel)
     est = sums.estimates("local_linear")[0]
     truth = float(model.mu(float(xq)))
+    error = est.value - truth if not est.degenerate else math.nan
     fhat = sums.density()[0]
-    if est.degenerate:
-        error = std_oracle = math.nan
+    return [{"x": xq, "estimate": est.value, "error": error, "fhat": fhat, "degenerate": est.degenerate}]
+
+
+def _standardize_clt(rows: list[dict], config: dict, provenance: dict) -> list[dict]:
+    """One replicate's two clt records: its error standardized by the
+    run's limit constants, once with the oracle density ``f(x)`` and once
+    with the replicate's kernel density estimate in its place."""
+    (row,) = rows
+    constants, fx = provenance["constants"], provenance["density_at_x"]
+    if row["degenerate"]:
+        std_oracle = math.nan
     else:
-        error = est.value - truth
-        std_oracle = constants.rate * constants.lambda_x * (error - constants.bias_term)
-    plug_degenerate = est.degenerate or not (fhat > 0.0)
+        std_oracle = constants["rate"] * constants["lambda_x"] * (row["error"] - constants["bias_term"])
+    plug_degenerate = row["degenerate"] or not (row["fhat"] > 0.0)
     if plug_degenerate:
         std_plug = math.nan
     else:
-        std_plug = std_oracle * (fhat / fx) ** (1.0 - 1.0 / config["noise"]["alpha"])
-    shared = {"x": xq, "estimate": est.value, "error": error}
+        std_plug = std_oracle * (row["fhat"] / fx) ** (1.0 - 1.0 / config["noise"]["alpha"])
+    shared = {"x": row["x"], "estimate": row["estimate"], "error": row["error"]}
     return [
-        {**shared, "method": "local_linear", "std_error": std_oracle, "degenerate": est.degenerate},
+        {**shared, "method": "local_linear", "std_error": std_oracle, "degenerate": row["degenerate"]},
         {**shared, "method": "local_linear_fhat", "std_error": std_plug, "degenerate": plug_degenerate},
     ]
 
@@ -834,12 +869,14 @@ def run_lln_check(
     if not k_list or any(k not in (0, 1, 2, 3) for k in k_list):
         raise ParameterError(f"k_values must be a nonempty subset of {{0, 1, 2, 3}}, got {k_values}")
     config["k_values"] = k_list
-    density = _density_from_config(config)
-    provenance = {
-        "density_provenance": density.provenance,
-        "schedule_diagnostics": asdict(validate_schedule(schedule)),
-    }
-    return _run(config, _fit_moments, workers, provenance, density=density)
+
+    def describe(density):
+        return {
+            "density_provenance": density.provenance,
+            "schedule_diagnostics": asdict(validate_schedule(schedule)),
+        }
+
+    return _run(config, _fit_moments, workers, describe)
 
 
 def _fit_moments(model: SdeModel, kernel: Kernel, path, h: float, config: dict, context) -> list[dict]:
@@ -940,7 +977,7 @@ _RECORD_PARSERS = tuple(
 
 def read_records_csv(source) -> list[ReplicateRecord]:
     """Load replicate records written by :func:`write_report`."""
-    text = Path(source).read_text(encoding="ascii")
+    text = read_text(source, "ascii", ParameterError)
     rows = [line for line in text.splitlines() if line.strip()]
     if not rows or rows[0] != _RECORDS_HEADER:
         raise ParameterError(f"{source}: expected a records CSV with header {_RECORDS_HEADER!r}")

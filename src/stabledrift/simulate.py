@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, SimulationError
+from .errors import ParameterError, SimulationError, read_text
 from .models import SdeModel
 from .stable import StableParams, _cms_transform
 
@@ -399,12 +399,13 @@ def read_path_csv(source, *, model_name: str = "external", noise: StableParams |
     Raises
     ------
     ParameterError
-        On a wrong header, fewer than two observations, a malformed row, an
-        ``i`` cell that is not the row's index, a cell that is not a finite
-        number, or unequal spacing; row numbers count data rows from 1.
+        On a byte that is not ASCII, a wrong header, fewer than two
+        observations, a malformed row, an ``i`` cell that is not the row's
+        index, a cell that is not a finite number, or unequal spacing; row
+        numbers count data rows from 1.
     """
     # the file's text is not kept past this line, to bound peak memory
-    rows = [line for line in Path(source).read_text(encoding="ascii").splitlines() if line.strip()]
+    rows = [line for line in read_text(source, "ascii", ParameterError).splitlines() if line.strip()]
     if not rows or rows[0] != "i,t,x":
         raise ParameterError(f"{source}: expected a path CSV with header 'i,t,x'")
     if len(rows) < 3:

@@ -125,6 +125,16 @@ class TestEstimate:
         assert err.startswith("error:") and "row 2" in err
         assert "Traceback" not in err
 
+    def test_undecodable_path_csv_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"i,t,x\n0,0.0,1.0\n1,0.01,caf\xe9\n")
+        code = main(["estimate", "--model", "ou_linear", "--path-csv", str(bad),
+                     "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [f"error: {bad}: byte 0xe9 at offset 26 is not valid ascii text"]
+        assert "Traceback" not in err
+
     def test_unknown_method_rejected(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "simulate_path", lambda *args, **kwargs: calls.append(args))
@@ -167,6 +177,14 @@ class TestConfigErrors:
         code = main(["simulate", "--config", cfg])
         assert code == 2
         capsys.readouterr()
+
+    def test_undecodable_config_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "utf16.json"
+        target.write_bytes(b"\xff\xfe{}")
+        code = main(["simulate", "--config", str(target)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [f"error: {target}: byte 0xff at offset 0 is not valid utf-8 text"]
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "absent.json")])

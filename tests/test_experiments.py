@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from stabledrift import experiments, simulate
 from stabledrift import (
     ConfigurationError,
+    NumericError,
     ParameterError,
     Schedule,
     SimulationError,
@@ -29,6 +31,7 @@ from stabledrift import (
     validate_schedule,
     write_report,
 )
+from stabledrift.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +268,13 @@ class TestConfigHash:
         with pytest.raises(ParameterError):
             read_records_csv(bad)
 
+    def test_read_records_rejects_undecodable_byte(self, tmp_path):
+        bad = tmp_path / "records.csv"
+        header = b"replicate,seed,x,method,estimate,error,std_error,degenerate"
+        bad.write_bytes(header + b"\n0,7,0,moment_\xe90,0.25,,,false\n")
+        with pytest.raises(ParameterError, match=r"records\.csv: byte 0xe9 at offset 73 is not valid ascii"):
+            read_records_csv(bad)
+
     @pytest.mark.parametrize("row", [
         "1,7,0,moment_k0,zz,,,false",
         "x,7,0,moment_k0,0.5,,,false",
@@ -278,31 +288,86 @@ class TestConfigHash:
             read_records_csv(bad)
 
 
+def _small_run(kind, ou, noise, epan, workers, replicates=12):
+    sched = Schedule(n=3_000, delta=0.01, h=0.4, alpha=1.5)
+    common = dict(replicates=replicates, master_seed=11, burn_in=1_000, workers=workers)
+    if kind == "bias":
+        return run_bias_comparison(ou, noise, epan, sched, [0.0, 0.5], **common)
+    if kind == "clt":
+        return run_clt(ou, noise, epan, sched, 0.0, reference_size=1_000, **common)
+    return run_lln_check(ou, noise, epan, sched, 0.0, k_values=[0, 2], **common)
+
+
+def _logging(log, original=None):
+    """A stand-in that appends the calling process id to ``log``, a file,
+    so calls made in forked pool workers are seen too; it then calls
+    ``original`` or, without one, raises ``NumericError``."""
+    def wrapper(*args, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        if original is None:
+            raise NumericError("oracle quadrature did not converge")
+        return original(*args, **kwargs)
+    return wrapper
+
+
+def _logged(log):
+    return log.read_text().split() if log.exists() else []
+
+
 class TestDensityOracleBuiltOncePerRun:
-    @pytest.fixture
-    def oracle_calls(self, monkeypatch):
-        calls = []
-        original = experiments.stationary_density_oracle
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "stationary_density_oracle", counting)
-        return calls
+    # a pooled run builds its oracle while the workers simulate; it must
+    # still be built once, in the parent, and never by a worker
+    @pytest.mark.parametrize("kind, workers", [
+        pytest.param(kind, workers, id=kind if workers == 1 else f"{kind}-pooled")
+        for kind in ("bias", "clt", "lln") for workers in (1, 2)
+    ])
+    def test_one_build_per_run(self, ou, noise, epan, monkeypatch, tmp_path, kind, workers):
+        log = tmp_path / "oracle.log"
+        monkeypatch.setattr(
+            experiments, "stationary_density_oracle", _logging(log, experiments.stationary_density_oracle)
+        )
+        rep = _small_run(kind, ou, noise, epan, workers)
+        assert _logged(log) == [str(os.getpid())]
+        assert rep.verify_integrity()
 
     @pytest.mark.parametrize("kind", ["bias", "clt", "lln"])
-    def test_one_build_per_run(self, ou, noise, epan, oracle_calls, kind):
-        sched = Schedule(n=3_000, delta=0.01, h=0.4, alpha=1.5)
-        common = dict(replicates=12, master_seed=11, burn_in=1_000, workers=1)
-        if kind == "bias":
-            rep = run_bias_comparison(ou, noise, epan, sched, [0.0, 0.5], **common)
-        elif kind == "clt":
-            rep = run_clt(ou, noise, epan, sched, 0.0, reference_size=1_000, **common)
-        else:
-            rep = run_lln_check(ou, noise, epan, sched, 0.0, k_values=[0, 2], **common)
-        assert len(oracle_calls) == 1
-        assert rep.verify_integrity()
+    def test_fits_receive_no_oracle(self, ou, noise, epan, monkeypatch, kind):
+        contexts = []
+        original = experiments._replicates
+
+        def recording(job):
+            contexts.append(job[2])
+            return original(job)
+
+        monkeypatch.setattr(experiments, "_replicates", recording)
+        _small_run(kind, ou, noise, epan, workers=1)
+        assert contexts
+        assert all(context is None or all(isinstance(v, str) for v in context) for context in contexts)
+
+
+class TestOracleFailure:
+    def test_pooled_run_raises_the_oracle_error_and_cancels(self, ou, noise, epan, monkeypatch, tmp_path):
+        oracle_log, sim_log = tmp_path / "oracle.log", tmp_path / "simulate.log"
+        monkeypatch.setattr(experiments, "stationary_density_oracle", _logging(oracle_log))
+        monkeypatch.setattr(experiments, "simulate_paths", _logging(sim_log, experiments.simulate_paths))
+        # 40 replicates are 40 one-path batches
+        with pytest.raises(NumericError, match="did not converge"):
+            _small_run("clt", ou, noise, epan, workers=2, replicates=40)
+        assert _logged(oracle_log) == [str(os.getpid())]
+        # the batches still pending when the oracle failed never ran
+        assert len(_logged(sim_log)) < 40
+
+    def test_pooled_cli_run_exits_one(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(experiments, "stationary_density_oracle", _logging(tmp_path / "oracle.log"))
+        code = main(["experiment", "--kind", "clt", "--model", "ou_linear", "--alpha", "1.5",
+                     "--n", "3000", "--delta", "0.01", "--h", "0.4", "--burn-in", "1000",
+                     "--replicates", "12", "--reference-size", "1000", "--seed", "3",
+                     "--workers", "2", "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == ["run failed: oracle quadrature did not converge"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestFailBeforeExpensiveWork:
@@ -353,6 +418,17 @@ class TestFailBeforeExpensiveWork:
                     reference_size=1_000, workers=1, tail_fraction=0.1)
         assert expensive_calls == []
 
+    @pytest.mark.parametrize("kind", ["bias", "clt", "lln"])
+    def test_serial_run_with_a_failing_oracle(self, ou, noise, epan, expensive_calls, monkeypatch, kind):
+        def failing(*args, **kwargs):
+            expensive_calls.append("stationary_density_oracle")
+            raise NumericError("oracle quadrature did not converge")
+
+        monkeypatch.setattr(experiments, "stationary_density_oracle", failing)
+        with pytest.raises(NumericError, match="did not converge"):
+            _small_run(kind, ou, noise, epan, workers=1)
+        assert expensive_calls == ["stationary_density_oracle"]
+
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, math.nan])
     def test_tail_fraction_outside_unit_interval(self, ou, noise, epan, expensive_calls, fraction):
         sched = Schedule(n=3_000, delta=0.01, h=0.4, alpha=1.5)
@@ -364,12 +440,9 @@ class TestFailBeforeExpensiveWork:
 
 class TestFailingReplicateNamesItself:
     # Euler with delta = 3 on x' = -x flips and doubles the state each step.
-    @pytest.mark.parametrize("replicates, workers", [(2, 1), (2, 2), (32, 1), (48, 2)])
-    def test_unstable_schedule(self, ou, noise, epan, replicates, workers):
-        sched = Schedule(n=200, delta=3.0, h=0.4, alpha=1.5)
-        with pytest.raises(SimulationError) as caught:
-            run_lln_check(ou, noise, epan, sched, 0.0, k_values=[0], replicates=replicates,
-                          master_seed=5, burn_in=100, workers=workers)
+    UNSTABLE = Schedule(n=200, delta=3.0, h=0.4, alpha=1.5)
+
+    def _check_named(self, ou, noise, caught, replicates):
         found = re.fullmatch(
             r"replicate (\d+), seed (\d+): state left the stable range at burn-in step (\d+)", str(caught.value)
         )
@@ -380,3 +453,18 @@ class TestFailingReplicateNamesItself:
         # the named replicate fails alone at the named step
         with pytest.raises(SimulationError, match=f"at burn-in step {step}$"):
             simulate_path(ou, noise, 0.0, 200, 3.0, seed, burn_in=100)
+
+    @pytest.mark.parametrize("replicates, workers", [(2, 1), (2, 2), (32, 1), (48, 2)])
+    def test_unstable_schedule(self, ou, noise, epan, replicates, workers):
+        with pytest.raises(SimulationError) as caught:
+            run_lln_check(ou, noise, epan, self.UNSTABLE, 0.0, k_values=[0], replicates=replicates,
+                          master_seed=5, burn_in=100, workers=workers)
+        self._check_named(ou, noise, caught, replicates)
+
+    @pytest.mark.parametrize("replicates", [12, 48])
+    def test_unstable_pooled_clt(self, ou, noise, epan, replicates):
+        # the parent builds the oracle while the failing batch runs
+        with pytest.raises(SimulationError) as caught:
+            run_clt(ou, noise, epan, self.UNSTABLE, 0.0, replicates=replicates, master_seed=5,
+                    burn_in=100, reference_size=1_000, workers=2)
+        self._check_named(ou, noise, caught, replicates)

@@ -255,6 +255,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ParameterError):
             read_path_csv(bad)
 
+    def test_undecodable_byte_named_with_its_offset(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"i,t,x\n0,0.0,1.0\n1,0.1,1.\xe91\n")
+        with pytest.raises(ParameterError, match=r"bad\.csv: byte 0xe9 at offset 24 is not valid ascii"):
+            read_path_csv(bad)
+
     def test_unequal_spacing_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("i,t,x\n0,0.0,1.0\n1,0.1,1.1\n2,0.3,1.2\n")

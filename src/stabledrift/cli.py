@@ -89,12 +89,9 @@ class RunConfig:
         return config
 
     def _coerce(self) -> None:
-        for name in ("n", "burn_in", "seed", "replicates", "reference_size"):
-            setattr(self, name, _as_int(name, getattr(self, name)))
-        for name in ("alpha", "beta", "delta", "h", "kappa", "x0", "tail_fraction"):
-            setattr(self, name, _as_float(name, getattr(self, name)))
-        if not isinstance(self.model, str):
-            raise ConfigurationError(f"model must be a string, got {self.model!r}")
+        for f in dataclasses.fields(self):
+            if f.type in _SCALAR_PARSERS:
+                setattr(self, f.name, _SCALAR_PARSERS[f.type](f.name, getattr(self, f.name)))
         if not isinstance(self.model_params, dict):
             raise ConfigurationError("model_params must be an object of numbers")
         self.model_params = {k: _as_float(f"model_params.{k}", v) for k, v in self.model_params.items()}
@@ -143,6 +140,21 @@ def _as_float(name: str, value) -> float:
     if not math.isfinite(value):
         raise ConfigurationError(f"{name} must be finite, got {value}")
     return value
+
+
+def _as_str(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+# The parser of each scalar config field, picked by its annotation.
+_SCALAR_PARSERS = {
+    "int": _as_int,
+    "float": _as_float,
+    "str": _as_str,
+    "str | None": lambda name, value: None if value is None else _as_str(name, value),
+}
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -266,7 +278,7 @@ def cmd_estimate(config: RunConfig) -> int:
         )
     model, noise, kernel = _build_components(config)
     if config.path_csv is not None:
-        path = read_path_csv(config.path_csv, model_name="external", noise=noise)
+        path = read_path_csv(config.path_csv, noise=noise)
     else:
         path = simulate_path(
             model, noise, x0=config.x0, n=config.n, delta=config.delta,

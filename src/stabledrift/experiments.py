@@ -36,7 +36,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,7 @@ from .estimate import (
     s_nk,
 )
 from .kernels import Kernel, builtin_kernel, lambda_weight_changes_sign
-from .models import SdeModel, builtin_model, stationary_density_oracle
+from .models import _PLUGIN_SEED, SdeModel, builtin_model, stationary_density_oracle
 from .simulate import derive_replicate_seed, simulate_paths
 from .stable import (
     StableParams,
@@ -252,26 +252,10 @@ class ExperimentReport:
         return _SUMMARIZERS[self.kind](self.records, self.config)
 
     def verify_integrity(self) -> bool:
-        """True when stored summaries and checks match their recomputation."""
+        """True when stored and recomputed summaries would write the same
+        summary CSV lines and the checks are equal."""
         summaries, checks = self.recompute_summaries()
-        return _summary_rows_equal(self.summaries, summaries) and checks == list(self.checks)
-
-
-def _values_equal(a, b) -> bool:
-    if isinstance(a, float) and isinstance(b, float):
-        return (math.isnan(a) and math.isnan(b)) or a == b
-    return a == b
-
-
-def _summary_rows_equal(a: list[dict], b: list[dict]) -> bool:
-    if len(a) != len(b):
-        return False
-    for row_a, row_b in zip(a, b):
-        if row_a.keys() != row_b.keys():
-            return False
-        if not all(_values_equal(row_a[key], row_b[key]) for key in row_a):
-            return False
-    return True
+        return _summary_csv_lines(self.summaries) == _summary_csv_lines(summaries) and checks == list(self.checks)
 
 
 @lru_cache(maxsize=8)
@@ -381,9 +365,9 @@ def _batches(replicates: int, n: int, workers: int) -> list[tuple[int, int]]:
 
 def _replicates(job: tuple) -> list[tuple[int, list[dict]]]:
     """Simulate one batch of replicates and fit each path: ``job`` is
-    ``(fit, config, context, schedule_index, first, count)``; returns each
+    ``(fit, config, schedule_index, first, count)``; returns each
     replicate's seed and the rows its fit returned."""
-    fit, config, context, s_idx, first, count = job
+    fit, config, s_idx, first, count = job
     schedule = _schedules(config)[s_idx]
     offset = s_idx * config["replicates"] + first
     seeds = [derive_replicate_seed(config["master_seed"], offset + j) for j in range(count)]
@@ -401,15 +385,16 @@ def _replicates(job: tuple) -> list[tuple[int, list[dict]]]:
     except SimulationError as exc:
         raise SimulationError(f"replicate {offset + exc.path_index}, {exc}") from None
     kernel = _kernel_from_config(config)
-    return [(path.seed, fit(model, kernel, path, schedule["h"], config, context)) for path in paths]
+    return [(path.seed, fit(model, kernel, path, schedule["h"], config)) for path in paths]
 
 
-def _run(config: dict, fit, workers: int | None, describe, context=None, finish=None) -> ExperimentReport:
+def _run(config: dict, fit, workers: int | None, describe, finish=None) -> ExperimentReport:
     """Run every replicate of every schedule through ``fit`` and summarize.
 
-    ``context`` is handed to each fit.  A kind whose config has a
-    ``density`` entry has a stationary density oracle, built once in the
-    parent and handed to the summarizer; no fit receives it.
+    Each fit is called as ``fit(model, kernel, path, h, config)``.  A kind
+    whose config has a ``density`` entry has a stationary density oracle,
+    built once in the parent and handed to the summarizer; no fit receives
+    it.
     ``describe(density)`` (``density`` is None without an oracle) gives the
     report's provenance, and ``finish(rows, config, provenance)``, when
     given, turns the rows a fit returned for one replicate into its record
@@ -421,7 +406,7 @@ def _run(config: dict, fit, workers: int | None, describe, context=None, finish=
     if workers is None:
         workers = os.cpu_count() or 1
     jobs = [
-        (fit, config, context, s_idx, first, count)
+        (fit, config, s_idx, first, count)
         for s_idx, schedule in enumerate(_schedules(config))
         for first, count in _batches(config["replicates"], schedule["n"], workers)
     ]
@@ -453,7 +438,7 @@ def _run(config: dict, fit, workers: int | None, describe, context=None, finish=
     return ExperimentReport(config["kind"], config, records, summaries, checks, provenance)
 
 
-def _fit_drift(model: SdeModel, kernel: Kernel, path, h: float, config: dict, methods: tuple) -> list[dict]:
+def _fit_drift(model: SdeModel, kernel: Kernel, path, h: float, config: dict, *, methods: tuple) -> list[dict]:
     """Estimate and error of each drift estimator in ``methods`` at every
     query point, from one kernel-sum pass over the query points."""
     sums = kernel_sums(path, config["x_points"], h, kernel)
@@ -522,7 +507,7 @@ def run_consistency(
         "schedule_diagnostics": [asdict(validate_schedule(s)) for s in schedules],
         "kernel_sign_change": lambda_weight_changes_sign(kernel),
     }
-    return _run(config, _fit_drift, workers, lambda density: provenance, context=("local_linear",))
+    return _run(config, partial(_fit_drift, methods=("local_linear",)), workers, lambda density: provenance)
 
 
 def _summarize_consistency(records: list[ReplicateRecord], config: dict, density=None) -> tuple[list[dict], list[Check]]:
@@ -592,7 +577,6 @@ def run_bias_comparison(
     burn_in: int = 100_000,
     workers: int | None = None,
     density_method: str = "auto",
-    density_seed: int = 853_090_411,
 ) -> ExperimentReport:
     """Empirical bias of both estimators at fixed schedule, with the
     second-order theory values they should track.
@@ -604,7 +588,7 @@ def run_bias_comparison(
     """
     config = _config(
         "bias", model, noise, kernel, [schedule], x_points, replicates, master_seed, x0, burn_in, workers,
-        density={"method": density_method, "seed": density_seed},
+        density={"method": density_method, "seed": _PLUGIN_SEED},
     )
 
     def describe(density):
@@ -614,7 +598,7 @@ def run_bias_comparison(
             "schedule_diagnostics": asdict(validate_schedule(schedule)),
         }
 
-    return _run(config, _fit_drift, workers, describe, context=("local_linear", "nadaraya_watson"))
+    return _run(config, partial(_fit_drift, methods=("local_linear", "nadaraya_watson")), workers, describe)
 
 
 def _summarize_bias(records: list[ReplicateRecord], config: dict, density=None) -> tuple[list[dict], list[Check]]:
@@ -677,7 +661,6 @@ def run_clt(
     workers: int | None = None,
     reference_size: int = 100_000,
     density_method: str = "auto",
-    density_seed: int = 853_090_411,
     tail_fraction: float = 0.1,
 ) -> ExperimentReport:
     """Standardized local linear errors against direct stable draws.
@@ -702,7 +685,7 @@ def run_clt(
     """
     config = _config(
         "clt", model, noise, kernel, [schedule], [float(x)], replicates, master_seed, x0, burn_in, workers,
-        density={"method": density_method, "seed": density_seed},
+        density={"method": density_method, "seed": _PLUGIN_SEED},
     )
     if reference_size < 100:
         raise ParameterError(f"reference_size must be at least 100, got {reference_size}")
@@ -732,7 +715,7 @@ def run_clt(
     return _run(config, _fit_clt, workers, describe, finish=_standardize_clt)
 
 
-def _fit_clt(model: SdeModel, kernel: Kernel, path, h: float, config: dict, context) -> list[dict]:
+def _fit_clt(model: SdeModel, kernel: Kernel, path, h: float, config: dict) -> list[dict]:
     """The local linear estimate and error at the query point and the
     replicate's own kernel density estimate ``fhat`` there; the parent
     standardizes them with :func:`_standardize_clt`."""
@@ -853,7 +836,6 @@ def run_lln_check(
     burn_in: int = 100_000,
     workers: int | None = None,
     density_method: str = "auto",
-    density_seed: int = 853_090_411,
 ) -> ExperimentReport:
     """Kernel moment sums ``s_nk / (n h^k)`` against ``f(x) * K_k``.
 
@@ -863,7 +845,7 @@ def run_lln_check(
     """
     config = _config(
         "lln", model, noise, kernel, [schedule], [float(x)], replicates, master_seed, x0, burn_in, workers,
-        density={"method": density_method, "seed": density_seed},
+        density={"method": density_method, "seed": _PLUGIN_SEED},
     )
     k_list = sorted(set(int(k) for k in k_values))
     if not k_list or any(k not in (0, 1, 2, 3) for k in k_list):
@@ -879,7 +861,7 @@ def run_lln_check(
     return _run(config, _fit_moments, workers, describe)
 
 
-def _fit_moments(model: SdeModel, kernel: Kernel, path, h: float, config: dict, context) -> list[dict]:
+def _fit_moments(model: SdeModel, kernel: Kernel, path, h: float, config: dict) -> list[dict]:
     """Normalized kernel moment sums ``s_nk / (n h^k)`` for every ``k``."""
     xq = config["x_points"][0]
     return [
@@ -959,6 +941,15 @@ def _records_csv_lines(records: list[ReplicateRecord]) -> list[str]:
     return [_RECORDS_HEADER, *rows]
 
 
+def _summary_csv_lines(summaries: list[dict]) -> list[str]:
+    """The summary CSV: a header of the first row's keys and one line per
+    row in that column order; no lines for no rows."""
+    if not summaries:
+        return []
+    columns = list(summaries[0])
+    return [",".join(columns), *(",".join(_cell(row[c]) for c in columns) for row in summaries)]
+
+
 def _float_cell(text: str) -> float:
     return float(text) if text else math.nan
 
@@ -1015,12 +1006,9 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
 
     records_path.write_text("\n".join(_records_csv_lines(report.records)) + "\n", encoding="ascii")
 
-    if report.summaries:
-        columns = list(report.summaries[0].keys())
-        lines = [",".join(columns)]
-        for row in report.summaries:
-            lines.append(",".join(_cell(row[c]) for c in columns))
-        summary_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    summary_lines = _summary_csv_lines(report.summaries)
+    if summary_lines:
+        summary_path.write_text("\n".join(summary_lines) + "\n", encoding="ascii")
 
     manifest = {
         "kind": report.kind,

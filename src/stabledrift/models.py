@@ -36,6 +36,8 @@ __all__ = [
 
 _VALIDATION_GRID = np.linspace(-50.0, 50.0, 10_001)
 _exact_tanh = np.frompyfunc(math.tanh, 1, 1)
+# Seed of the plug-in oracle's path; experiment configs record it.
+_PLUGIN_SEED = 853_090_411
 
 
 @dataclass(frozen=True)
@@ -440,19 +442,10 @@ def _fourier_density(model: SdeModel, noise: StableParams) -> StationaryDensity:
     )
 
 
-def _plugin_density(
-    model: SdeModel,
-    noise: StableParams,
-    seed: int,
-    sim_steps: int,
-    sim_delta: float,
-    burn_in: int,
-) -> StationaryDensity:
+def _plugin_density(model: SdeModel, noise: StableParams, seed: int) -> StationaryDensity:
     from .simulate import simulate_path
 
-    path = simulate_path(
-        model, noise, x0=0.0, n=sim_steps, delta=sim_delta, seed=seed, burn_in=burn_in
-    )
+    path = simulate_path(model, noise, x0=0.0, n=400_000, delta=0.01, seed=seed, burn_in=100_000)
     data = path.x
     q_lo, q1, q3, q_hi = np.quantile(data, [0.0005, 0.25, 0.75, 0.9995])
     iqr = q3 - q1
@@ -461,7 +454,7 @@ def _plugin_density(
     # Bandwidth from the effective sample size: consecutive observations are
     # dependent over roughly one relaxation time of the drift.
     relaxation = 1.0 / max(model.lipschitz_mu, 1e-6)
-    n_eff = max(200.0, sim_steps * sim_delta / (2.0 * relaxation))
+    n_eff = max(200.0, path.n * path.delta / (2.0 * relaxation))
     bandwidth = 0.9 * (iqr / 1.34) * n_eff ** (-0.2)
     lo = q_lo - 3.0 * bandwidth
     hi = q_hi + 3.0 * bandwidth
@@ -492,10 +485,7 @@ def stationary_density_oracle(
     noise: StableParams,
     method: str = "auto",
     *,
-    seed: int = 853_090_411,
-    sim_steps: int = 400_000,
-    sim_delta: float = 0.01,
-    burn_in: int = 100_000,
+    seed: int = _PLUGIN_SEED,
 ) -> StationaryDensity:
     """Stationary density of a model under the given noise.
 
@@ -512,9 +502,10 @@ def stationary_density_oracle(
         model otherwise, long-trajectory plug-in for the rest.  ``"fourier"``
         and ``"simulation"`` force a route; ``"analytic"`` forces the
         Gaussian closed form.
-    seed, sim_steps, sim_delta, burn_in
-        Control the simulation route only.  The default seed is a fixed
-        constant so the plug-in oracle is reproducible.
+    seed : int
+        Seeds the simulation route only, a fixed design of 4e5 steps of
+        0.01 after a 1e5-step burn-in.  The default is a fixed constant so
+        the plug-in oracle is reproducible.
     """
     if not isinstance(noise, StableParams):
         raise ParameterError("noise must be a StableParams instance")
@@ -544,7 +535,7 @@ def stationary_density_oracle(
             )
         return _fourier_density(model, noise)
     if method == "simulation":
-        return _plugin_density(model, noise, seed, sim_steps, sim_delta, burn_in)
+        return _plugin_density(model, noise, seed)
     raise ConfigurationError(
         f"unknown density method {method!r}; expected auto, analytic, fourier, or simulation"
     )

@@ -393,8 +393,9 @@ def write_path_csv(path: ObservedPath, destination) -> None:
     Path(destination).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def read_path_csv(source, *, model_name: str = "external", noise: StableParams | None = None) -> ObservedPath:
-    """Load a trajectory written by :func:`write_path_csv`.
+def read_path_csv(source, *, noise: StableParams | None = None) -> ObservedPath:
+    """Load a trajectory written by :func:`write_path_csv`; its model name is
+    ``"external"``.
 
     Raises
     ------
@@ -429,9 +430,7 @@ def read_path_csv(source, *, model_name: str = "external", noise: StableParams |
     steps = np.diff(t)
     if not np.allclose(steps, delta, rtol=1e-9, atol=1e-12):
         raise ParameterError(f"{source}: observation times are not equally spaced")
-    return ObservedPath(
-        x=x, delta=delta, n=x.size - 1, seed=None, model_name=model_name, noise=noise
-    )
+    return ObservedPath(x=x, delta=delta, n=x.size - 1, seed=None, model_name="external", noise=noise)
 
 
 def _parse_path_rows(source, lines: list[str]) -> np.ndarray:

@@ -178,6 +178,16 @@ class TestConfigErrors:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name", ["model", "kernel", "method", "path_csv", "kind", "density_method", "out_dir"])
+    def test_non_string_field_exits_two(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, {**BASE, name: []})
+        for command in ("simulate", "estimate", "experiment"):
+            code = main([command, "--config", cfg])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.splitlines() == [f"error: {name} must be a string, got []"]
+            assert "Traceback" not in err
+
     def test_undecodable_config_exits_two(self, tmp_path, capsys):
         target = tmp_path / "utf16.json"
         target.write_bytes(b"\xff\xfe{}")

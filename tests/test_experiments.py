@@ -2,6 +2,8 @@
 verification, CSV round trips, and worker-count independence."""
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -18,6 +20,7 @@ from stabledrift import (
     Schedule,
     SimulationError,
     StableParams,
+    StationaryDensity,
     builtin_kernel,
     builtin_model,
     config_hash,
@@ -83,9 +86,16 @@ class TestSchedule:
         assert diag.lines()
 
     def test_classification_thresholds(self):
-        # enormous bandwidth pushes both proxies past the O(1) threshold
-        diag = validate_schedule(Schedule(n=10 ** 9, delta=0.01, h=0.9, alpha=1.5))
-        assert diag.classification in ("scheme (ii)", "neither")
+        # n, h, label at alpha 1.5, delta 0.01, kappa 2; each label is reached
+        for n, h, label in (
+            (5_000, 2.0, "i"),  # proxies 9.28, 18.6, 0.46
+            (4_000_000, 0.5, "ii"),  # proxies 13.6, 6.79, 2.71
+            (100_000, 0.3, "both"),
+            (10 ** 9, 0.9, "neither"),
+        ):
+            diag = validate_schedule(Schedule(n=n, delta=0.01, h=h, alpha=1.5, kappa=2.0))
+            assert diag.classification == label
+            assert (diag.scheme_i, diag.scheme_ii) == (label in ("i", "both"), label in ("ii", "both"))
         small = validate_schedule(Schedule(n=50, delta=0.01, h=0.1, alpha=1.5))
         assert any("nDh" in note or "n*delta*h" in note or "small" in note.lower()
                    for note in small.notes)
@@ -117,6 +127,15 @@ class TestLlnReport:
         summaries, checks = lln_report.recompute_summaries()
         assert summaries == lln_report.summaries
         assert [c.name for c in checks] == [c.name for c in lln_report.checks]
+
+    def test_integrity_detects_tampering(self, lln_report):
+        assert lln_report.verify_integrity()
+        summaries = [dict(row) for row in lln_report.summaries]
+        summaries[0]["mean_value"] = math.nextafter(summaries[0]["mean_value"], math.inf)
+        assert not dataclasses.replace(lln_report, summaries=summaries).verify_integrity()
+        checks = list(lln_report.checks)
+        checks[0] = dataclasses.replace(checks[0], passed=not checks[0].passed)
+        assert not dataclasses.replace(lln_report, checks=checks).verify_integrity()
 
     def test_write_read_round_trip(self, lln_report, tmp_path):
         paths = write_report(lln_report, tmp_path)
@@ -333,17 +352,25 @@ class TestDensityOracleBuiltOncePerRun:
 
     @pytest.mark.parametrize("kind", ["bias", "clt", "lln"])
     def test_fits_receive_no_oracle(self, ou, noise, epan, monkeypatch, kind):
-        contexts = []
+        jobs = []
         original = experiments._replicates
 
         def recording(job):
-            contexts.append(job[2])
+            jobs.append(job)
             return original(job)
 
         monkeypatch.setattr(experiments, "_replicates", recording)
         _small_run(kind, ou, noise, epan, workers=1)
-        assert contexts
-        assert all(context is None or all(isinstance(v, str) for v in context) for context in contexts)
+        assert jobs
+        for fit, config, *rest in jobs:
+            json.dumps(config)
+            if isinstance(fit, functools.partial):
+                assert fit.args == ()
+                assert all(
+                    isinstance(value, tuple) and all(isinstance(v, str) for v in value)
+                    for value in fit.keywords.values()
+                )
+            assert not any(isinstance(element, StationaryDensity) for element in (fit, config, *rest))
 
 
 class TestOracleFailure:

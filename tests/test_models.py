@@ -246,8 +246,7 @@ class TestStationaryDensity:
         assert stationary_density_oracle(ou, StableParams(2.0, 0.0)).provenance == "analytic"
         assert stationary_density_oracle(ou, StableParams(1.5, 0.0)).provenance == "numeric-oracle"
         tanh_m = builtin_model("tanh_drift")
-        d = stationary_density_oracle(tanh_m, StableParams(1.8, 0.0), sim_steps=120_000,
-                                      burn_in=30_000)
+        d = stationary_density_oracle(tanh_m, StableParams(1.8, 0.0))
         assert d.provenance == "kernel-plug-in"
 
     def test_route_validation(self):

@@ -8,12 +8,15 @@ the local linear estimator also fits a slope in the offset ``X_i - x``,
 which cancels the first-order term of the drift's Taylor expansion and is
 what removes the design-dependent part of the bias.
 
-One pass over the path per query point feeds every estimate:
-:func:`kernel_sums` forms the sums ``S_0, S_1, S_2, T_0, T_1`` over a grid,
-and the local linear, ratio and density (``S_0 / n``) estimates are derived
-from them elementwise.  Every kernel has compact support, so that pass and
-the moment sums :func:`s_nk` weight only the states inside the kernel window
-around the query point, however far the others lie.
+One set of kernel sums feeds every estimate: :func:`kernel_sums` forms
+``S_0, S_1, S_2, T_0, T_1`` over a grid, and the local linear, ratio and
+density (``S_0 / n``) estimates are derived from them elementwise.  Every
+kernel has compact support, so those sums and the moment sums :func:`s_nk`
+weight only the states inside the kernel window around the query point,
+however far the others lie.  Grid points that lie within one window width
+of each other share one scan of the path for their windows, so a dense grid
+costs about one pass over the path per window width it covers, not one per
+point.
 
 The asymptotic description of the local linear estimator at an interior
 point with ``1 < alpha < 2`` is
@@ -58,7 +61,7 @@ __all__ = [
 ]
 
 _DEGENERACY_COEFF = 1e-12
-# relative slack on the window edges of ``_window``: 2^-50 of |x| + h*max(|a|, |b|)
+# relative slack on the window edges of ``_edges``: 2^-50 of |x| + h*max(|a|, |b|)
 # exceeds the rounding of the edges and of z, also where an edge cancels to about zero
 _EDGE_SLACK = 2.0 ** -50
 
@@ -103,15 +106,29 @@ def _check_point(x: float, h: float) -> None:
         raise ParameterError(f"bandwidth h must be positive and finite, got {h}")
 
 
-def _window(xs: np.ndarray, x: float, h: float, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Indices, in time order, and offsets ``z_i = (X_i - x) / h`` of the
-    states with ``a <= z_i <= b`` for ``(a, b) = kernel.support``: the states
-    between the edges ``x + a*h`` and ``x + b*h``, widened by a slack that
-    covers their rounding, trimmed to exactly that interval.  Sums over it
-    rely on ``kernel.evaluate`` being zero outside ``support``."""
+def _edges(first: float, last: float, h: float, kernel: Kernel) -> tuple[float, float]:
+    """Edges ``first + a*h - slack`` and ``last + b*h + slack``, for
+    ``(a, b) = kernel.support``, that hold the edges of every point ``x`` in
+    ``[first, last]``, ``_edges(x, x, h, kernel)``: the slack, 2^-50 of
+    ``max(|first|, |last|) + h*max(|a|, |b|)``, is the largest of those
+    points' own slacks, and rounding is monotone, so no point's edge lies
+    outside them."""
     a, b = kernel.support
-    slack = _EDGE_SLACK * (abs(x) + h * max(abs(a), abs(b)))
-    index = np.flatnonzero((xs >= x + a * h - slack) & (xs <= x + b * h + slack))
+    slack = _EDGE_SLACK * (max(abs(first), abs(last)) + h * max(abs(a), abs(b)))
+    return first + a * h - slack, last + b * h + slack
+
+
+def _window(xs: np.ndarray, x: float, h: float, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Indices, in the order of ``xs``, and offsets ``z_i = (X_i - x) / h``
+    of the states with ``a <= z_i <= b`` for ``(a, b) = kernel.support``: the
+    states between the edges ``_edges(x, x, h, kernel)``, widened by a slack
+    that covers their rounding, trimmed to exactly that interval.  Given any
+    subsequence of the states that holds the whole window, the result is the
+    same window with the same ``z`` floats, indexed into that subsequence.
+    Sums over it rely on ``kernel.evaluate`` being zero outside ``support``."""
+    a, b = kernel.support
+    lo, hi = _edges(x, x, h, kernel)
+    index = np.flatnonzero((xs >= lo) & (xs <= hi))
     z = (xs[index] - x) / h
     inside = (z >= a) & (z <= b)
     return index[inside], z[inside]
@@ -172,25 +189,51 @@ def kernel_sums(path: ObservedPath, grid, h: float, kernel: Kernel) -> KernelSum
 
     Every point is validated before any work.  At each point only the
     states of its kernel window (see :func:`_window`) are weighted, so no
-    ``(len(grid), n)`` array is built.
+    ``(len(grid), n)`` array is built.  The points are taken in sorted order
+    in runs that span at most one window width ``(b - a) * h``.  One scan of
+    the path selects, in time order, the states between the run's
+    :func:`_edges`, which hold every window of the run; each point then
+    selects its window from those states alone.  A one-point run scans the
+    path directly.  Either way a point's window is the same states in the
+    same order with the same offsets, so every sum and flag is bit for bit
+    what the point alone gives, whatever the rest of the grid holds.
     """
     points = np.asarray(grid, dtype=float).ravel()
     if points.size == 0:
         raise ParameterError("grid must be nonempty")
-    for x in points.tolist():
+    values = points.tolist()
+    for x in values:
         _check_point(x, h)
+    a, b = kernel.support
+    width = (b - a) * h
+    order = sorted(range(len(values)), key=values.__getitem__)
     xs = path.x[:-1]
-    y = np.diff(path.x) / path.delta
     sums = np.empty((5, points.size))
     two_offsets = np.empty(points.size, dtype=bool)
-    for j, x in enumerate(points.tolist()):
-        index, z = _window(xs, x, h, kernel)
-        w = kernel.evaluate(z) / h
-        wz = w * z
-        yw = y[index]
-        sums[:, j] = w.sum(), wz.sum(), (wz * z).sum(), (w * yw).sum(), (wz * yw).sum()
-        weighted = z[w != 0.0]
-        two_offsets[j] = weighted.size > 1 and weighted.min() < weighted.max()
+    # near the float range an increment, an offset or a sum may overflow;
+    # the estimates flag such a point, so numpy need not warn about it
+    with np.errstate(all="ignore"):
+        y = np.diff(path.x) / path.delta
+        start = 0
+        while start < len(order):
+            first = values[order[start]]
+            stop = start + 1
+            while stop < len(order) and values[order[stop]] - first <= width:
+                stop += 1
+            near, near_y = xs, y
+            if stop - start > 1:
+                lo, hi = _edges(first, values[order[stop - 1]], h, kernel)
+                run = np.flatnonzero((xs >= lo) & (xs <= hi))
+                near, near_y = xs[run], y[run]
+            for j in order[start:stop]:
+                index, z = _window(near, values[j], h, kernel)
+                w = kernel.evaluate(z) / h
+                wz = w * z
+                yw = near_y[index]
+                sums[:, j] = w.sum(), wz.sum(), (wz * z).sum(), (w * yw).sum(), (wz * yw).sum()
+                weighted = z[w != 0.0]
+                two_offsets[j] = weighted.size > 1 and weighted.min() < weighted.max()
+            start = stop
     return KernelSums(points, h, path.n, _DEGENERACY_COEFF * path.n * kernel.peak / h, *sums, two_offsets)
 
 

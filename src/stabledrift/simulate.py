@@ -32,6 +32,7 @@ perturb the draw sequence.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -397,6 +398,10 @@ def read_path_csv(source, *, noise: StableParams | None = None) -> ObservedPath:
     """Load a trajectory written by :func:`write_path_csv`; its model name is
     ``"external"``.
 
+    A well-formed file is parsed in one ``np.loadtxt`` pass over the open
+    file.  Any other file, or one that fails a check below, is read again
+    line by line, which names the first offending byte, header or row.
+
     Raises
     ------
     ParameterError
@@ -405,32 +410,67 @@ def read_path_csv(source, *, noise: StableParams | None = None) -> ObservedPath:
         index, a cell that is not a finite number, or unequal spacing; row
         numbers count data rows from 1.
     """
+    table = _load_path_table(source)
+    if table is None:
+        table = _read_path_lines(source)
+    t = table[:, 1].copy()
+    x = table[:, 2].copy()
+    # times near the float range may overflow here; the spacing check names them
+    with np.errstate(all="ignore"):
+        delta = float(t[1] - t[0])
+        equal = np.allclose(np.diff(t), delta, rtol=1e-9, atol=1e-12)
+    if not equal:
+        raise ParameterError(f"{source}: observation times are not equally spaced")
+    return ObservedPath(x=x, delta=delta, n=x.size - 1, seed=None, model_name="external", noise=noise)
+
+
+# ASCII line breaks of ``str.splitlines``, at which the line-by-line reader
+# ends a row, that a file's line iteration keeps inside a line; a file that
+# holds one is left to that reader
+_SPLITLINES_ONLY = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+
+
+def _load_path_table(source) -> np.ndarray | None:
+    """The ``(i, t, x)`` table of a well-formed path CSV, parsed in bulk; None
+    for a file that :func:`_read_path_lines` must read, with the same result
+    or the error that names what is wrong."""
+    data = Path(source).read_bytes()
+    if not (
+        data.startswith((b"i,t,x\n", b"i,t,x\r"))
+        and data.isascii()
+        and not any(mark in data for mark in _SPLITLINES_ONLY)
+    ):
+        return None
+    del data  # not held through the parse, to bound peak memory
+    with open(source, encoding="ascii") as handle:
+        handle.readline()
+        try:
+            with warnings.catch_warnings():
+                # a file with no rows warns; the line reader names it instead
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    valid = (
+        len(table) >= 2
+        and table.shape[1] == 3
+        and np.isfinite(table).all()
+        and np.array_equal(table[:, 0], np.arange(len(table)))
+    )
+    return table if valid else None
+
+
+def _read_path_lines(source) -> np.ndarray:
+    """The ``(i, t, x)`` table of a path CSV read line by line, skipping blank
+    lines; raises :class:`ParameterError` naming the first offending byte,
+    the header, or the first bad row."""
     # the file's text is not kept past this line, to bound peak memory
     rows = [line for line in read_text(source, "ascii", ParameterError).splitlines() if line.strip()]
     if not rows or rows[0] != "i,t,x":
         raise ParameterError(f"{source}: expected a path CSV with header 'i,t,x'")
     if len(rows) < 3:
         raise ParameterError(f"{source}: need at least two observations")
-    try:
-        table = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        table = None
-    valid = (
-        table is not None
-        and table.shape[1] == 3
-        and np.isfinite(table).all()
-        and np.array_equal(table[:, 0], np.arange(len(table)))
-    )
-    if not valid:
-        # the row-by-row parse names the first offending row
-        table = _parse_path_rows(source, rows[1:])
-    t = table[:, 1].copy()
-    x = table[:, 2].copy()
-    delta = float(t[1] - t[0])
-    steps = np.diff(t)
-    if not np.allclose(steps, delta, rtol=1e-9, atol=1e-12):
-        raise ParameterError(f"{source}: observation times are not equally spaced")
-    return ObservedPath(x=x, delta=delta, n=x.size - 1, seed=None, model_name="external", noise=noise)
+    return _parse_path_rows(source, rows[1:])
 
 
 def _parse_path_rows(source, lines: list[str]) -> np.ndarray:

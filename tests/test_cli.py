@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,31 @@ class TestEstimate:
         assert code == 2
         assert err.splitlines() == [f"error: {bad}: byte 0xe9 at offset 26 is not valid ascii text"]
         assert "Traceback" not in err
+
+    def test_a_path_near_the_float_range_warns_nothing(self, tmp_path, capsys):
+        # every increment and sum overflows, so every row is degenerate;
+        # the flag reports that, and numpy must not warn about it as well
+        target = tmp_path / "huge.csv"
+        target.write_text("i,t,x\n0,0,1e308\n1,0.01,-1e308\n2,0.02,1e308\n")
+        cfg = write_config(tmp_path, {**BASE, "x_points": [0.0, 1e308]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--config", cfg, "--path-csv", str(target), "--out-dir", str(tmp_path / "o")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "o" / "estimates.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 4
+        assert all(row.split(",")[4] == "true" for row in rows)
+
+    def test_times_near_the_float_range_exit_two_without_a_warning(self, tmp_path, capsys):
+        target = tmp_path / "times.csv"
+        target.write_text("i,t,x\n0,0,1\n1,1e308,2\n2,-1e308,3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--model", "ou_linear", "--path-csv", str(target),
+                         "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {target}: observation times are not equally spaced"]
 
     def test_unknown_method_rejected(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -1,7 +1,8 @@
 """Properties of the drift estimators over random inputs: translation
 equivariance on exactly representable designs, affine reproduction, the
 grid contract of ``kernel_sums``, its agreement and that of ``s_nk`` with a
-full-array reference on paths that crowd the kernel window's edges, and the
+full-array reference on paths that crowd the kernel window's edges, the
+bit-for-bit agreement of a dense grid's sums with one-point sums, and the
 degeneracy flag on designs with fewer than two distinct weighted states."""
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from stabledrift import (
     nadaraya_watson_drift,
     s_nk,
 )
+from stabledrift.estimate import _edges
 
 kernels = st.sampled_from(sorted(kernel_names())).map(builtin_kernel)
 METHODS = ("local_linear", "nadaraya_watson")
@@ -232,6 +234,43 @@ def test_kernel_sums_agrees_with_a_full_array_reference(case):
             mine, theirs = got.estimates(method)[j], ref.estimates(method)[0]
             if abs(abs(theirs.denominator) - got.threshold) > 1e-12 * ties[method]:
                 assert mine.degenerate == theirs.degenerate
+
+
+@st.composite
+def dense_grids(draw):
+    """An unsorted grid with duplicates, spaced below the window width so that
+    points share runs, a bandwidth and a path whose states sit at every
+    point's window edges, at the outer edges of every span of grid points
+    (where a run's scan stops), one ulp either side of them, and elsewhere."""
+    kernel = draw(kernels)
+    h = draw(st.floats(0.01, 5.0))
+    a, b = kernel.support
+    center = draw(st.one_of(st.floats(-10.0, 10.0), st.floats(-1e6, 1e6)))
+    spacing = draw(st.floats(0.0, 1.0)) * (b - a) * h
+    points = [center + k * spacing for k in range(draw(st.integers(2, 8)))]
+    grid = draw(st.permutations(points + draw(st.lists(st.sampled_from(points), max_size=4))))
+    edges = [e for x in points for e in (x + a * h, x + b * h)]
+    edges += [e for first in points for last in points if first <= last for e in _edges(first, last, h, kernel)]
+    near = [float(v) for e in edges for v in (np.nextafter(e, -math.inf), e, np.nextafter(e, math.inf))]
+    reach = max(abs(a), abs(b)) * h + points[-1] - points[0]
+    elsewhere = st.one_of(st.floats(-1.5, 1.5).map(lambda u: center + u * reach), st.floats(-1e200, 1e200))
+    states = draw(st.lists(st.sampled_from(near), min_size=1, max_size=60))
+    states += draw(st.lists(elsewhere, min_size=1, max_size=20))
+    return kernel, h, draw(st.floats(1e-3, 1.0)), draw(st.permutations(states)), grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_grids())
+def test_a_grid_point_reads_exactly_as_it_does_alone(case):
+    kernel, h, delta, states, grid = case
+    path = make_path(states, delta)
+    sums = kernel_sums(path, grid, h, kernel)
+    assert sums.grid.tolist() == grid
+    for j, x in enumerate(grid):
+        alone = kernel_sums(path, [x], h, kernel)
+        assert (alone.h, alone.n, alone.threshold) == (sums.h, sums.n, sums.threshold)
+        for field in ("grid", "s0", "s1", "s2", "t0", "t1", "two_offsets"):
+            assert getattr(sums, field)[j:j + 1].tobytes() == getattr(alone, field).tobytes(), field
 
 
 def test_a_single_weighted_state_is_degenerate_when_n_h_is_tiny():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,54 @@ class TestCsvRoundTrip:
         bad.write_text("i,t,x\n" + body)
         with pytest.raises(ParameterError, match=f"row {row}: expected i ="):
             read_path_csv(bad)
+
+    ROWS = "0,0,1.2942707331187491\n1,0.01,-0.1\n2,0.02,3e-300\n3,0.03,0.30000000000000004\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\ni,t,x\n" + ROWS,
+            "i,t,x\n\n" + ROWS.replace("\n", "\n\n", 2),
+            "i,t,x\n" + ROWS.replace("\n", "\n  \n", 1) + "\t\n",
+            ("i,t,x\n" + ROWS).replace("\n", "\r\n"),
+            ("i,t,x\n" + ROWS).replace("\n", "\r"),
+            "i,t,x\n" + ROWS.rstrip("\n"),
+            "i,t,x\n" + ROWS.replace("\n", "\f\n", 1),
+        ],
+        ids=["leading-blank", "blank-lines", "whitespace-lines", "crlf", "cr", "no-final-break", "form-feed-at-end"],
+    )
+    def test_bulk_parse_agrees_with_the_row_parser(self, tmp_path, text):
+        target = tmp_path / "path.csv"
+        target.write_bytes(text.encode("ascii"))
+        table = simulate._parse_path_rows(target, [line for line in text.splitlines() if line.strip()][1:])
+        loaded = read_path_csv(target)
+        assert np.array_equal(loaded.x, table[:, 2])
+        assert loaded.delta == float(table[1, 1] - table[0, 1])
+
+    @pytest.mark.parametrize("text", ["i,t,x\n", "i,t,x", "i,t,x\n0,0.0,1.5\n", "\ni,t,x\n\n0,0.0,1.5\n\n"])
+    def test_fewer_than_two_observations_named_without_a_warning(self, tmp_path, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="need at least two observations"):
+                read_path_csv(bad)
+
+    @pytest.mark.parametrize("mark", ["\v", "\f", "\x1c", "\x1d", "\x1e"])
+    def test_a_line_break_inside_a_row_splits_it(self, tmp_path, mark):
+        # str.splitlines breaks a line at each of these, so the row ends there
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"i,t,x\n0,0.0{mark},1.5\n1,0.25,-2.0\n2,0.5,0.125\n")
+        with pytest.raises(ParameterError, match="malformed row 1: '0,0.0'"):
+            read_path_csv(bad)
+
+    def test_times_near_the_float_range_fail_the_spacing_check_without_a_warning(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("i,t,x\n0,0,1\n1,1e308,2\n2,-1e308,3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="observation times are not equally spaced"):
+                read_path_csv(bad)
 
     def test_row_parser_matches_bulk_parse(self, tmp_path):
         # the row-by-row parser, which names bad rows, is the reference for

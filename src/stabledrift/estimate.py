@@ -241,16 +241,29 @@ def s_nk(path: ObservedPath, x: float, h: float, kernel: Kernel, k: int) -> floa
     """Kernel-weighted offset power sum ``sum_i K_h(X_i - x) (X_i - x)^k``
     over the window (see :func:`_window`) of the states ``X_0 .. X_{n-1}``;
     a state of zero weight adds nothing, however far it lies from ``x``.
-    ``k`` must be one of 0, 1, 2, 3.
+    ``k`` must be one of 0, 1, 2, 3.  Where an offset power overflows, as
+    ``(X_i - x)^k`` may when ``h`` is near the float range, the sum is
+    ``h^(k-1) sum_i K(z_i) z_i^k`` instead, scaled by ``h`` one factor at a
+    time, so it is infinite only when the sum itself leaves the float range.
     """
     if k not in (0, 1, 2, 3):
         raise ParameterError(f"k must be one of 0, 1, 2, 3, got {k}")
     _check_point(x, h)
     index, z = _window(path.x[:-1], x, h, kernel)
-    w = kernel.evaluate(z) / h
+    kz = kernel.evaluate(z)
+    w = kz / h
     # an edge state of zero weight may still have an offset power that overflows
     weighted = w != 0.0
-    return float((w[weighted] * (path.x[index[weighted]] - x) ** k).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float((w[weighted] * (path.x[index[weighted]] - x) ** k).sum())
+    if math.isfinite(total):
+        return total
+    total = float((kz * z ** k).sum())
+    if k == 0:
+        return total / h
+    for _ in range(k - 1):
+        total *= h
+    return total
 
 
 def local_linear_drift(path: ObservedPath, x: float, h: float, kernel: Kernel) -> DriftEstimate:

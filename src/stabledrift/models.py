@@ -35,7 +35,11 @@ __all__ = [
 ]
 
 _VALIDATION_GRID = np.linspace(-50.0, 50.0, 10_001)
-_exact_tanh = np.frompyfunc(math.tanh, 1, 1)
+# states, scaled increments and time steps on which a declared stepper must
+# take the generic step
+_STEP_STATES = (-50.0, -3.5, -1.0, -0.25, -0.0, 0.0, 0.6, 1.0, 2.5, 7.0, 1e3, 1e6)
+_STEP_TERMS = (0.3, -1.7, 0.0, 2.5e-3, -4.0, 1e-9, -0.02, 11.0, -0.6, 5.0, -2e3, 0.8)
+_STEP_DELTAS = (0.01, 0.37)
 # Seed of the plug-in oracle's path; experiment configs record it.
 _PLUGIN_SEED = 853_090_411
 
@@ -70,6 +74,19 @@ class SdeModel:
         sigma is constant; the Euler engine then steps each block of draws
         as a linear recurrence instead of one step at a time.  None, the
         default, keeps the generic step for any drift.
+    stepper : callable or None
+        ``stepper(delta, width)`` returns ``step(x, term)``, the model's
+        whole Euler step from state ``x`` with the scaled stable increment
+        ``term``: on a Python float when ``width`` is None, on a float64
+        vector of length ``width`` otherwise.  It must equal the generic
+        step of :func:`euler_step` bit for bit, ``x + mu(x) * delta + term``
+        when sigma is constant (``term`` then carries sigma) and
+        ``x + mu(x) * delta + sigma(x) * term`` otherwise, so it may share
+        work between drift and diffusion but not reorder any operation.
+        For a vector it holds the model's constants as arrays of length
+        ``width``: a numpy operation with a Python-float operand costs
+        more than one with an array operand.  None, the default, takes the
+        generic step.
     """
 
     name: str
@@ -81,6 +98,7 @@ class SdeModel:
     sigma_bounds: tuple[float, float]
     lipschitz_mu: float
     affine_drift: tuple[float, float] | None = None
+    stepper: Callable | None = None
 
     @property
     def sigma_constant(self) -> bool:
@@ -128,6 +146,22 @@ def _constant(value: float) -> Callable:
     return lambda x: np.full(np.shape(x), value)[()]
 
 
+def _operands(width: int | None, *values: float) -> tuple:
+    """``values`` as a stepper's operands: the floats themselves for a float
+    state, arrays of length ``width`` for a vector state."""
+    if width is None:
+        return values
+    return tuple(np.full(width, value) for value in values)
+
+
+def _exact_tanh(x) -> np.ndarray:
+    """``math.tanh`` of every entry of ``x``, in its shape.  np.tanh is not
+    math.tanh to the last bit, and a batch of paths must step exactly as
+    each path alone does."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.tanh, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def _make_ou_linear(params: dict) -> SdeModel:
     _reject_unknown(params, ("gamma", "lam", "sigma"))
     gamma = _float_param(params, "gamma", 0.0)
@@ -166,9 +200,7 @@ def _make_tanh_drift(params: dict) -> SdeModel:
     def mu(x):
         if isinstance(x, float):
             return -a * math.tanh(x)
-        # np.tanh is not math.tanh to the last bit; a batch of paths must
-        # step exactly as each path alone does
-        return -a * np.asarray(_exact_tanh(np.asarray(x, dtype=float)), dtype=float)
+        return -a * _exact_tanh(x)
 
     # math.tanh here too: np.tanh would move the limit constants of tanh runs
     def mu_prime(x):
@@ -185,6 +217,13 @@ def _make_tanh_drift(params: dict) -> SdeModel:
         th = np.tanh(np.asarray(x, dtype=float))
         return 2.0 * a * th * (1.0 - th * th)
 
+    def stepper(delta, width):
+        tanh = math.tanh
+        neg_a, dt = _operands(width, -a, delta)
+        if width is None:
+            return lambda x, term: x + neg_a * tanh(x) * dt + term
+        return lambda x, term: x + neg_a * np.fromiter(map(tanh, x.tolist()), float, width) * dt + term
+
     return SdeModel(
         name="tanh_drift",
         params={"a": a, "sigma": sigma0},
@@ -194,6 +233,7 @@ def _make_tanh_drift(params: dict) -> SdeModel:
         sigma=_constant(sigma0),
         sigma_bounds=(sigma0, sigma0),
         lipschitz_mu=a,
+        stepper=stepper,
     )
 
 
@@ -226,6 +266,20 @@ def _make_bounded_nonlinear(params: dict) -> SdeModel:
     def sigma(x):
         return s0 + s1 / (1.0 + x * x)
 
+    bounds = (s0, s0 + s1)
+
+    # q = 1 + x^2 serves drift and diffusion alike
+    def stepper(delta, width):
+        neg_lam, one, c_, s0_, s1_, dt = _operands(width, -lam, 1.0, c, s0, s1, delta)
+        if bounds[0] == bounds[1]:
+            return lambda x, term: x + (neg_lam * x / (one + x * x) - c_ * x) * dt + term
+
+        def step(x, term):
+            q = one + x * x
+            return x + (neg_lam * x / q - c_ * x) * dt + (s0_ + s1_ / q) * term
+
+        return step
+
     return SdeModel(
         name="bounded_nonlinear",
         params={"lam": lam, "c": c, "sigma0": s0, "sigma1": s1},
@@ -233,10 +287,11 @@ def _make_bounded_nonlinear(params: dict) -> SdeModel:
         mu_prime=mu_prime,
         mu_double_prime=mu_double_prime,
         sigma=sigma,
-        sigma_bounds=(s0, s0 + s1),
+        sigma_bounds=bounds,
         lipschitz_mu=lam + c,
         # with lam = 0 the drift is -c * x: the same value, up to the sign of zero
         affine_drift=(0.0, c) if lam == 0.0 and s1 == 0.0 else None,
+        stepper=stepper,
     )
 
 
@@ -252,6 +307,48 @@ def model_names() -> tuple[str, ...]:
     return tuple(_FACTORIES)
 
 
+def _generic_step(model: SdeModel, delta: float) -> Callable:
+    """The Euler step ``step(x, term)`` built from ``mu`` and ``sigma``, on a
+    float or a vector alike: the reference a declared stepper must equal."""
+    mu = model.mu
+    if model.sigma_constant:
+        return lambda x, term: x + mu(x) * delta + term
+    sigma = model.sigma
+    return lambda x, term: x + mu(x) * delta + sigma(x) * term
+
+
+def euler_step(model: SdeModel, delta: float, width: int | None = None) -> Callable:
+    """The model's Euler step ``step(x, term)`` at time step ``delta``: its
+    declared ``stepper`` for a float state (``width`` None) or a vector of
+    ``width`` states, else the generic step from ``mu`` and ``sigma``.
+    ``term`` is the scaled stable increment, ``delta^(1/alpha) * xi``, times
+    sigma when sigma is constant."""
+    if model.stepper is None:
+        return _generic_step(model, delta)
+    return model.stepper(delta, width)
+
+
+def _check_stepper(model: SdeModel) -> None:
+    """Raise unless the declared stepper takes the generic step bit for bit
+    on ``_STEP_STATES``, both on floats and on one vector."""
+    states = np.array(_STEP_STATES)
+    terms = np.array(_STEP_TERMS)
+    for delta in _STEP_DELTAS:
+        generic = _generic_step(model, delta)
+        expected = generic(states, terms)
+        step = model.stepper(delta, None)
+        floats = np.array([step(x, term) for x, term in zip(_STEP_STATES, _STEP_TERMS)])
+        stepped = model.stepper(delta, states.size)(states, terms)
+        for got in (floats, stepped):
+            if got.tobytes() != expected.tobytes():
+                at = int(np.flatnonzero(got.view(np.int64) != expected.view(np.int64))[0])
+                raise ParameterError(
+                    f"model {model.name}: stepper departs from the generic Euler step at "
+                    f"x = {_STEP_STATES[at]}, term = {_STEP_TERMS[at]}, delta = {delta} "
+                    f"({got[at]!r} against {expected[at]!r})"
+                )
+
+
 def validate_model(model: SdeModel) -> None:
     """Check a model's declared structure on a dense grid.
 
@@ -259,7 +356,9 @@ def validate_model(model: SdeModel) -> None:
     diffusion bounds and the drift Lipschitz constant, agreement of the
     declared derivatives with central finite differences, and, when
     ``affine_drift`` is declared, that sigma is constant and the drift
-    equals ``gamma - lam * x`` exactly on the grid.  Tolerances for
+    equals ``gamma - lam * x`` exactly on the grid, and, when ``stepper``
+    is declared, that it takes the generic Euler step bit for bit on a
+    dozen states, on floats and on a vector.  Tolerances for
     the derivative checks are relative to the sup of the analytic derivative
     over the grid, floored at 1, since a pointwise relative comparison is
     meaningless at zeros of the derivative; the second-derivative check
@@ -300,6 +399,8 @@ def validate_model(model: SdeModel) -> None:
                 f"model {model.name}: mu is not gamma - lam * x with the declared "
                 f"affine_drift {model.affine_drift} on the check grid"
             )
+    if model.stepper is not None:
+        _check_stepper(model)
     step1 = 1e-5 * np.maximum(1.0, np.abs(x))
     fd1 = (model.mu(x + step1) - model.mu(x - step1)) / (2.0 * step1)
     tol1 = 1e-6 * max(1.0, float(np.abs(mu_p).max()))

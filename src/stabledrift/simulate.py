@@ -13,15 +13,16 @@ of the standard stable law).
 One engine steps every path.  :func:`simulate_path` steps a single path on
 plain Python floats; :func:`simulate_paths` steps a batch of seeds in
 lockstep, with the state a numpy vector holding one entry per path, through
-the same loop body.  A model that declares an affine drift
-``gamma - lam * x`` with constant sigma skips the loop: each block of draws
-is one linear recurrence, which a doubling scan of about a dozen array
-passes solves for every path at once.  Every operation is elementwise IEEE
-arithmetic, so a path's states are bit for bit the same in a batch of any
-width as alone.  Each path's stable increments are drawn in blocks of 4096
-steps from its own seed's stream, so neither a full-length draw array nor a
-full-length list is ever built; the bound check runs once per block and
-still names the first offending step.
+the same loop.  Each step is the model's own fused step when it declares a
+``stepper``, else the generic step from its drift and diffusion.  A model
+that declares an affine drift ``gamma - lam * x`` with constant sigma skips
+the loop: each block of draws is one linear recurrence, which a doubling
+scan of about a dozen array passes solves for every path at once.  Every
+operation is elementwise IEEE arithmetic, so a path's states are bit for
+bit the same in a batch of any width as alone.  Each path's stable
+increments are drawn in blocks of 4096 steps from its own seed's stream, so
+neither a full-length draw array nor a full-length list is ever built; the
+bound check runs once per block and still names the first offending step.
 
 Seeding is two-level: experiments hold one master seed and derive one
 independent stream per replicate through a fixed 64-bit mixing function, so
@@ -39,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, SimulationError, read_text
-from .models import SdeModel
+from .models import SdeModel, euler_step
 from .stable import StableParams, _cms_transform
 
 __all__ = [
@@ -253,19 +254,19 @@ def _euler(
 
     A model with ``affine_drift`` and constant sigma steps each block of
     draws as a whole through :func:`_affine_block`.  Any other model steps
-    one state at a time: one seed keeps the state a Python float, which
-    steps faster than any numpy scalar; several seeds make it a vector
-    stepped by the same loop body.  The bound check runs once per block, on
-    the block's states.
+    one state at a time through its :func:`euler_step`: one seed keeps the
+    state a Python float, which steps faster than any numpy scalar; several
+    seeds make it a vector of ``width`` states.  The bound check runs once
+    per block, on the block's states.
     """
     width = len(seeds)
-    mu = model.mu
-    # A constant sigma folds into the increments as sigma * delta^(1/alpha).
-    sigma = None if model.sigma_constant else model.sigma
     scale = delta ** (1.0 / noise.alpha)
-    if sigma is None:
+    affine = None
+    if model.sigma_constant:
+        # a constant sigma folds into the increments as sigma * delta^(1/alpha)
         scale = model.sigma_bounds[0] * scale
-    affine = model.affine_drift if sigma is None else None
+        affine = model.affine_drift
+    step = euler_step(model, delta, None if width == 1 else width)
     states = np.empty((width, n + 1))
     state = float(x0) if width == 1 else np.full(width, float(x0))
     states[:, 0] = state  # x0, kept only when there is no burn-in
@@ -281,14 +282,9 @@ def _euler(
                 trail: list = []
                 append = trail.append
                 try:
-                    if sigma is None:
-                        for term in terms:
-                            state = state + mu(state) * delta + term
-                            append(state)
-                    else:
-                        for term in terms:
-                            state = state + mu(state) * delta + sigma(state) * term
-                            append(state)
+                    for term in terms:
+                        state = step(state, term)
+                        append(state)
                 except (ArithmeticError, ValueError) as exc:
                     # Float arithmetic (x ** 3, say) may overflow once a state
                     # has left the range, before the block's check is reached.

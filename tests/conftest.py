@@ -1,6 +1,8 @@
-"""Shared fixtures: one moderately long simulated path reused across modules."""
+"""Shared fixtures: one moderately long simulated path reused across modules,
+and a report header naming the numpy build the golden digests depend on."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from stabledrift import (
@@ -10,6 +12,14 @@ from stabledrift import (
     simulate_path,
     stationary_density_oracle,
 )
+
+
+def pytest_report_header(config):
+    # numpy dispatches float64 ** to the widest SIMD routines the CPU has,
+    # and those round differently from libm, so every golden digest depends
+    # on the numpy version and on the extensions found here
+    simd = np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found")
+    return f"numpy {np.__version__}, SIMD extensions found: {simd}"
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,8 @@
 paths is bit for bit the same paths stepped one at a time, the streamed
 increments are the sampler's stream, the block scan of an affine drift
 follows the step-by-step loop, each model's array branches are its scalar
-branches, and replicate seeds never collide."""
+branches, each declared stepper is the generic Euler step, and replicate
+seeds never collide."""
 from __future__ import annotations
 
 import dataclasses
@@ -23,6 +24,7 @@ from stabledrift import (
     simulate_path,
     simulate_paths,
 )
+from stabledrift.models import _generic_step, euler_step
 from stabledrift.simulate import _CHUNK
 
 MODELS = {
@@ -192,6 +194,77 @@ def test_array_branches_equal_scalar_branches_bit_for_bit(name, variant, xs):
     for fn in (model.mu, model.sigma):
         scalar = np.array([fn(float(v)) for v in xs], dtype=float)
         assert np.asarray(fn(arr), dtype=float).tobytes() == scalar.tobytes()
+
+
+STEPPED = [(name, params) for name in sorted(MODELS) for params in MODELS[name]
+           if builtin_model(name, params).stepper is not None]
+# magnitudes up to the float range, where x * x and the step itself overflow
+big_states = st.lists(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(min_value=-5.0, max_value=5.0)),
+    min_size=1,
+    max_size=64,
+)
+
+
+def test_models_with_a_stepper_are_covered():
+    assert {name for name, _ in STEPPED} == {"tanh_drift", "bounded_nonlinear"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=st.sampled_from(STEPPED),
+    delta=st.one_of(st.floats(min_value=1e-6, max_value=50.0), st.sampled_from([0.01, 0.1])),
+    pairs=big_states.flatmap(lambda xs: st.tuples(st.just(xs), st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=len(xs), max_size=len(xs)))),
+)
+def test_declared_steppers_take_the_generic_step_bit_for_bit(case, delta, pairs):
+    model = builtin_model(*case)
+    xs, terms = pairs
+    generic = _generic_step(model, delta)
+    step = euler_step(model, delta)
+    arr, term_arr = np.asarray(xs, dtype=float), np.asarray(terms, dtype=float)
+    with np.errstate(all="ignore"):
+        expected = np.array([generic(x, t) for x, t in zip(xs, terms)], dtype=float)
+        floats = np.array([step(x, t) for x, t in zip(xs, terms)], dtype=float)
+        vector = euler_step(model, delta, arr.size)(arr, term_arr)
+        generic_vector = generic(arr, term_arr)
+    assert floats.tobytes() == expected.tobytes()
+    assert vector.tobytes() == expected.tobytes()
+    assert generic_vector.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    case=st.sampled_from(STEPPED),
+    noise=noises,
+    batch=st.lists(seeds, min_size=1, max_size=4),
+    n=lengths.filter(lambda v: v >= 1),
+    burn_in=lengths,
+    x0=st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_stepper_paths_equal_generic_paths(case, noise, batch, n, burn_in, x0):
+    model = builtin_model(*case)
+    generic = dataclasses.replace(model, stepper=None)
+    fused = simulate_paths(model, noise, x0, n, 0.01, batch, burn_in=burn_in)
+    plain = simulate_paths(generic, noise, x0, n, 0.01, batch, burn_in=burn_in)
+    for a, b in zip(fused, plain):
+        assert a.x.tobytes() == b.x.tobytes()
+
+
+@pytest.mark.parametrize("case", [case for case in STEPPED if case[0] == "bounded_nonlinear"])
+def test_stepper_fails_where_the_generic_step_fails(case):
+    # delta 40 makes the drift overshoot by a factor of at least 11 each step
+    model = builtin_model(*case)
+    generic = dataclasses.replace(model, stepper=None)
+    noise = StableParams(1.5, 0.0)
+
+    def failure(m, batch):
+        with pytest.raises(SimulationError) as caught:
+            simulate_paths(m, noise, 0.5, 200, 40.0, batch, burn_in=50)
+        return str(caught.value), caught.value.path_index
+
+    for batch in ([3], [11], list(range(20, 45))):
+        assert failure(model, batch) == failure(generic, batch)
 
 
 @settings(max_examples=200, deadline=None)

@@ -64,6 +64,16 @@ class TestMomentSums:
             sums = [s_nk(path, 0.0, 1.0, epan, k) for k in range(4)]
         assert sums == [1.3125, 0.28125, 0.140625, 0.0703125]
 
+    def test_offset_powers_that_overflow_inside_the_window(self):
+        # z = +-1 and K = 1/2: the terms of k = 2 are 5e199 each, though
+        # (1e200)^2 overflows; those of k = 3 cancel
+        path = make_path([1e200, -1e200, 1e200])
+        kernel = builtin_kernel("uniform_sym")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sums = [s_nk(path, 0.0, 1e200, kernel, k) for k in range(4)]
+        assert sums == [1e-200, 0.0, 1e200, 0.0]
+
     def test_bandwidth_scaling(self):
         path = make_path([0.0, 0.5, 2.0])
         epan = builtin_kernel("epanechnikov")

@@ -155,6 +155,23 @@ class TestValidateModel:
         with pytest.raises(ParameterError, match="constant sigma"):
             validate_model(dataclasses.replace(m, affine_drift=(0.0, m.params["c"])))
 
+    @pytest.mark.parametrize("departure", ["drops sigma", "splits sigma", "folds delta"])
+    def test_stepper_that_departs_from_the_generic_step_rejected(self, departure):
+        m = builtin_model("bounded_nonlinear")
+        mu, sigma = m.mu, m.sigma
+        lam, c, s0, s1 = (m.params[key] for key in ("lam", "c", "sigma0", "sigma1"))
+        steps = {
+            "generic": lambda delta: lambda x, term: x + mu(x) * delta + sigma(x) * term,
+            "drops sigma": lambda delta: lambda x, term: x + mu(x) * delta + term,
+            "splits sigma": lambda delta: lambda x, term: x + mu(x) * delta + (s0 * term + s1 / (1.0 + x * x) * term),
+            "folds delta": lambda delta: lambda x, term: (
+                x + (-lam * delta) * x / (1.0 + x * x) - c * delta * x + sigma(x) * term
+            ),
+        }
+        validate_model(dataclasses.replace(m, stepper=lambda delta, width: steps["generic"](delta)))
+        with pytest.raises(ParameterError, match="stepper departs from the generic Euler step"):
+            validate_model(dataclasses.replace(m, stepper=lambda delta, width: steps[departure](delta)))
+
     @pytest.mark.parametrize("name, params, affine", [
         ("ou_linear", {"gamma": -0.4, "lam": 0.7}, (-0.4, 0.7)),
         ("bounded_nonlinear", {"lam": 0.0, "c": 0.3, "sigma1": 0.0}, (0.0, 0.3)),

@@ -388,6 +388,14 @@ def _replicates(job: tuple) -> list[tuple[int, list[dict]]]:
     return [(path.seed, fit(model, kernel, path, schedule["h"], config)) for path in paths]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, the default worker count: its
+    affinity set where the platform reports one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run(config: dict, fit, workers: int | None, describe, finish=None) -> ExperimentReport:
     """Run every replicate of every schedule through ``fit`` and summarize.
 
@@ -402,9 +410,10 @@ def _run(config: dict, fit, workers: int | None, describe, finish=None) -> Exper
     oracle failure costs no simulation.  A pooled run submits every batch
     first and builds the oracle while the workers simulate; if the oracle
     fails, the pending batches are cancelled and its error is raised.
+    ``workers`` None takes one worker per CPU the process may run on.
     """
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = _usable_cpus()
     jobs = [
         (fit, config, s_idx, first, count)
         for s_idx, schedule in enumerate(_schedules(config))

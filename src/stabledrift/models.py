@@ -75,18 +75,22 @@ class SdeModel:
         as a linear recurrence instead of one step at a time.  None, the
         default, keeps the generic step for any drift.
     stepper : callable or None
-        ``stepper(delta, width)`` returns ``step(x, term)``, the model's
-        whole Euler step from state ``x`` with the scaled stable increment
-        ``term``: on a Python float when ``width`` is None, on a float64
-        vector of length ``width`` otherwise.  It must equal the generic
-        step of :func:`euler_step` bit for bit, ``x + mu(x) * delta + term``
-        when sigma is constant (``term`` then carries sigma) and
-        ``x + mu(x) * delta + sigma(x) * term`` otherwise, so it may share
-        work between drift and diffusion but not reorder any operation.
-        For a vector it holds the model's constants as arrays of length
-        ``width``: a numpy operation with a Python-float operand costs
-        more than one with an array operand.  None, the default, takes the
-        generic step.
+        ``stepper(delta, width)`` returns the model's whole Euler step from
+        state ``x`` with the scaled stable increment ``term``.  When
+        ``width`` is None it is ``step(x, term)`` on Python floats and
+        returns the next state.  Otherwise it is ``step(x, term, out)`` on
+        float64 vectors of length ``width``: it writes the next state into
+        ``out``, which overlaps neither ``x`` nor ``term``, returns ``out``
+        and leaves ``x`` and ``term`` as they were.  Either must equal the
+        generic step of :func:`euler_step` bit for bit,
+        ``x + mu(x) * delta + term`` when sigma is constant (``term`` then
+        carries sigma) and ``x + mu(x) * delta + sigma(x) * term``
+        otherwise, so it may share work between drift and diffusion but not
+        reorder any operation.  A vector step holds the model's constants,
+        and the scratch arrays it writes its partial results into, as
+        arrays of length ``width``: a numpy operation with a Python-float
+        operand, or one that allocates its result, costs more.  None, the
+        default, takes the generic step.
     """
 
     name: str
@@ -222,7 +226,15 @@ def _make_tanh_drift(params: dict) -> SdeModel:
         neg_a, dt = _operands(width, -a, delta)
         if width is None:
             return lambda x, term: x + neg_a * tanh(x) * dt + term
-        return lambda x, term: x + neg_a * np.fromiter(map(tanh, x.tolist()), float, width) * dt + term
+
+        def step(x, term, out):
+            drift = np.fromiter(map(tanh, x.tolist()), float, width)
+            np.multiply(neg_a, drift, drift)
+            np.multiply(drift, dt, drift)
+            np.add(x, drift, drift)
+            return np.add(drift, term, out)
+
+        return step
 
     return SdeModel(
         name="tanh_drift",
@@ -271,12 +283,34 @@ def _make_bounded_nonlinear(params: dict) -> SdeModel:
     # q = 1 + x^2 serves drift and diffusion alike
     def stepper(delta, width):
         neg_lam, one, c_, s0_, s1_, dt = _operands(width, -lam, 1.0, c, s0, s1, delta)
-        if bounds[0] == bounds[1]:
-            return lambda x, term: x + (neg_lam * x / (one + x * x) - c_ * x) * dt + term
+        constant = bounds[0] == bounds[1]
+        if width is None:
+            if constant:
+                return lambda x, term: x + (neg_lam * x / (one + x * x) - c_ * x) * dt + term
 
-        def step(x, term):
-            q = one + x * x
-            return x + (neg_lam * x / q - c_ * x) * dt + (s0_ + s1_ / q) * term
+            def float_step(x, term):
+                q = one + x * x
+                return x + (neg_lam * x / q - c_ * x) * dt + (s0_ + s1_ / q) * term
+
+            return float_step
+        q, drift = np.empty((2, width))
+
+        # x + (neg_lam * x / q - c_ * x) * dt, then + (s0_ + s1_ / q) * term,
+        # or + term with a constant sigma; out holds c_ * x meanwhile
+        def step(x, term, out):
+            np.multiply(x, x, q)
+            np.add(one, q, q)
+            np.multiply(neg_lam, x, drift)
+            np.divide(drift, q, drift)
+            np.subtract(drift, np.multiply(c_, x, out), drift)
+            np.multiply(drift, dt, drift)
+            np.add(x, drift, drift)
+            if constant:
+                return np.add(drift, term, out)
+            np.divide(s1_, q, q)
+            np.add(s0_, q, q)
+            np.multiply(q, term, q)
+            return np.add(drift, q, out)
 
         return step
 
@@ -307,38 +341,51 @@ def model_names() -> tuple[str, ...]:
     return tuple(_FACTORIES)
 
 
-def _generic_step(model: SdeModel, delta: float) -> Callable:
-    """The Euler step ``step(x, term)`` built from ``mu`` and ``sigma``, on a
-    float or a vector alike: the reference a declared stepper must equal."""
+def _generic_step(model: SdeModel, delta: float, width: int | None = None) -> Callable:
+    """The Euler step built from ``mu`` and ``sigma``, under the contract of
+    ``SdeModel.stepper``: ``step(x, term)`` on floats when ``width`` is
+    None, ``step(x, term, out)`` on vectors otherwise.  It is the reference
+    a declared stepper must equal."""
     mu = model.mu
     if model.sigma_constant:
-        return lambda x, term: x + mu(x) * delta + term
+        if width is None:
+            return lambda x, term: x + mu(x) * delta + term
+        return lambda x, term, out: np.add(x + mu(x) * delta, term, out)
     sigma = model.sigma
-    return lambda x, term: x + mu(x) * delta + sigma(x) * term
+    if width is None:
+        return lambda x, term: x + mu(x) * delta + sigma(x) * term
+    return lambda x, term, out: np.add(x + mu(x) * delta, sigma(x) * term, out)
 
 
 def euler_step(model: SdeModel, delta: float, width: int | None = None) -> Callable:
-    """The model's Euler step ``step(x, term)`` at time step ``delta``: its
-    declared ``stepper`` for a float state (``width`` None) or a vector of
-    ``width`` states, else the generic step from ``mu`` and ``sigma``.
-    ``term`` is the scaled stable increment, ``delta^(1/alpha) * xi``, times
-    sigma when sigma is constant."""
+    """The model's Euler step at time step ``delta``: its declared
+    ``stepper`` for a float state (``width`` None) or a vector of ``width``
+    states, else the generic step from ``mu`` and ``sigma``, under the
+    contract of ``SdeModel.stepper``.  ``term`` is the scaled stable
+    increment, ``delta^(1/alpha) * xi``, times sigma when sigma is
+    constant."""
     if model.stepper is None:
-        return _generic_step(model, delta)
+        return _generic_step(model, delta, width)
     return model.stepper(delta, width)
 
 
 def _check_stepper(model: SdeModel) -> None:
     """Raise unless the declared stepper takes the generic step bit for bit
-    on ``_STEP_STATES``, both on floats and on one vector."""
+    on ``_STEP_STATES``, both on floats and on one vector, and its vector
+    step writes into and returns ``out`` and leaves ``x`` and ``term`` as
+    they were."""
     states = np.array(_STEP_STATES)
     terms = np.array(_STEP_TERMS)
     for delta in _STEP_DELTAS:
-        generic = _generic_step(model, delta)
-        expected = generic(states, terms)
+        expected = _generic_step(model, delta)(states, terms)
         step = model.stepper(delta, None)
         floats = np.array([step(x, term) for x, term in zip(_STEP_STATES, _STEP_TERMS)])
-        stepped = model.stepper(delta, states.size)(states, terms)
+        x, term, out = states.copy(), terms.copy(), np.empty_like(states)
+        stepped = model.stepper(delta, states.size)(x, term, out)
+        if stepped is not out:
+            raise ParameterError(f"model {model.name}: stepper's vector step must return its out array")
+        if x.tobytes() != states.tobytes() or term.tobytes() != terms.tobytes():
+            raise ParameterError(f"model {model.name}: stepper's vector step must not change x or term")
         for got in (floats, stepped):
             if got.tobytes() != expected.tobytes():
                 at = int(np.flatnonzero(got.view(np.int64) != expected.view(np.int64))[0])

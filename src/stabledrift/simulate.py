@@ -23,6 +23,9 @@ bit the same in a batch of any width as alone.  Each path's stable
 increments are drawn in blocks of 4096 steps from its own seed's stream, so
 neither a full-length draw array nor a full-length list is ever built; the
 bound check runs once per block and still names the first offending step.
+A batch allocates its draw, scratch and state blocks once per run: every
+block of draws is mapped into the same buffers, and each step writes the
+next states into a row of the same state block.
 
 Seeding is two-level: experiments hold one master seed and derive one
 independent stream per replicate through a fixed 64-bit mixing function, so
@@ -234,17 +237,24 @@ def _stable_blocks(noise: StableParams, seeds: list, total: int):
     first, then the exponentials.  A uniform double consumes exactly one
     64-bit output, so the exponentials are read from a second generator
     advanced by ``total``, and both streams can be consumed block by block.
+    The angles are ``uniform(-pi/2, pi/2)`` bit for bit, which numpy forms
+    as ``-pi/2 + pi * u`` from the same doubles ``u`` as ``random``.
+
+    The angle, wait, scratch and variate arrays are allocated once, at the
+    first block's width, and every block is drawn and mapped into them, so
+    a yielded block is valid only until the next one is drawn.
     """
     angles = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     waits = [np.random.Generator(np.random.PCG64(seed).advance(total)) for seed in seeds]
+    buffers = np.empty((4, len(seeds), min(_CHUNK, total)))
     for start in range(0, total, _CHUNK):
-        steps = min(_CHUNK, total - start)
-        v = np.empty((len(seeds), steps))
-        w = np.empty((len(seeds), steps))
+        v, w, scratch, xi = buffers[:, :, : min(_CHUNK, total - start)]
         for row, (angle, wait) in enumerate(zip(angles, waits)):
-            v[row] = angle.uniform(-math.pi / 2.0, math.pi / 2.0, steps)
-            wait.standard_exponential(steps, out=w[row])
-        yield _cms_transform(noise, v, w)
+            angle.random(out=v[row])
+            wait.standard_exponential(out=w[row])
+        v *= math.pi
+        v += -math.pi / 2.0
+        yield _cms_transform(noise, v, w, xi, scratch)
 
 
 def _euler(
@@ -256,8 +266,11 @@ def _euler(
     draws as a whole through :func:`_affine_block`.  Any other model steps
     one state at a time through its :func:`euler_step`: one seed keeps the
     state a Python float, which steps faster than any numpy scalar; several
-    seeds make it a vector of ``width`` states.  The bound check runs once
-    per block, on the block's states.
+    seeds make it a vector of ``width`` states, and each step writes the
+    next state into a row of a ``(steps, width)`` block that, like the
+    block of scaled increments, is allocated once and reused for every
+    block of draws.  The bound check runs once per block, on the block's
+    states.
     """
     width = len(seeds)
     scale = delta ** (1.0 / noise.alpha)
@@ -270,6 +283,8 @@ def _euler(
     states = np.empty((width, n + 1))
     state = float(x0) if width == 1 else np.full(width, float(x0))
     states[:, 0] = state  # x0, kept only when there is no burn-in
+    if width > 1 and affine is None:
+        terms, trail = np.empty((2, min(_CHUNK, burn_in + n), width))
     done = 0
     with np.errstate(all="ignore"):
         for xi in _stable_blocks(noise, seeds, burn_in + n):
@@ -277,19 +292,31 @@ def _euler(
             if affine is not None:
                 block = _affine_block(xi, scale, state, affine, delta).T
                 state = block[-1].copy()
-            else:
-                terms = (xi[0] * scale).tolist() if width == 1 else np.ascontiguousarray((xi * scale).T)
-                trail: list = []
-                append = trail.append
+            elif width == 1:
+                rows: list = []
+                append = rows.append
                 try:
-                    for term in terms:
+                    for term in (xi[0] * scale).tolist():
                         state = step(state, term)
                         append(state)
                 except (ArithmeticError, ValueError) as exc:
                     # Float arithmetic (x ** 3, say) may overflow once a state
                     # has left the range, before the block's check is reached.
                     failure = exc
-                block = np.array(trail).reshape(len(trail), width)
+                block = np.array(rows).reshape(len(rows), 1)
+            else:
+                steps = xi.shape[1]
+                np.multiply(xi.T, scale, out=terms[:steps])
+                taken = 0
+                try:
+                    for term, row in zip(terms[:steps], trail[:steps]):
+                        state = step(state, term, row)
+                        taken += 1
+                except (ArithmeticError, ValueError) as exc:
+                    failure = exc
+                block = trail[:taken]
+                # the next block's steps write over this one's rows
+                state = state.copy()
             _check_block(block, done, burn_in)
             if failure is not None:
                 raise failure

@@ -67,28 +67,54 @@ def _tan_half(alpha: float) -> float:
     return math.tan(math.pi * alpha / 2.0)
 
 
-def _cms_transform(params: StableParams, v, w):
-    """The Chambers-Mallows-Stuck map from uniform angles ``v`` on
-    ``(-pi/2, pi/2)`` and unit exponentials ``w`` to standard stable
-    variates; elementwise, so any split of the draws into blocks maps to the
-    same values."""
+def _cms_transform(
+    params: StableParams, v: np.ndarray, w: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Write into ``out``, and return it, the Chambers-Mallows-Stuck map from
+    uniform angles ``v`` on ``(-pi/2, pi/2)`` and unit exponentials ``w`` to
+    standard stable variates.
+
+    The four arrays share one shape and do not overlap; ``v``, ``w`` and
+    ``scratch`` are overwritten, so nothing is allocated.  Each array
+    operation is that of the textbook expression, in its order, with the
+    same numpy dispatch (``**=`` where the expression has ``**``), so the
+    variates are bit for bit the same; elementwise, so any split of the
+    draws into blocks maps to the same values."""
     alpha = params.alpha
     beta = params.beta
     if alpha == 1.0:
+        # (shifted * tan(v) - beta * log(half_pi * w * cos(v) / shifted)) / half_pi
         half_pi = math.pi / 2.0
-        shifted = half_pi + beta * v
-        return (shifted * np.tan(v) - beta * np.log(half_pi * w * np.cos(v) / shifted)) / half_pi
+        shifted = np.multiply(beta, v, out=scratch)
+        shifted += half_pi
+        w *= half_pi
+        w *= np.cos(v, out=out)
+        w /= shifted
+        np.log(w, out=w)
+        w *= beta
+        np.tan(v, out=v)
+        v *= shifted
+        np.subtract(v, w, out=out)
+        out /= half_pi
+        return out
     t = _tan_half(alpha)
     b0 = math.atan(beta * t) / alpha
     s = (1.0 + beta * beta * t * t) ** (1.0 / (2.0 * alpha))
-    arg = alpha * (v + b0)
+    # s * sin(arg) / cos(v) ** (1 / alpha) * (|cos(v - arg)| / w) ** ((1 - alpha) / alpha)
+    arg = np.add(v, b0, out=scratch)
+    arg *= alpha
     # cos(v - arg) >= 0 rounds below zero next to alpha = 1 at |beta| = 1
-    return (
-        s
-        * np.sin(arg)
-        / np.cos(v) ** (1.0 / alpha)
-        * (np.abs(np.cos(v - arg)) / w) ** ((1.0 - alpha) / alpha)
-    )
+    tail = np.subtract(v, arg, out=out)
+    np.cos(tail, out=tail)
+    np.abs(tail, out=tail)
+    tail /= w
+    tail **= (1.0 - alpha) / alpha
+    head = np.sin(arg, out=arg)
+    head *= s
+    np.cos(v, out=v)
+    v **= 1.0 / alpha
+    head /= v
+    return np.multiply(head, tail, out=out)
 
 
 def sample_standard_stable(
@@ -127,7 +153,8 @@ def sample_standard_stable(
             RuntimeWarning,
             stacklevel=2,
         )
-    x = _cms_transform(params, v, w)
+    v = np.asarray(v, dtype=float)
+    x = _cms_transform(params, v, np.asarray(w, dtype=float), np.empty_like(v), np.empty_like(v))
     if size is None:
         return float(x)
     return x

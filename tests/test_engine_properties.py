@@ -25,7 +25,7 @@ from stabledrift import (
     simulate_paths,
 )
 from stabledrift.models import _generic_step, euler_step
-from stabledrift.simulate import _CHUNK
+from stabledrift.simulate import _CHUNK, _stable_blocks
 
 MODELS = {
     # lam 150 at delta 0.01 makes a = 1 - lam * delta negative in the affine scan
@@ -179,6 +179,34 @@ def test_streamed_increments_are_the_sampler_stream(noise, seed, n, burn_in, wid
         assert path.x.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    noise=st.builds(
+        StableParams,
+        alpha=st.floats(min_value=1.0, max_value=2.0, exclude_min=True),
+        beta=st.floats(min_value=-1.0, max_value=1.0),
+    ),
+    batch=st.lists(seeds, min_size=1, max_size=5),
+    total=st.tuples(st.integers(min_value=1, max_value=3), st.sampled_from([-1, 0, 1])).map(
+        lambda pair: pair[0] * _CHUNK + pair[1]
+    ),
+)
+def test_reused_stream_blocks_are_the_sampler_stream(noise, batch, total):
+    # every block is drawn into the same buffers, and a short last block
+    # follows full ones: each row must still be the sampler's own draws
+    rows = [[] for _ in batch]
+    drawn = 0
+    for block in _stable_blocks(noise, batch, total):
+        assert block.shape == (len(batch), min(_CHUNK, total - drawn))
+        drawn += block.shape[1]
+        for row, values in zip(rows, block):
+            row.append(values.copy())
+    assert drawn == total
+    for seed, row in zip(batch, rows):
+        expected = np.asarray(sample_standard_stable(noise, np.random.Generator(np.random.PCG64(seed)), size=total))
+        assert np.concatenate(row).tobytes() == expected.tobytes()
+
+
 states = st.lists(
     st.one_of(st.floats(min_value=-1e6, max_value=1e6), st.floats(min_value=-5.0, max_value=5.0)),
     min_size=1,
@@ -223,11 +251,15 @@ def test_declared_steppers_take_the_generic_step_bit_for_bit(case, delta, pairs)
     generic = _generic_step(model, delta)
     step = euler_step(model, delta)
     arr, term_arr = np.asarray(xs, dtype=float), np.asarray(terms, dtype=float)
+    before = arr.tobytes() + term_arr.tobytes()
+    out, generic_out = np.empty_like(arr), np.empty_like(arr)
     with np.errstate(all="ignore"):
         expected = np.array([generic(x, t) for x, t in zip(xs, terms)], dtype=float)
         floats = np.array([step(x, t) for x, t in zip(xs, terms)], dtype=float)
-        vector = euler_step(model, delta, arr.size)(arr, term_arr)
-        generic_vector = generic(arr, term_arr)
+        vector = euler_step(model, delta, arr.size)(arr, term_arr, out)
+        generic_vector = _generic_step(model, delta, arr.size)(arr, term_arr, generic_out)
+    assert vector is out and generic_vector is generic_out
+    assert arr.tobytes() + term_arr.tobytes() == before
     assert floats.tobytes() == expected.tobytes()
     assert vector.tobytes() == expected.tobytes()
     assert generic_vector.tobytes() == expected.tobytes()

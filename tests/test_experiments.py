@@ -373,6 +373,34 @@ class TestDensityOracleBuiltOncePerRun:
             assert not any(isinstance(element, StationaryDensity) for element in (fit, config, *rest))
 
 
+class TestDefaultWorkers:
+    # without --workers a run takes one worker per CPU it may run on, which
+    # under a CPU affinity mask (taskset) is fewer than the machine has
+    def _forbid_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a serial run started a process pool")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+
+    def test_one_allowed_cpu_runs_serially(self, ou, noise, epan, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        self._forbid_pool(monkeypatch)
+        assert _small_run("bias", ou, noise, epan, workers=None).verify_integrity()
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert experiments._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert experiments._usable_cpus() == 1
+
+    def test_help_names_the_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["experiment", "--help"])
+        assert "default: one per CPU the process may run on" in " ".join(capsys.readouterr().out.split())
+
+
 class TestOracleFailure:
     def test_pooled_run_raises_the_oracle_error_and_cancels(self, ou, noise, epan, monkeypatch, tmp_path):
         oracle_log, sim_log = tmp_path / "oracle.log", tmp_path / "simulate.log"

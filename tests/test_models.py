@@ -168,9 +168,51 @@ class TestValidateModel:
                 x + (-lam * delta) * x / (1.0 + x * x) - c * delta * x + sigma(x) * term
             ),
         }
-        validate_model(dataclasses.replace(m, stepper=lambda delta, width: steps["generic"](delta)))
+
+        def stepper(kind):
+            # the float step itself, and a vector step that writes it into out
+            def make(delta, width):
+                step = steps[kind](delta)
+                if width is None:
+                    return step
+
+                def vector(x, term, out):
+                    out[...] = step(x, term)
+                    return out
+
+                return vector
+
+            return make
+
+        validate_model(dataclasses.replace(m, stepper=stepper("generic")))
         with pytest.raises(ParameterError, match="stepper departs from the generic Euler step"):
-            validate_model(dataclasses.replace(m, stepper=lambda delta, width: steps[departure](delta)))
+            validate_model(dataclasses.replace(m, stepper=stepper(departure)))
+
+    @pytest.mark.parametrize("breach, message", [
+        ("returns a fresh array", "must return its out array"),
+        ("changes x", "must not change x or term"),
+        ("changes term", "must not change x or term"),
+    ])
+    def test_vector_step_that_breaks_the_in_place_contract_rejected(self, breach, message):
+        m = builtin_model("bounded_nonlinear")
+        declared = m.stepper
+
+        def stepper(delta, width):
+            step = declared(delta, width)
+            if width is None:
+                return step
+
+            def vector(x, term, out):
+                step(x, term, out)
+                if breach == "returns a fresh array":
+                    return out.copy()
+                np.copyto(x if breach == "changes x" else term, out)
+                return out
+
+            return vector
+
+        with pytest.raises(ParameterError, match=message):
+            validate_model(dataclasses.replace(m, stepper=stepper))
 
     @pytest.mark.parametrize("name, params, affine", [
         ("ou_linear", {"gamma": -0.4, "lam": 0.7}, (-0.4, 0.7)),

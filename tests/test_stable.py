@@ -92,6 +92,19 @@ class TestSampler:
         value = sample_standard_stable(StableParams(1.5, 0.0), np.random.default_rng(1))
         assert isinstance(value, float)
 
+    @pytest.mark.parametrize("alpha, beta", [(1.5, 0.0), (1.8, 0.3), (2.0, 0.0), (1.2, -1.0)])
+    def test_scalar_draw_is_the_first_of_one(self, alpha, beta):
+        params = StableParams(alpha, beta)
+        for seed in range(50):
+            value = sample_standard_stable(params, np.random.default_rng(seed))
+            first = sample_standard_stable(params, np.random.default_rng(seed), size=1)[0]
+            assert np.float64(value).tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("size, shape", [(5, (5,)), ((3, 4), (3, 4)), ((2, 1, 3), (2, 1, 3)), ((0,), (0,))])
+    def test_requested_shape(self, size, shape):
+        z = sample_standard_stable(StableParams(1.5, 0.2), np.random.default_rng(3), size=size)
+        assert isinstance(z, np.ndarray) and z.shape == shape and z.dtype == np.float64
+
     def test_gaussian_endpoint_variance_two(self):
         rng = np.random.default_rng(2024)
         z = sample_standard_stable(StableParams(2.0, 0.9), rng, size=200_000)

@@ -407,13 +407,16 @@ def derive_replicate_seed(master_seed: int, replicate_index: int) -> int:
 def write_path_csv(path: ObservedPath, destination) -> None:
     """Write a trajectory as CSV with columns ``i,t,x``.
 
-    Floats are rendered with 17 significant digits, enough to round-trip
-    binary doubles exactly, and independently of any locale.
+    Each time and state is written as Python's ``repr`` of the float: the
+    shortest decimal that correct rounding maps back to the same double,
+    independently of any locale.  :func:`read_path_csv` therefore reads
+    every path back bit for bit, ``-0.0`` included, and parses fewer digits
+    than 17 significant ones would give it.  The report writers keep
+    ``.17g``, because their bytes are pinned by golden digests.
     """
+    delta = float(path.delta)
     lines = ["i,t,x"]
-    delta = path.delta
-    for i, value in enumerate(path.x):
-        lines.append(f"{i},{i * delta:.17g},{value:.17g}")
+    lines.extend(f"{i},{i * delta!r},{value!r}" for i, value in enumerate(path.x.tolist()))
     Path(destination).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

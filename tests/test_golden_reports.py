@@ -7,7 +7,9 @@ workers.  The wide runs have enough replicates for the runner to simulate
 them in lockstep batches, whose boundaries follow the worker count; they are
 checked at one, two and three workers.  The ``estimates.csv`` of the
 ``estimate`` command is pinned for both methods and two kernels, on a grid
-with one point far outside the path's range, where every fit is degenerate.
+with one point far outside the path's range, where every fit is degenerate;
+so is the ``path.csv`` that ``simulate`` writes for the same configuration,
+and ``estimate --path-csv`` on that file must write the same estimates.
 The digests were produced with numpy 2.4 and scipy 1.17 on
 CPython 3.11 (x86-64); other numeric library versions may round differently.
 """
@@ -136,6 +138,7 @@ GOLDEN = {
     },
     "estimate_epanechnikov": "49ea05510a0a2bd288af3fbcb600386f1a7f20ae07f9897bc2e90ca7a733824a",
     "estimate_uniform_right": "26df22539c632e95dfb0bedbfe044f3a5612e35a15c718be9b38b1dbd02a6c7e",
+    "simulate_path_csv": "0c351a517b9a441d236505d2bb81966236d63ba858aaca8125f49bafd785fe4d",
     "lln": {
         "records": "50d3d56a28d3b963cbb888e91fc381f18db4bb85e8ee182f0cb044ea1c15adaa",
         "summary": "38ffebad103a3119bfd3216389ea54274242824767d27ddb05aee372d660c7c9",
@@ -183,3 +186,20 @@ def test_estimate_csv_bytes_match_golden(kernel, tmp_path, capsys):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "out" / "estimates.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN[f"estimate_{kernel}"]
+
+
+def test_simulated_path_csv_bytes_match_golden_and_estimate_alike(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(ESTIMATE_CONFIG))
+    code = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "sim")])
+    assert code == 0
+    path_csv = tmp_path / "sim" / "path.csv"
+    assert hashlib.sha256(path_csv.read_bytes()).hexdigest() == GOLDEN["simulate_path_csv"]
+    for kernel in ["epanechnikov", "uniform_right"]:
+        out = tmp_path / kernel
+        code = main(["estimate", "--config", str(config), "--kernel", kernel, "--method", "both",
+                     "--path-csv", str(path_csv), "--out-dir", str(out)])
+        assert code == 0
+        digest = hashlib.sha256((out / "estimates.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN[f"estimate_{kernel}"]
+    capsys.readouterr()

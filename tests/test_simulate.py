@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from stabledrift import simulate
@@ -359,3 +361,45 @@ class TestCsvRoundTrip:
         assert np.array_equal(table[:, 2], loaded.x)
         assert np.array_equal(loaded.x, path.x)
         assert loaded.delta == float(table[1, 1] - table[0, 1])
+
+
+# the doubles whose shortest text is least like a plain decimal: signed
+# zeros, subnormals, the range's ends, and magnitudes repr writes with an
+# exponent
+EDGE_STATES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1.5e-310,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e16, -2.5e16, 1.2345678901234567e22]
+
+
+@st.composite
+def csv_paths(draw):
+    state = st.one_of(st.sampled_from(EDGE_STATES), st.floats(allow_nan=False, allow_infinity=False))
+    x = draw(st.lists(state, min_size=2, max_size=40))
+    # the last time (len(x) - 1) * delta stays finite
+    delta = draw(st.floats(min_value=5e-324, max_value=1.7976931348623157e308 / len(x)))
+    return x, delta
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_paths())
+@example((EDGE_STATES, 0.01))
+@example((EDGE_STATES, 5e-324))
+@example((EDGE_STATES, 1e300))
+def test_path_csv_round_trip_is_exact_in_shortest_text(tmp_path, drawn):
+    x, delta = drawn
+    path = ObservedPath(x=np.array(x), delta=delta, n=len(x) - 1, seed=None,
+                        model_name="external", noise=None)
+    target = tmp_path / "path.csv"
+    write_path_csv(path, target)
+    loaded = read_path_csv(target)
+    assert np.array_equal(loaded.x.view(np.uint64), path.x.view(np.uint64))
+    assert loaded.delta == delta
+    assert loaded.n == path.n
+    lines = target.read_text(encoding="ascii").splitlines()
+    for line in lines[1:]:
+        _, t, value = line.split(",")
+        assert t == repr(float(t))
+        assert value == repr(float(value))
+    bulk = simulate._load_path_table(target)
+    assert bulk is not None
+    rows = simulate._parse_path_rows(target, lines[1:])
+    assert np.array_equal(rows.view(np.uint64), bulk.view(np.uint64))

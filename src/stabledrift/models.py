@@ -550,18 +550,40 @@ def _fourier_density(model: SdeModel, noise: StableParams) -> StationaryDensity:
     n_grid = 2 ** 18
     dy = min(0.02, scale / 20.0)
     du = 2.0 * math.pi / (n_grid * dy)
+    # Each inversion array is formed in place where it can be and dropped
+    # after its last use, so that only y and the clipped density are alive
+    # while the spline builds; the operations and operands are unchanged.
     j = np.arange(n_grid)
     u = -0.5 * n_grid * du + j * du
     t = _tan_half(alpha)
     cu = scale * np.abs(u)
-    phi = np.exp(-(cu ** alpha) * (1.0 - 1j * beta * np.sign(u) * t))
+    cu **= alpha
+    np.negative(cu, out=cu)
+    phi = 1j * beta * np.sign(u)
+    del u
+    phi *= t
+    np.subtract(1.0, phi, out=phi)
+    np.multiply(cu, phi, out=phi)
+    del cu
+    np.exp(phi, out=phi)
     y0 = -0.5 * n_grid * dy
     y = y0 + np.arange(n_grid) * dy
     # Discretized inversion f(y) = (1/2pi) int exp(-i u y) phi(u) du as an FFT
     # with the frequency offset folded into pre- and post-phase factors.
-    pre = phi * np.exp(-1j * j * du * y0)
-    post = np.exp(1j * (0.5 * n_grid * du) * y)
-    values = (du / (2.0 * math.pi)) * post * np.fft.fft(pre)
+    pre = -1j * j
+    del j
+    pre *= du
+    pre *= y0
+    np.exp(pre, out=pre)
+    np.multiply(phi, pre, out=phi)
+    del pre
+    values = np.fft.fft(phi)
+    del phi
+    post = 1j * (0.5 * n_grid * du) * y
+    np.exp(post, out=post)
+    np.multiply(du / (2.0 * math.pi), post, out=post)
+    np.multiply(post, values, out=values)
+    del post
     real = values.real
     imag_residual = float(np.abs(values.imag).max())
     peak = float(real.max())
@@ -575,6 +597,7 @@ def _fourier_density(model: SdeModel, noise: StableParams) -> StationaryDensity:
             f"Fourier inversion produced negative density values down to {real.min()}"
         )
     real = np.maximum(real, 0.0)
+    del values
     total = float(np.trapezoid(real, dx=dy))
     if abs(total - 1.0) > 1e-4:
         raise NumericError(

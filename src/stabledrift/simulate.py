@@ -23,9 +23,10 @@ bit the same in a batch of any width as alone.  Each path's stable
 increments are drawn in blocks of 4096 steps from its own seed's stream, so
 neither a full-length draw array nor a full-length list is ever built; the
 bound check runs once per block and still names the first offending step.
-A batch allocates its draw, scratch and state blocks once per run: every
-block of draws is mapped into the same buffers, and each step writes the
-next states into a row of the same state block.
+A batch steps in passes of at most 256 paths, and each pass allocates its
+draw, scratch and state blocks once: every block of draws is mapped into
+the same buffers, and each step writes the next states into a row of the
+same state block.
 
 Seeding is two-level: experiments hold one master seed and derive one
 independent stream per replicate through a fixed 64-bit mixing function, so
@@ -60,6 +61,10 @@ _STATE_BOUND = 1e12
 # Steps per block of stable draws: the draws held at once stay a few
 # hundred KiB per path, whatever the path length.
 _CHUNK = 4096
+# Seeds stepped together in one lockstep pass: a pass's draw, scratch and
+# state blocks grow with its width, so a wider batch is stepped in passes
+# of at most this many seeds.  Much narrower passes step measurably slower.
+_PASS = 256
 _MASK64 = (1 << 64) - 1
 
 
@@ -154,7 +159,8 @@ def simulate_path(
     """
     _check_run(model, noise, x0, n, delta, burn_in)
     _check_seed(seed)
-    states = _euler(model, noise, x0, n, delta, [seed], burn_in)
+    states = np.empty((1, n + 1))
+    _euler(model, noise, x0, n, delta, [seed], burn_in, states)
     return ObservedPath(
         x=states[0], delta=delta, n=n, seed=seed, model_name=model.name, noise=noise
     )
@@ -176,7 +182,9 @@ def simulate_paths(
     Every operation is elementwise IEEE arithmetic, so path ``j`` is bit for
     bit ``simulate_path(..., seed=seeds[j], ...)``; a single seed takes the
     float path of :func:`simulate_path`.  The recorded states of the batch
-    share one ``(len(seeds), n + 1)`` array.
+    share one ``(len(seeds), n + 1)`` array.  A batch of more than 256
+    seeds is stepped in passes of nearly equal width, each writing its rows
+    of that array, so the working memory beside it stays bounded.
 
     Parameters are those of :func:`simulate_path`, with ``seeds`` a
     nonempty sequence of non-negative integers.
@@ -194,12 +202,17 @@ def simulate_paths(
         raise ParameterError("seeds must be a nonempty sequence")
     for seed in seeds:
         _check_seed(seed)
-    try:
-        states = _euler(model, noise, x0, n, delta, seeds, burn_in)
-    except SimulationError as exc:
-        error = SimulationError(f"seed {seeds[exc.path_index]}: {exc}")
-        error.path_index = exc.path_index
-        raise error from None
+    states = np.empty((len(seeds), n + 1))
+    passes = math.ceil(len(seeds) / _PASS)
+    bounds = [len(seeds) * k // passes for k in range(passes + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        try:
+            _euler(model, noise, x0, n, delta, seeds[start:stop], burn_in, states[start:stop])
+        except SimulationError as exc:
+            index = start + exc.path_index
+            error = SimulationError(f"seed {seeds[index]}: {exc}")
+            error.path_index = index
+            raise error from None
     return [
         ObservedPath(x=row, delta=delta, n=n, seed=seed, model_name=model.name, noise=noise)
         for row, seed in zip(states, seeds)
@@ -258,9 +271,17 @@ def _stable_blocks(noise: StableParams, seeds: list, total: int):
 
 
 def _euler(
-    model: SdeModel, noise: StableParams, x0: float, n: int, delta: float, seeds: list, burn_in: int
-) -> np.ndarray:
-    """Recorded states of every seed's path, one row per seed.
+    model: SdeModel,
+    noise: StableParams,
+    x0: float,
+    n: int,
+    delta: float,
+    seeds: list,
+    burn_in: int,
+    states: np.ndarray,
+) -> None:
+    """Write the recorded states of every seed's path into ``states``, one
+    ``n + 1`` row per seed.
 
     A model with ``affine_drift`` and constant sigma steps each block of
     draws as a whole through :func:`_affine_block`.  Any other model steps
@@ -280,7 +301,6 @@ def _euler(
         scale = model.sigma_bounds[0] * scale
         affine = model.affine_drift
     step = euler_step(model, delta, None if width == 1 else width)
-    states = np.empty((width, n + 1))
     state = float(x0) if width == 1 else np.full(width, float(x0))
     states[:, 0] = state  # x0, kept only when there is no burn-in
     if width > 1 and affine is None:
@@ -325,7 +345,6 @@ def _euler(
             if skip < len(block):
                 states[:, done + skip + 1 - burn_in : done + len(block) + 1 - burn_in] = block[skip:].T
             done += len(block)
-    return states
 
 
 def _affine_block(xi: np.ndarray, scale: float, state, affine: tuple[float, float], delta: float) -> np.ndarray:
@@ -413,11 +432,16 @@ def write_path_csv(path: ObservedPath, destination) -> None:
     every path back bit for bit, ``-0.0`` included, and parses fewer digits
     than 17 significant ones would give it.  The report writers keep
     ``.17g``, because their bytes are pinned by golden digests.
+
+    Rows are formatted and written in blocks of 4096, so the text held at
+    once stays a few hundred KiB whatever the path length.
     """
     delta = float(path.delta)
-    lines = ["i,t,x"]
-    lines.extend(f"{i},{i * delta!r},{value!r}" for i, value in enumerate(path.x.tolist()))
-    Path(destination).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with Path(destination).open("w", encoding="ascii") as handle:
+        handle.write("i,t,x\n")
+        for start in range(0, path.x.size, _CHUNK):
+            values = path.x[start : start + _CHUNK].tolist()
+            handle.write("".join(f"{i},{i * delta!r},{value!r}\n" for i, value in enumerate(values, start)))
 
 
 def read_path_csv(source, *, noise: StableParams | None = None) -> ObservedPath:
@@ -454,20 +478,23 @@ def read_path_csv(source, *, noise: StableParams | None = None) -> ObservedPath:
 # ends a row, that a file's line iteration keeps inside a line; a file that
 # holds one is left to that reader
 _SPLITLINES_ONLY = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+# Bytes of a path CSV checked at once before its bulk parse; every byte the
+# check looks for is a byte on its own, so none straddles two blocks.
+_SCAN = 1 << 20
 
 
 def _load_path_table(source) -> np.ndarray | None:
     """The ``(i, t, x)`` table of a well-formed path CSV, parsed in bulk; None
     for a file that :func:`_read_path_lines` must read, with the same result
     or the error that names what is wrong."""
-    data = Path(source).read_bytes()
-    if not (
-        data.startswith((b"i,t,x\n", b"i,t,x\r"))
-        and data.isascii()
-        and not any(mark in data for mark in _SPLITLINES_ONLY)
-    ):
-        return None
-    del data  # not held through the parse, to bound peak memory
+    with Path(source).open("rb") as handle:
+        block = handle.read(_SCAN)
+        if not block.startswith((b"i,t,x\n", b"i,t,x\r")):
+            return None
+        while block:
+            if not block.isascii() or any(mark in block for mark in _SPLITLINES_ONLY):
+                return None
+            block = handle.read(_SCAN)
     with open(source, encoding="ascii") as handle:
         handle.readline()
         try:

@@ -25,7 +25,7 @@ from stabledrift import (
     simulate_paths,
 )
 from stabledrift.models import _generic_step, euler_step
-from stabledrift.simulate import _CHUNK, _stable_blocks
+from stabledrift.simulate import _CHUNK, _PASS, _stable_blocks
 
 MODELS = {
     # lam 150 at delta 0.01 makes a = 1 - lam * delta negative in the affine scan
@@ -70,6 +70,54 @@ def test_batch_paths_equal_single_paths_bit_for_bit(name, variant, noise, batch,
         alone = simulate_path(model, noise, x0, n, 0.01, seed, burn_in=burn_in)
         assert path.seed == seed
         assert path.x.tobytes() == alone.x.tobytes()
+
+
+def test_a_batch_of_two_passes_equals_single_paths_bit_for_bit():
+    # 300 seeds step as two lockstep passes of 150 into one states array
+    assert _PASS < 300 <= 2 * _PASS
+    model = builtin_model("bounded_nonlinear")
+    noise = StableParams(1.5, 0.3)
+    batch = [derive_replicate_seed(5, index) for index in range(300)]
+    paths = simulate_paths(model, noise, 0.5, 300, 0.01, batch, burn_in=100)
+    for seed, path in zip(batch, paths):
+        alone = simulate_path(model, noise, 0.5, 300, 0.01, seed, burn_in=100)
+        assert path.seed == seed
+        assert path.x.tobytes() == alone.x.tobytes()
+
+
+def _cubic_restoring() -> SdeModel:
+    # x' = x - x^3 delta + xi delta^(1/alpha) overshoots without bound once a
+    # jump carries the state past about sqrt(2 / delta), which few seeds do
+    def zero(x):
+        return 0.0 if isinstance(x, float) else np.zeros_like(np.asarray(x, dtype=float))
+
+    def one(x):
+        return 1.0 if isinstance(x, float) else np.ones_like(np.asarray(x, dtype=float))
+
+    return SdeModel(
+        name="cubic_restoring", params={}, mu=lambda x: -(x ** 3), mu_prime=zero, mu_double_prime=zero,
+        sigma=one, sigma_bounds=(1.0, 1.0), lipschitz_mu=1.0,
+    )
+
+
+def test_an_explosion_in_a_later_pass_names_its_seed():
+    model, noise = _cubic_restoring(), StableParams(1.2, 0.0)
+    steady, failures = [], {}
+    seed = 0
+    while len(steady) < 299 or not failures:
+        try:
+            simulate_path(model, noise, 0.0, 200, 0.01, seed, burn_in=0)
+            steady.append(seed)
+        except SimulationError as exc:
+            failures[seed] = str(exc)
+        seed += 1
+    bad, message = next(iter(failures.items()))
+    # position 217 lies in the second of two passes of 150 seeds
+    batch = steady[:217] + [bad] + steady[217:299]
+    with pytest.raises(SimulationError) as caught:
+        simulate_paths(model, noise, 0.0, 200, 0.01, batch, burn_in=0)
+    assert str(caught.value) == f"seed {bad}: {message}"
+    assert caught.value.path_index == 217
 
 
 def _extended_ou(gamma, lam, delta, scale, noise, x0, n, seed, burn_in):

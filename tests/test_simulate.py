@@ -403,3 +403,51 @@ def test_path_csv_round_trip_is_exact_in_shortest_text(tmp_path, drawn):
     assert bulk is not None
     rows = simulate._parse_path_rows(target, lines[1:])
     assert np.array_equal(rows.view(np.uint64), bulk.view(np.uint64))
+
+
+WRITER_BLOCK = simulate._CHUNK
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.sampled_from([WRITER_BLOCK - 1, WRITER_BLOCK, WRITER_BLOCK + 1]),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    # edge states on the rows around the writer's block edge
+    edges=st.lists(
+        st.tuples(st.integers(min_value=WRITER_BLOCK - 3, max_value=WRITER_BLOCK), st.sampled_from(EDGE_STATES)),
+        max_size=4,
+    ),
+    delta=st.floats(min_value=5e-324, max_value=1.7976931348623157e308 / (WRITER_BLOCK + 1)),
+)
+def test_path_csv_round_trip_across_the_writer_blocks(tmp_path, rows, seed, edges, delta):
+    x = np.random.default_rng(seed).standard_normal(rows).cumsum()
+    for index, state in edges:
+        x[min(index, rows - 1)] = state
+    path = ObservedPath(x=x, delta=delta, n=rows - 1, seed=None, model_name="external", noise=None)
+    target = tmp_path / "path.csv"
+    write_path_csv(path, target)
+    # the rows of every block continue the text of one whole-path format
+    whole = "i,t,x\n" + "".join(f"{i},{i * delta!r},{value!r}\n" for i, value in enumerate(x.tolist()))
+    assert target.read_bytes() == whole.encode("ascii")
+    loaded = read_path_csv(target)
+    assert np.array_equal(loaded.x.view(np.uint64), x.view(np.uint64))
+    assert loaded.delta == delta
+
+
+def test_a_mark_past_the_first_scan_block_goes_to_the_line_reader(tmp_path, monkeypatch):
+    # with 16-byte blocks the marks below lie in the third block or later
+    monkeypatch.setattr(simulate, "_SCAN", 16)
+    head = "i,t,x\n0,0.0,1.5\n1,0.25,-2.0\n"
+    for tail, match in [
+        ("2,0.5\f,0.125\n", r"malformed row 3: '2,0.5'"),
+        ("2,0.5,0.1\xe925\n", r"byte 0xe9 at offset 37 is not valid ascii"),
+    ]:
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes((head + tail).encode("latin-1"))
+        assert simulate._load_path_table(bad) is None
+        with pytest.raises(ParameterError, match=match):
+            read_path_csv(bad)
+    good = tmp_path / "good.csv"
+    good.write_text(head + "2,0.5,0.125\n")
+    assert simulate._load_path_table(good) is not None
+    assert read_path_csv(good).x.tolist() == [1.5, -2.0, 0.125]

@@ -12,6 +12,7 @@ from .errors import ConfigurationError, NumericError, ParameterError, Simulation
 from .estimate import (
     AsymptoticConstants,
     DriftEstimate,
+    KernelRatioConstants,
     KernelSums,
     asymptotic_constants,
     density_estimate,
@@ -20,7 +21,6 @@ from .estimate import (
     local_linear_drift_ratio,
     nadaraya_watson_drift,
     nw_asymptotic_constants,
-    nw_scheme_one_centering,
     s_nk,
     write_drift_curve_csv,
 )
@@ -110,6 +110,7 @@ __all__ = [
     "increment_diagnostics",
     "DriftEstimate",
     "AsymptoticConstants",
+    "KernelRatioConstants",
     "KernelSums",
     "kernel_sums",
     "s_nk",
@@ -119,7 +120,6 @@ __all__ = [
     "density_estimate",
     "asymptotic_constants",
     "nw_asymptotic_constants",
-    "nw_scheme_one_centering",
     "write_drift_curve_csv",
     "Schedule",
     "ScheduleDiagnostics",

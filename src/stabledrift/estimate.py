@@ -47,6 +47,7 @@ from .stable import StableParams
 __all__ = [
     "DriftEstimate",
     "AsymptoticConstants",
+    "KernelRatioConstants",
     "KernelSums",
     "kernel_sums",
     "s_nk",
@@ -56,7 +57,6 @@ __all__ = [
     "density_estimate",
     "asymptotic_constants",
     "nw_asymptotic_constants",
-    "nw_scheme_one_centering",
     "write_drift_curve_csv",
 ]
 
@@ -97,6 +97,16 @@ class AsymptoticConstants:
     gamma_x: float
     rate: float
     bias_term: float
+
+
+@dataclass(frozen=True)
+class KernelRatioConstants(AsymptoticConstants):
+    """Limit-law constants of the kernel-ratio estimator, whose bias also has
+    a term of first order in ``h``, ``first_order = h * K_1 * mu'(x)``; it
+    vanishes only for a symmetric kernel.  The local linear estimator has no
+    such term."""
+
+    first_order: float
 
 
 def _check_point(x: float, h: float) -> None:
@@ -393,39 +403,32 @@ def nw_asymptotic_constants(
     n: int,
     delta: float,
     h: float,
-) -> AsymptoticConstants:
+) -> KernelRatioConstants:
     """Limit constants of the kernel-ratio estimator at an interior point.
 
-    The second-order bias coefficient is
-    ``(mu'(x) f'(x) / f(x) + mu''(x) / 2) * K_2``, which involves the
-    stationary density's log-derivative; under a symmetric kernel the scale
-    constant coincides with the local linear one because the moment-variance
-    factors cancel against the fractional integral.
+    Expanding ``sum K f mu / sum K f`` about ``x`` gives the bias
+    ``h K_1 mu'(x) + h^2 Gamma(x)`` with the second-order coefficient
+    ``Gamma(x) = (K_2 - K_1^2) mu'(x) f'(x) / f(x) + K_2 mu''(x) / 2``,
+    which involves the stationary density's log-derivative.  The first-order
+    term is nonzero only for an asymmetric kernel, where it dominates the
+    ratio estimator's bias; the local linear estimator has no such term.
+    Under a symmetric kernel the scale constant coincides with the local
+    linear one because the moment-variance factors cancel against the
+    fractional integral.
     """
     alpha, fx, sx, rate = _limit_inputs(model, density, noise, x, n, delta, h)
     fpx = float(density.f_prime(float(x)))
     nw_int = nw_fractional_integral(kernel, alpha)
     lambda_x = fx ** (1.0 - 1.0 / alpha) / (sx * nw_int ** (1.0 / alpha))
+    slope = float(model.mu_prime(float(x)))
     gamma_x = (
-        float(model.mu_prime(float(x))) * fpx / fx
-        + 0.5 * float(model.mu_double_prime(float(x)))
-    ) * kernel.k2
-    return AsymptoticConstants(
-        lambda_x=lambda_x, gamma_x=gamma_x, rate=rate, bias_term=h * h * gamma_x
+        (kernel.k2 - kernel.k1 ** 2) * slope * fpx / fx
+        + 0.5 * kernel.k2 * float(model.mu_double_prime(float(x)))
     )
-
-
-def nw_scheme_one_centering(kernel: Kernel, h: float) -> float:
-    """First-order centering ``h * K_1`` of the kernel-ratio estimator.
-
-    Nonzero only for asymmetric kernels, where it dominates the ratio
-    estimator's bias at first order in ``h``; the local linear estimator has
-    no such term, which is the quantitative content of the bias-comparison
-    experiment.
-    """
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ParameterError(f"bandwidth h must be positive and finite, got {h}")
-    return h * kernel.k1
+    return KernelRatioConstants(
+        lambda_x=lambda_x, gamma_x=gamma_x, rate=rate, bias_term=h * h * gamma_x,
+        first_order=h * kernel.k1 * slope,
+    )
 
 
 def write_drift_curve_csv(estimates: list[DriftEstimate], destination) -> None:

@@ -46,7 +46,6 @@ from .estimate import (
     asymptotic_constants,
     kernel_sums,
     nw_asymptotic_constants,
-    nw_scheme_one_centering,
     s_nk,
 )
 from .kernels import Kernel, builtin_kernel, lambda_weight_changes_sign
@@ -592,8 +591,8 @@ def run_bias_comparison(
 
     For each query point the summary carries, per method, the mean and
     median error with a Monte Carlo standard error, the second-order bias
-    ``h^2 * Gamma``, and the first-order centering ``h * K_1`` (zero for the
-    local linear estimator and for symmetric kernels).
+    ``h^2 * Gamma``, and the first-order term ``h * K_1 * mu'(x)`` (zero for
+    the local linear estimator and for symmetric kernels).
     """
     config = _config(
         "bias", model, noise, kernel, [schedule], x_points, replicates, master_seed, x0, burn_in, workers,
@@ -625,7 +624,7 @@ def _summarize_bias(records: list[ReplicateRecord], config: dict, density=None) 
         nw_theory = nw_asymptotic_constants(model, density, noise, kernel, xq, n, delta, h)
         for method, theory_bias, first_order in (
             ("local_linear", ll_theory.bias_term, 0.0),
-            ("nadaraya_watson", nw_theory.bias_term, nw_scheme_one_centering(kernel, h)),
+            ("nadaraya_watson", nw_theory.bias_term, nw_theory.first_order),
         ):
             cell = [r for r in records if r.x == xq and r.method == method]
             errors = _finite([r.error for r in cell])

@@ -9,18 +9,20 @@ agreement of the declared derivatives), so a registered model can be trusted
 downstream without re-checking.
 
 The stationary density is exposed through a uniform interface with three
-provenance levels: closed form where one exists, numeric Fourier inversion
-of the known characteristic function for the linear model, and a smoothed
-long-path estimate for everything else.
+provenance levels: closed form where one exists, pointwise numeric
+inversion of the known characteristic function for the linear model, and a
+smoothed long-path estimate for everything else.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, NumericError, ParameterError
@@ -42,6 +44,8 @@ _STEP_TERMS = (0.3, -1.7, 0.0, 2.5e-3, -4.0, 1e-9, -0.02, 11.0, -0.6, 5.0, -2e3,
 _STEP_DELTAS = (0.01, 0.37)
 # Seed of the plug-in oracle's path; experiment configs record it.
 _PLUGIN_SEED = 853_090_411
+# Terms of the Fourier route's tail series past which it gives up.
+_SERIES_TERMS = 100
 
 
 @dataclass(frozen=True)
@@ -114,10 +118,11 @@ class StationaryDensity:
     """Stationary marginal density of a model, with provenance.
 
     ``provenance`` is one of ``"analytic"``, ``"numeric-oracle"`` (Fourier
-    inversion of an exact characteristic function), or ``"kernel-plug-in"``
-    (smoothed long-trajectory estimate).  ``grid`` is the abscissa grid the
-    numeric routes were built on, or None for closed forms; ``f`` vanishes
-    outside it for the numeric routes.
+    inversion of an exact characteristic function, evaluated at each point
+    asked for), or ``"kernel-plug-in"`` (smoothed long-trajectory estimate).
+    ``grid`` is the abscissa grid the plug-in route was built on, outside
+    which its ``f`` vanishes; it is None for the other two routes, whose
+    ``f`` is positive everywhere.
     """
 
     f: Callable
@@ -544,72 +549,100 @@ def _gaussian_density(model: SdeModel, noise: StableParams) -> StationaryDensity
     return StationaryDensity(f=f, f_prime=f_prime, provenance="analytic", grid=None)
 
 
+def _tail_series(y: float, alpha: float, skew: float) -> tuple[float, float, float] | None:
+    """``g(y)``, ``g'(y)`` and an error bound of both from the large-``|y|``
+    expansion of the standardized stable density,
+    ``g(y) ~ (1/pi) sum_k Re[(-A)^k e^(-i pi (k alpha + 1)/2)] Gamma(k alpha + 1)/k! y^(-k alpha - 1)``
+    with ``A = 1 - i skew`` for ``y > 0``, and by reflection,
+    ``g(y; skew) = g(-y; -skew)``, for ``y < 0``.  The series diverges for
+    ``alpha > 1``; it is summed until a term falls below ``1e-14`` of the
+    sum, and None is returned where the terms stop shrinking first, as they
+    do from the second term on for ``|y| < 1``."""
+    if abs(y) < 1.0:
+        return None
+    side = math.copysign(1.0, y)
+    y, skew = abs(y), side * skew
+    log_modulus = 0.5 * math.log1p(skew * skew)
+    angle = math.atan2(skew, -1.0)
+    log_y = math.log(y)
+    g = g_prime = rounding = 0.0
+    previous = math.inf
+    for k in range(1, _SERIES_TERMS + 1):
+        power = k * alpha + 1.0
+        magnitude = math.exp(math.lgamma(power) - math.lgamma(k + 1.0) + k * log_modulus - power * log_y)
+        if magnitude >= previous:
+            return None
+        term = magnitude * math.cos(k * angle - 0.5 * math.pi * power)
+        g += term
+        g_prime -= power / y * term
+        # the cosine's argument, of about the size of power, is rounded
+        rounding += 1e-15 * power * magnitude * (1.0 + power / y)
+        if magnitude <= 1e-14 * abs(g):
+            error = magnitude * (1.0 + power / y) + rounding
+            return g / math.pi, side * g_prime / math.pi, error / math.pi
+        previous = magnitude
+    return None
+
+
+def _inversion_integrals(y: float, alpha: float, skew: float) -> tuple[float, float, float] | None:
+    """``g(y)``, ``g'(y)`` and an error bound of both from the inversion
+    integrals ``g(y) = (1/pi) int_0^inf exp(-s^alpha) cos(skew s^alpha - s y) ds``
+    and ``g'(y) = (1/pi) int_0^inf s exp(-s^alpha) sin(skew s^alpha - s y) ds``,
+    by QUADPACK's adaptive rule on ``[0, inf)``; None where it warns."""
+
+    def integrand(s, derivative):
+        decay = math.exp(-s ** alpha)
+        phase = skew * s ** alpha - s * y
+        return s * decay * math.sin(phase) if derivative else decay * math.cos(phase)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            (g, g_error), (g_prime, g_prime_error) = [
+                quad(integrand, 0.0, math.inf, args=(derivative,), epsabs=1e-14, epsrel=1e-12, limit=500)
+                for derivative in (False, True)
+            ]
+        except IntegrationWarning:
+            return None
+    return g / math.pi, g_prime / math.pi, max(g_error, g_prime_error) / math.pi
+
+
 def _fourier_density(model: SdeModel, noise: StableParams) -> StationaryDensity:
+    """The stationary law of the linear model, a stable law of location
+    ``gamma / lam`` and scale ``c``, evaluated pointwise:
+    ``f(x) = g(y) / c`` and ``f'(x) = g'(y) / c^2`` at ``y = (x - m) / c``,
+    where ``g`` is the standardized density of characteristic function
+    ``exp(-|u|^alpha (1 - i beta sgn(u) tan(pi alpha / 2)))``.  Each point
+    takes the tail series where it converges, else the inversion integrals,
+    and a value whose error bound exceeds ``1e-9 g(y)``, for ``f`` and
+    ``f'`` alike, raises :class:`NumericError`."""
     mean, scale = _ou_margin(model, noise)
-    alpha, beta = noise.alpha, noise.beta
-    n_grid = 2 ** 18
-    dy = min(0.02, scale / 20.0)
-    du = 2.0 * math.pi / (n_grid * dy)
-    # Each inversion array is formed in place where it can be and dropped
-    # after its last use, so that only y and the clipped density are alive
-    # while the spline builds; the operations and operands are unchanged.
-    j = np.arange(n_grid)
-    u = -0.5 * n_grid * du + j * du
-    t = _tan_half(alpha)
-    cu = scale * np.abs(u)
-    cu **= alpha
-    np.negative(cu, out=cu)
-    phi = 1j * beta * np.sign(u)
-    del u
-    phi *= t
-    np.subtract(1.0, phi, out=phi)
-    np.multiply(cu, phi, out=phi)
-    del cu
-    np.exp(phi, out=phi)
-    y0 = -0.5 * n_grid * dy
-    y = y0 + np.arange(n_grid) * dy
-    # Discretized inversion f(y) = (1/2pi) int exp(-i u y) phi(u) du as an FFT
-    # with the frequency offset folded into pre- and post-phase factors.
-    pre = -1j * j
-    del j
-    pre *= du
-    pre *= y0
-    np.exp(pre, out=pre)
-    np.multiply(phi, pre, out=phi)
-    del pre
-    values = np.fft.fft(phi)
-    del phi
-    post = 1j * (0.5 * n_grid * du) * y
-    np.exp(post, out=post)
-    np.multiply(du / (2.0 * math.pi), post, out=post)
-    np.multiply(post, values, out=values)
-    del post
-    real = values.real
-    imag_residual = float(np.abs(values.imag).max())
-    peak = float(real.max())
-    if peak <= 0.0 or imag_residual > 1e-6 * peak:
+    alpha = noise.alpha
+    skew = noise.beta * _tan_half(alpha)
+
+    def standardized(x) -> tuple[float, float]:
+        x = float(x)
+        if not math.isfinite(x):
+            raise ParameterError(f"density query point must be finite, got {x}")
+        y = (x - mean) / scale
+        for rule in (_tail_series, _inversion_integrals):
+            value = rule(y, alpha, skew)
+            if value is not None:
+                g, g_prime, error = value
+                if g > 0.0 and error <= 1e-9 * g:
+                    return g, g_prime
         raise NumericError(
-            f"Fourier inversion left an imaginary residual of {imag_residual} "
-            f"against a density peak of {peak}"
+            f"the stationary density at x = {x!r} cannot be evaluated to its accuracy target"
         )
-    if real.min() < -1e-7 * peak:
-        raise NumericError(
-            f"Fourier inversion produced negative density values down to {real.min()}"
-        )
-    real = np.maximum(real, 0.0)
-    del values
-    total = float(np.trapezoid(real, dx=dy))
-    if abs(total - 1.0) > 1e-4:
-        raise NumericError(
-            f"inverted density integrates to {total}, outside the 1e-4 tolerance"
-        )
-    spline = CubicSpline(y + mean, real)
-    lo, hi = y[0] + mean, y[-1] + mean
+
+    def pointwise(evaluate: Callable) -> Callable:
+        vectorized = np.vectorize(evaluate, otypes=[float])
+        return lambda x: vectorized(x)[()]
+
     return StationaryDensity(
-        f=_masked_spline(spline, lo, hi, clip_nonneg=True),
-        f_prime=_masked_spline(spline.derivative(), lo, hi, clip_nonneg=False),
+        f=pointwise(lambda x: standardized(x)[0] / scale),
+        f_prime=pointwise(lambda x: standardized(x)[1] / (scale * scale)),
         provenance="numeric-oracle",
-        grid=y + mean,
     )
 
 
@@ -672,7 +705,10 @@ def stationary_density_oracle(
         the linear model at ``alpha == 2``, Fourier inversion for the linear
         model otherwise, long-trajectory plug-in for the rest.  ``"fourier"``
         and ``"simulation"`` force a route; ``"analytic"`` forces the
-        Gaussian closed form.
+        Gaussian closed form.  The Fourier route builds nothing up front:
+        its ``f`` and ``f_prime`` evaluate the density at each point they
+        are called with, and raise :class:`NumericError` naming a point
+        where no rule reaches its accuracy target.
     seed : int
         Seeds the simulation route only, a fixed design of 4e5 steps of
         0.01 after a 1e5-step burn-in.  The default is a fixed constant so

@@ -463,14 +463,19 @@ def read_path_csv(source, *, noise: StableParams | None = None) -> ObservedPath:
     table = _load_path_table(source)
     if table is None:
         table = _read_path_lines(source)
-    t = table[:, 1].copy()
-    x = table[:, 2].copy()
-    # times near the float range may overflow here; the spacing check names them
+    t = table[:, 1]
+    # times near the float range may overflow here; the spacing check names
+    # them.  It compares one block of steps at a time, so that no temporary
+    # of the table's length sits beside the table.
     with np.errstate(all="ignore"):
         delta = float(t[1] - t[0])
-        equal = np.allclose(np.diff(t), delta, rtol=1e-9, atol=1e-12)
+        equal = all(
+            np.allclose(np.diff(t[start:start + _SPACING_BLOCK + 1]), delta, rtol=1e-9, atol=1e-12)
+            for start in range(0, t.size - 1, _SPACING_BLOCK)
+        )
     if not equal:
         raise ParameterError(f"{source}: observation times are not equally spaced")
+    x = table[:, 2].copy()
     return ObservedPath(x=x, delta=delta, n=x.size - 1, seed=None, model_name="external", noise=noise)
 
 
@@ -481,6 +486,8 @@ _SPLITLINES_ONLY = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 # Bytes of a path CSV checked at once before its bulk parse; every byte the
 # check looks for is a byte on its own, so none straddles two blocks.
 _SCAN = 1 << 20
+# Time steps compared at once by the spacing check of ``read_path_csv``.
+_SPACING_BLOCK = 1 << 16
 
 
 def _load_path_table(source) -> np.ndarray | None:

@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabledrift import (
@@ -122,21 +122,29 @@ def test_an_explosion_in_a_later_pass_names_its_seed():
 
 def _extended_ou(gamma, lam, delta, scale, noise, x0, n, seed, burn_in):
     """The Euler recurrence of ou_linear in long double arithmetic, on the
-    engine's scaled increments: a reference for both routes."""
+    engine's scaled increments: a reference for both routes.  Its factor
+    ``1 - lam * delta`` is formed from the double ``lam * delta``, as the
+    engine forms it: where that product rounds to 1 the engine steps with a
+    factor of exactly 0, and a factor of 1e-16 would carry a jump of 1e4
+    into the next state."""
     total = burn_in + n
     terms = np.asarray(sample_standard_stable(noise, np.random.Generator(np.random.PCG64(seed)), size=total)) * scale
     one = np.longdouble(1.0)
-    gamma, lam, delta = gamma * one, lam * one, delta * one
+    a = one - np.longdouble(lam * delta)
+    shift = gamma * one * (delta * one)
     x = one * x0
     states = [x]
     for term in terms.tolist():
-        x = x + (gamma - lam * x) * delta + term * one
+        x = a * x + shift + term * one
         states.append(x)
     return np.array(states[burn_in:], dtype=np.longdouble)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).precision < 18, reason="long double is not wider than double here")
 @settings(max_examples=40, deadline=None)
+# lam * delta rounds to exactly 1 in double here, and a jump to 1.3e5 follows
+@example(gamma=0.0, rate=1.0, delta=0.375, sigma=1.0, noise=StableParams(1.125, 0.0), batch=[131],
+         n=4095, burn_in=0, x0=0.0)
 @given(
     gamma=st.floats(min_value=-5.0, max_value=5.0),
     rate=st.floats(min_value=0.0, max_value=1.9, exclude_min=True, exclude_max=True),

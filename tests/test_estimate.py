@@ -15,6 +15,7 @@ from stabledrift import (
     ObservedPath,
     ParameterError,
     StableParams,
+    StationaryDensity,
     asymptotic_constants,
     builtin_kernel,
     builtin_model,
@@ -24,7 +25,6 @@ from stabledrift import (
     local_linear_drift_ratio,
     nadaraya_watson_drift,
     nw_asymptotic_constants,
-    nw_scheme_one_centering,
     s_nk,
     stationary_density_oracle,
     write_drift_curve_csv,
@@ -294,29 +294,43 @@ class TestAsymptoticConstants:
         assert ll.lambda_x == pytest.approx(nw.lambda_x, rel=1e-9)
 
     def test_nw_gamma_formula(self, ou_model, ou_density15):
+        # Gamma = (K2 - K1^2) mu' f'/f + K2 mu'' / 2, for a symmetric and a one-sided kernel
         noise = StableParams(1.5, 0.0)
-        epan = builtin_kernel("epanechnikov")
         xq = 0.4
-        nw = nw_asymptotic_constants(ou_model, ou_density15, noise, epan, xq, 50_000, 0.01, 0.3)
         fx = float(ou_density15.f(xq))
         step = 1e-4
         fprime = (float(ou_density15.f(xq + step)) - float(ou_density15.f(xq - step))) / (2 * step)
-        expected = (ou_model.mu_prime(xq) * fprime / fx + ou_model.mu_double_prime(xq) / 2.0) * 0.2
-        assert nw.gamma_x == pytest.approx(expected, rel=1e-3)
+        for name, k1, k2 in (("epanechnikov", 0.0, 0.2), ("uniform_right", 0.5, 1 / 3)):
+            nw = nw_asymptotic_constants(ou_model, ou_density15, noise, builtin_kernel(name), xq,
+                                         50_000, 0.01, 0.3)
+            expected = ((k2 - k1 * k1) * ou_model.mu_prime(xq) * fprime / fx
+                        + k2 * ou_model.mu_double_prime(xq) / 2.0)
+            assert nw.gamma_x == pytest.approx(expected, rel=1e-3)
 
     def test_scheme_one_centering(self):
-        assert nw_scheme_one_centering(builtin_kernel("uniform_right"), 0.4) == pytest.approx(0.2)
-        assert nw_scheme_one_centering(builtin_kernel("epanechnikov"), 0.4) == 0.0
+        # the kernel-ratio estimator's first-order term h K1 mu'(x) at h 0.4:
+        # -0.2 lam on ou_linear under the one-sided kernel, 0 under a
+        # symmetric one
+        noise = StableParams(1.8, 0.0)
+        for lam in (1.0, 3.0):
+            model = builtin_model("ou_linear", {"lam": lam})
+            density = stationary_density_oracle(model, noise)
+            for xq in (-0.5, 0.0, 0.5):
+                for name, first_order in (("uniform_right", -0.2 * lam), ("epanechnikov", 0.0)):
+                    kernel = builtin_kernel(name)
+                    nw = nw_asymptotic_constants(model, density, noise, kernel, xq, 10_000, 0.01, 0.4)
+                    assert nw.first_order == pytest.approx(first_order, abs=1e-15)
 
     def test_validation(self, ou_model, ou_density15):
         epan = builtin_kernel("epanechnikov")
         with pytest.raises(ParameterError):
             asymptotic_constants(ou_model, ou_density15, StableParams(1.0, 0.0), epan,
                                  0.0, 1000, 0.01, 0.3)
+        # the constants are undefined where the stationary density vanishes
+        vanishing = StationaryDensity(f=lambda x: 0.0, f_prime=lambda x: 0.0, provenance="analytic")
         with pytest.raises(ParameterError):
-            # far outside the grid the stationary density vanishes
-            asymptotic_constants(ou_model, ou_density15, StableParams(1.5, 0.0), epan,
-                                 1e6, 1000, 0.01, 0.3)
+            asymptotic_constants(ou_model, vanishing, StableParams(1.5, 0.0), epan,
+                                 0.0, 1000, 0.01, 0.3)
 
 
 class TestDriftCurve:

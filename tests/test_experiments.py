@@ -214,11 +214,22 @@ class TestBiasComparison:
                 # linear drift has no curvature bias
                 assert s["theory_bias_h2"] == 0.0
             else:
-                assert s["theory_first_order"] == pytest.approx(0.4 * 0.5)
+                # h K1 mu'(x) at lam 1
+                assert s["theory_first_order"] == pytest.approx(-0.4 * 0.5)
             assert s["replicates"] == 6
             assert math.isfinite(s["mean_error"])
             assert math.isfinite(s["mc_se"])
         assert rep.verify_integrity()
+
+    def test_nw_mean_error_tracks_its_first_order_term(self, ou):
+        # at x = 0 both f'(0) and mu'' vanish, so the kernel-ratio bias is
+        # h K1 mu'(0) = -0.2 alone; measured -0.177 +/- 0.020 at this seed
+        sched = Schedule(n=100_000, delta=0.01, h=0.4, alpha=1.8, kappa=2.0)
+        rep = run_bias_comparison(ou, StableParams(1.8, 0.0), builtin_kernel("uniform_right"), sched,
+                                  [0.0], replicates=48, master_seed=11, workers=1)
+        row = next(s for s in rep.summaries if s["method"] == "nadaraya_watson")
+        assert row["theory_first_order"] == pytest.approx(-0.2)
+        assert abs(row["mean_error"] - row["theory_first_order"]) <= 3.0 * row["mc_se"]
 
     def test_symmetric_kernel_zero_first_order(self, ou, noise, epan):
         sched = Schedule(n=8_000, delta=0.01, h=0.4, alpha=1.5, kappa=2.0)

@@ -108,7 +108,7 @@ WIDE_RUNS = {"bias_wide": _bias_wide, "clt_wide": _clt_wide, "lln_wide": _lln_wi
 GOLDEN = {
     "bias": {
         "records": "09da3a7857de9ff25d0b25c12fbd7c7206cb0e57e66b5b3e6d514eef9b7374c3",
-        "summary": "cf51d19cd19bba754ec5876cdd90ed7cef89bd877d8952dec7063ff77ffdb979",
+        "summary": "bdd134bc007a53929ae5123e1808317cee536796542d39bd3404972a0bf36ae6",
         "manifest": "795d9e7c6dd1ee1f6ca8f44e2d867607315edacff80c39a22bb07b68987119d8",
     },
     "clt": {
@@ -123,7 +123,7 @@ GOLDEN = {
     },
     "bias_wide": {
         "records": "2d44f599cccfceaebc10454782d8c76280a476d9ca6062d509237c84d71ce036",
-        "summary": "af2c56d094ecb9a263a0a2af5603a062ca236acf6f8dab02e65798180a5b8802",
+        "summary": "b1aae6ff9dc1f7c429efe1fe8e1f53cdb30577d6bcd93384567f320501b6d90f",
         "manifest": "0bcace3b85c40d5421f407b3bb0fbf0ab6bb093bc97a2d08e039475dab1d550f",
     },
     "clt_wide": {

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from stabledrift import (
     ConfigurationError,
+    NumericError,
     ParameterError,
     SdeModel,
     StableParams,
@@ -264,30 +267,101 @@ class TestStationaryDensity:
         assert float(d.f(0.2)) == pytest.approx(float(d.f(0.8)), rel=1e-10)
 
     def test_fourier_center_value_closed_form(self):
-        # symmetric stable density at its center: f(0) = Gamma(1 + 1/a) / (pi c)
+        # symmetric stable density at its center: f(0) = Gamma(1 + 1/a) / (pi c);
+        # measured within 1.6e-15 relative
         m = builtin_model("ou_linear", {"gamma": 0.0, "lam": 1.0, "sigma": 1.0})
-        d = stationary_density_oracle(m, StableParams(1.5, 0.0), method="fourier")
-        assert d.provenance == "numeric-oracle"
-        c = (1.0 / 1.5) ** (1.0 / 1.5)
-        expected = gamma_fn(1.0 + 1.0 / 1.5) / (math.pi * c)
-        assert float(d.f(0.0)) == pytest.approx(expected, rel=1e-5)
+        for alpha in (1.5, 1.8):
+            d = stationary_density_oracle(m, StableParams(alpha, 0.0), method="fourier")
+            assert d.provenance == "numeric-oracle"
+            assert d.grid is None
+            c = (1.0 / alpha) ** (1.0 / alpha)
+            expected = gamma_fn(1.0 + 1.0 / alpha) / (math.pi * c)
+            assert float(d.f(0.0)) == pytest.approx(expected, rel=1e-12)
+            # next to the center the tail series must give up, not overflow
+            assert float(d.f(1e-300)) == pytest.approx(expected, rel=1e-12)
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ParameterError, match="finite"):
+                    d.f(bad)
 
     def test_fourier_symmetry_and_normalization(self):
         m = builtin_model("ou_linear", {"gamma": 2.0, "lam": 2.0, "sigma": 1.0})
-        d = stationary_density_oracle(m, StableParams(1.7, 0.0), method="fourier")
+        alpha = 1.7
+        d = stationary_density_oracle(m, StableParams(alpha, 0.0), method="fourier")
         assert float(d.f(1.3)) == pytest.approx(float(d.f(0.7)), rel=1e-6)
         assert float(d.f_prime(0.5)) > 0.0 > float(d.f_prime(1.5))
-        assert d.grid is not None
-        mass = np.trapezoid(d.f(d.grid), d.grid)
-        assert mass == pytest.approx(1.0, abs=1e-4)
-        assert float(d.f(1e6)) == 0.0
+        # mass over the real line, measured 1 - 1.1e-15
+        mass = quad(d.f, -math.inf, math.inf)[0]
+        assert mass == pytest.approx(1.0, abs=1e-10)
+        # far out the density follows the tail law, not a grid edge
+        c = (1.0 / (alpha * 2.0)) ** (1.0 / alpha)
+        y = (1e6 - 1.0) / c
+        lead = alpha * gamma_fn(alpha) * math.sin(math.pi * alpha / 2) / math.pi * y ** (-1.0 - alpha)
+        assert float(d.f(1e6)) > 0.0
+        assert float(d.f(1e6)) * c == pytest.approx(lead, rel=1e-8)
 
     def test_fourier_matches_analytic_at_endpoint(self):
+        # measured within 2.3e-15 relative for f and f'
         m = builtin_model("ou_linear", {"gamma": 0.5, "lam": 1.0, "sigma": 1.0})
         analytic = stationary_density_oracle(m, StableParams(2.0, 0.0), method="analytic")
         fourier = stationary_density_oracle(m, StableParams(2.0, 0.0), method="fourier")
-        for x in (-1.0, 0.2, 0.5, 2.0):
-            assert float(fourier.f(x)) == pytest.approx(float(analytic.f(x)), abs=1e-6)
+        for x in (-1.0, 0.2, 0.5, 2.0, 3.5):
+            assert float(fourier.f(x)) == pytest.approx(float(analytic.f(x)), rel=1e-12)
+            assert float(fourier.f_prime(x)) == pytest.approx(float(analytic.f_prime(x)), rel=1e-12)
+
+    def test_fourier_derivative_matches_central_differences(self):
+        # measured within 4.8e-8 of f(x), at steps of 1e-4 max(1, |x|)
+        m = builtin_model("ou_linear")
+        for alpha, beta in ((1.5, 0.0), (1.8, 0.5), (1.2, 1.0)):
+            d = stationary_density_oracle(m, StableParams(alpha, beta), method="fourier")
+            for x in (-2.0, -0.7, 0.3, 1.1, 4.0, 25.0):
+                step = 1e-4 * max(1.0, abs(x))
+                slope = finite_difference(d.f, x, step)
+                assert abs(slope - float(d.f_prime(x))) <= 5e-7 * float(d.f(x))
+
+    def test_fourier_skewed_law_reflects(self):
+        # f(m + d; beta) = f(m - d; -beta) about the mean m = 1, and f' flips
+        # sign; d spans the inversion integrals and the tail series
+        m = builtin_model("ou_linear", {"gamma": 2.0, "lam": 2.0, "sigma": 1.0})
+        for alpha in (1.5, 1.8):
+            for beta in (0.5, 1.0):
+                right = stationary_density_oracle(m, StableParams(alpha, beta), method="fourier")
+                left = stationary_density_oracle(m, StableParams(alpha, -beta), method="fourier")
+                for offset in (0.25, 0.75, 3.0, 40.0, 4096.0):
+                    assert float(right.f(1.0 + offset)) == pytest.approx(float(left.f(1.0 - offset)), rel=1e-14)
+                    assert float(right.f_prime(1.0 + offset)) == pytest.approx(
+                        -float(left.f_prime(1.0 - offset)), rel=1e-14)
+
+    def test_fourier_tail_law(self):
+        # Symmetric: the two leading terms of the series in |y|^(-alpha),
+        # with the second -cos(pi a/2) Gamma(2a+1)/Gamma(a+1) |y|^(-a) times
+        # the first (measured within 7.9e-8). Totally skewed, right tail: the
+        # leading term, (1 + beta) times the symmetric one, off by at most
+        # 7.1 |y|^(-alpha) (measured).
+        m = builtin_model("ou_linear", {"gamma": 0.5, "lam": 2.0, "sigma": 1.3})
+        for alpha in (1.2, 1.5, 1.8):
+            c = 1.3 * (1.0 / (2.0 * alpha)) ** (1.0 / alpha)
+            law = alpha * gamma_fn(alpha) * math.sin(math.pi * alpha / 2) / math.pi
+            second = -math.cos(math.pi * alpha / 2) * gamma_fn(2 * alpha + 1) / gamma_fn(alpha + 1)
+            symmetric = stationary_density_oracle(m, StableParams(alpha, 0.0), method="fourier")
+            skewed = stationary_density_oracle(m, StableParams(alpha, 1.0), method="fourier")
+            for y in (1e3, 1e4, 1e6):
+                lead = law * y ** (-1.0 - alpha)
+                for side in (1.0, -1.0):
+                    value = float(symmetric.f(0.25 + side * c * y)) * c
+                    assert value == pytest.approx(lead * (1.0 + second * y ** -alpha), rel=1e-6)
+                value = float(skewed.f(0.25 + c * y)) * c
+                assert abs(value / (2.0 * lead) - 1.0) <= 10.0 * y ** -alpha
+
+    def test_fourier_refuses_points_it_cannot_certify(self):
+        # the light tail of a totally skewed law, and the Gaussian endpoint
+        # far out: no rule reaches 1e-9 of the density there
+        m = builtin_model("ou_linear")
+        for noise, x in ((StableParams(1.8, 1.0), -21.0), (StableParams(1.5, -1.0), 15.0),
+                         (StableParams(2.0, 0.0), 14.0)):
+            d = stationary_density_oracle(m, noise, method="fourier")
+            for evaluate in (d.f, d.f_prime):
+                with pytest.raises(NumericError, match=re.escape(f"x = {x!r}")):
+                    evaluate(x)
 
     def test_simulation_route(self):
         m = builtin_model("ou_linear", {"gamma": 0.0, "lam": 1.0, "sigma": 1.0})

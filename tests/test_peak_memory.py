@@ -1,11 +1,14 @@
-"""Traced peak memory of the steps whose working arrays are large: the
-Fourier density oracle, the path CSV writer and a wide lockstep batch.
+"""Traced peak memory of the steps whose working sets are, or were, large:
+the Fourier density oracle, the path CSV writer and reader, and a wide
+lockstep batch.
 
 Each bound sits between the peak of the code as it is and that of a version
-that holds its whole working set at once: every inversion array alive while
-the spline builds (40 MiB against 62 MiB), the whole CSV text built before
-it is written (0.6 MiB against 31 MiB), and all 1000 seeds stepped in one
-pass (71 MiB against 215 MiB)."""
+that holds its whole working set at once: a 2^18-point inversion grid and
+its spline (40 MiB, against 21 KiB for pointwise evaluation), the whole CSV
+text built before it is written (0.6 MiB against 31 MiB), copies of the
+times and full-length spacing temporaries beside the parsed table (10.9 MiB
+against 6.4 MiB for 2e5 rows), and all 1000 seeds stepped in one pass
+(71 MiB against 215 MiB)."""
 from __future__ import annotations
 
 import tracemalloc
@@ -16,6 +19,7 @@ from stabledrift import (
     ObservedPath,
     StableParams,
     builtin_model,
+    read_path_csv,
     simulate_paths,
     stationary_density_oracle,
     write_path_csv,
@@ -40,10 +44,16 @@ def traced_peak(call):
             tracemalloc.stop()
 
 
-def test_fourier_oracle_frees_its_inversion_before_the_spline():
+def test_fourier_oracle_evaluates_pointwise_in_bounded_memory():
     model = builtin_model("ou_linear")
-    peak = traced_peak(lambda: stationary_density_oracle(model, StableParams(1.8, 0.0)))
-    assert peak < 48 * MIB
+
+    def build_and_evaluate():
+        density = stationary_density_oracle(model, StableParams(1.8, 0.0))
+        for x in (-0.5, 0.0, 0.5, 1e6):
+            density.f(x)
+            density.f_prime(x)
+
+    assert traced_peak(build_and_evaluate) < 128 * 1024
 
 
 def test_path_csv_writer_streams_its_rows(tmp_path):
@@ -51,6 +61,14 @@ def test_path_csv_writer_streams_its_rows(tmp_path):
     path = ObservedPath(x=x, delta=0.01, n=x.size - 1, seed=None, model_name="external", noise=None)
     peak = traced_peak(lambda: write_path_csv(path, tmp_path / "path.csv"))
     assert peak < 4 * MIB
+
+
+def test_path_csv_reader_keeps_no_full_length_temporaries(tmp_path):
+    x = np.random.default_rng(3).standard_normal(200_000).cumsum()
+    path = ObservedPath(x=x, delta=0.01, n=x.size - 1, seed=None, model_name="external", noise=None)
+    write_path_csv(path, tmp_path / "path.csv")
+    peak = traced_peak(lambda: read_path_csv(tmp_path / "path.csv"))
+    assert peak < 8.5 * MIB
 
 
 def test_a_wide_batch_steps_in_bounded_passes():

@@ -389,7 +389,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--reference-size", dest="reference_size", type=int, help="stable reference sample size for clt")
     p_exp.add_argument("--density-method", dest="density_method", help="stationary density route: auto, analytic, fourier, simulation")
     p_exp.add_argument("--tail-fraction", dest="tail_fraction", type=float, help="tail fraction for the Hill diagnostic")
-    p_exp.add_argument("--workers", type=int, help="worker processes (default: one per CPU the process may run on; does not affect results)")
+    p_exp.add_argument(
+        "--workers",
+        type=int,
+        help="worker processes (default: one per CPU the process may run on); each one steps affine batches "
+        "and fits on its share of the usable CPUs; results are unchanged",
+    )
 
     return parser
 

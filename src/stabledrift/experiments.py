@@ -16,8 +16,10 @@ Replicate records are the unit of persistence; every summary statistic is a
 deterministic function of the records plus the stored configuration, and
 ``ExperimentReport.verify_integrity`` recomputes the summaries from scratch,
 oracle included, to prove it.  Replicates are independent, so they can be
-distributed over worker processes; results are folded in replicate order,
-which makes the reports byte-identical for any worker count.
+distributed over worker processes, and within a process a batch's paths
+are stepped (on the affine scan) and fitted on threads; results are folded
+in replicate order, which makes the reports byte-identical for any worker
+or thread count.
 
 Four experiment kinds are provided:
 
@@ -33,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache, partial
@@ -50,7 +51,7 @@ from .estimate import (
 )
 from .kernels import Kernel, builtin_kernel, lambda_weight_changes_sign
 from .models import _PLUGIN_SEED, SdeModel, builtin_model, stationary_density_oracle
-from .simulate import derive_replicate_seed, simulate_paths
+from .simulate import _simulate_paths, _thread_map, _usable_cpus, derive_replicate_seed
 from .stable import (
     StableParams,
     hill_tail_index,
@@ -364,15 +365,17 @@ def _batches(replicates: int, n: int, workers: int) -> list[tuple[int, int]]:
 
 def _replicates(job: tuple) -> list[tuple[int, list[dict]]]:
     """Simulate one batch of replicates and fit each path: ``job`` is
-    ``(fit, config, schedule_index, first, count)``; returns each
-    replicate's seed and the rows its fit returned."""
-    fit, config, s_idx, first, count = job
+    ``(fit, config, schedule_index, first, count, threads)``; returns each
+    replicate's seed and the rows its fit returned, in replicate order.
+    The batch is stepped on up to ``threads`` threads where its model takes
+    the affine scan, and its paths are fitted on as many."""
+    fit, config, s_idx, first, count, threads = job
     schedule = _schedules(config)[s_idx]
     offset = s_idx * config["replicates"] + first
     seeds = [derive_replicate_seed(config["master_seed"], offset + j) for j in range(count)]
     model = _model_from_config(config)
     try:
-        paths = simulate_paths(
+        paths = _simulate_paths(
             model,
             _noise_from_config(config),
             x0=config["x0"],
@@ -380,19 +383,16 @@ def _replicates(job: tuple) -> list[tuple[int, list[dict]]]:
             delta=schedule["delta"],
             seeds=seeds,
             burn_in=config["burn_in"],
+            threads=threads,
         )
     except SimulationError as exc:
         raise SimulationError(f"replicate {offset + exc.path_index}, {exc}") from None
     kernel = _kernel_from_config(config)
-    return [(path.seed, fit(model, kernel, path, schedule["h"], config)) for path in paths]
 
+    def fitted(path):
+        return path.seed, fit(model, kernel, path, schedule["h"], config)
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, the default worker count: its
-    affinity set where the platform reports one, else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return _thread_map(fitted, paths, threads)
 
 
 def _run(config: dict, fit, workers: int | None, describe, finish=None) -> ExperimentReport:
@@ -410,33 +410,43 @@ def _run(config: dict, fit, workers: int | None, describe, finish=None) -> Exper
     first and builds the oracle while the workers simulate; if the oracle
     fails, the pending batches are cancelled and its error is raised.
     ``workers`` None takes one worker per CPU the process may run on.
+
+    Each process of the run, the parent of a serial run or each pool
+    worker, steps affine batches and fits their paths on its share of the
+    CPUs the process may run on: ``_usable_cpus() // processes`` threads,
+    at least one.  A serial run on two CPUs takes two, a run of two
+    workers one each.  Every helper thread has ended before a batch
+    returns, so the pool forks no thread's state, and the records are
+    folded in replicate order whatever the thread count.
     """
     if workers is None:
         workers = _usable_cpus()
-    jobs = [
-        (fit, config, s_idx, first, count)
+    batches = [
+        (s_idx, first, count)
         for s_idx, schedule in enumerate(_schedules(config))
         for first, count in _batches(config["replicates"], schedule["n"], workers)
     ]
+    processes = min(workers, len(batches))
+    threads = max(1, _usable_cpus() // processes)
+    jobs = [(fit, config, *batch, threads) for batch in batches]
 
     def oracle():
         density = _density_from_config(config) if "density" in config else None
         return density, describe(density)
 
-    count = min(workers, len(jobs))
-    if count <= 1:
+    if processes <= 1:
         density, provenance = oracle()
         results = [_replicates(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=count) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             # map submits every batch before it returns
-            batches = pool.map(_replicates, jobs, chunksize=max(1, len(jobs) // (count * 4)))
+            pending = pool.map(_replicates, jobs, chunksize=max(1, len(jobs) // (processes * 4)))
             try:
                 density, provenance = oracle()
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
-            results = list(batches)
+            results = list(pending)
     records = [
         ReplicateRecord(replicate=index, seed=seed, **row)
         for index, (seed, rows) in enumerate(pair for batch in results for pair in batch)

@@ -23,10 +23,17 @@ bit the same in a batch of any width as alone.  Each path's stable
 increments are drawn in blocks of 4096 steps from its own seed's stream, so
 neither a full-length draw array nor a full-length list is ever built; the
 bound check runs once per block and still names the first offending step.
-A batch steps in passes of at most 256 paths, and each pass allocates its
+A batch steps in groups of contiguous paths, and each group allocates its
 draw, scratch and state blocks once: every block of draws is mapped into
 the same buffers, and each step writes the next states into a row of the
-same state block.
+same state block.  The groups of a batch on the affine scan run on threads
+(:func:`simulate_paths` takes one per CPU the process may run on), since
+its array passes release the interpreter lock; the groups running at once
+hold at most 256 paths together, so a batch's working memory is that of
+one 256-path pass whatever its width and thread count.  Each group writes only its own rows and draws only
+its own seeds' streams, so the paths do not depend on the thread count.
+Every other route steps its groups one after another, because its
+per-step Python holds the lock.
 
 Seeding is two-level: experiments hold one master seed and derive one
 independent stream per replicate through a fixed 64-bit mixing function, so
@@ -37,7 +44,9 @@ perturb the draw sequence.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,9 +70,9 @@ _STATE_BOUND = 1e12
 # Steps per block of stable draws: the draws held at once stay a few
 # hundred KiB per path, whatever the path length.
 _CHUNK = 4096
-# Seeds stepped together in one lockstep pass: a pass's draw, scratch and
-# state blocks grow with its width, so a wider batch is stepped in passes
-# of at most this many seeds.  Much narrower passes step measurably slower.
+# Seeds stepped at once: a group's draw, scratch and state blocks grow with
+# its width, so the groups running together hold at most this many seeds.
+# Much narrower groups step measurably slower on one thread.
 _PASS = 256
 _MASK64 = (1 << 64) - 1
 
@@ -182,9 +191,13 @@ def simulate_paths(
     Every operation is elementwise IEEE arithmetic, so path ``j`` is bit for
     bit ``simulate_path(..., seed=seeds[j], ...)``; a single seed takes the
     float path of :func:`simulate_path`.  The recorded states of the batch
-    share one ``(len(seeds), n + 1)`` array.  A batch of more than 256
-    seeds is stepped in passes of nearly equal width, each writing its rows
-    of that array, so the working memory beside it stays bounded.
+    share one ``(len(seeds), n + 1)`` array, and contiguous groups of seeds
+    each write their rows of it.  A model with an affine drift and constant
+    sigma steps its groups on threads, one per CPU the process may run on;
+    any other model steps them one after another.  The groups stepped at
+    once hold at most 256 seeds together, so the working memory beside the
+    states stays bounded whatever the width and the thread count, and the
+    paths are the same bytes for any thread count.
 
     Parameters are those of :func:`simulate_path`, with ``seeds`` a
     nonempty sequence of non-negative integers.
@@ -194,7 +207,23 @@ def simulate_paths(
     SimulationError
         When a path leaves ``(-1e12, 1e12)``; the message names the first
         offending step and that path's seed, and the error's ``path_index``
-        is the path's position in ``seeds``.
+        is the path's position in ``seeds``.  When several paths fail, the
+        one that fails at the earliest step is named, and among those the
+        first in ``seeds``.
+    """
+    return _simulate_paths(model, noise, x0, n, delta, seeds, burn_in, _usable_cpus())
+
+
+def _simulate_paths(model, noise, x0, n, delta, seeds, burn_in, threads: int) -> list[ObservedPath]:
+    """:func:`simulate_paths` on at most ``threads`` threads.
+
+    The seeds are split into nearly equal contiguous groups, at least one
+    per thread and each at most ``_PASS // threads`` wide, so the groups
+    running at once hold at most ``_PASS`` seeds; on one thread they are
+    passes of at most ``_PASS`` seeds stepped in turn.  Every group runs to
+    its end or its first failure, and the failure reported is the earliest
+    step's, ties going to the lowest position in ``seeds``: the one a
+    single pass over the whole batch would name.
     """
     _check_run(model, noise, x0, n, delta, burn_in)
     seeds = list(seeds)
@@ -202,21 +231,59 @@ def simulate_paths(
         raise ParameterError("seeds must be a nonempty sequence")
     for seed in seeds:
         _check_seed(seed)
+    if not (model.sigma_constant and model.affine_drift is not None):
+        threads = 1
+    threads = min(threads, len(seeds), _PASS)
+    groups = max(threads, math.ceil(len(seeds) / (_PASS // threads)))
+    bounds = [len(seeds) * k // groups for k in range(groups + 1)]
     states = np.empty((len(seeds), n + 1))
-    passes = math.ceil(len(seeds) / _PASS)
-    bounds = [len(seeds) * k // passes for k in range(passes + 1)]
-    for start, stop in zip(bounds, bounds[1:]):
+
+    def run_group(group):
+        start, stop = group
         try:
             _euler(model, noise, x0, n, delta, seeds[start:stop], burn_in, states[start:stop])
         except SimulationError as exc:
-            index = start + exc.path_index
-            error = SimulationError(f"seed {seeds[index]}: {exc}")
-            error.path_index = index
-            raise error from None
+            exc.path_index += start
+            return exc
+        return None
+
+    failures = [exc for exc in _thread_map(run_group, list(zip(bounds, bounds[1:])), threads) if exc is not None]
+    if failures:
+        first = min(failures, key=lambda exc: (exc.step, exc.path_index))
+        error = SimulationError(f"seed {seeds[first.path_index]}: {first}")
+        error.path_index = first.path_index
+        raise error
     return [
         ObservedPath(x=row, delta=delta, n=n, seed=seed, model_name=model.name, noise=noise)
         for row, seed in zip(states, seeds)
     ]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _thread_map(function, items: list, threads: int) -> list:
+    """``[function(item) for item in items]``, with at most ``threads``
+    calls running at once on their own threads.
+
+    Results are read in item order, so the exception raised is that of
+    the first item whose call raised; the calls still running finish and
+    those not yet started are cancelled first.  No thread outlives the
+    call, so a process may fork once it returns.
+    """
+    if threads <= 1 or len(items) <= 1:
+        return [function(item) for item in items]
+    pool = ThreadPoolExecutor(max_workers=min(threads, len(items)))
+    try:
+        futures = [pool.submit(function, item) for item in items]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _check_run(model, noise, x0, n, delta, burn_in) -> None:
@@ -398,6 +465,7 @@ def _check_block(block: np.ndarray, done: int, burn_in: int) -> None:
     where = f"burn-in step {step}" if step < burn_in else f"step {step - burn_in}"
     error = SimulationError(f"state left the stable range at {where}")
     error.path_index = int(column)
+    error.step = step
     raise error
 
 

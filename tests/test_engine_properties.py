@@ -1,18 +1,22 @@
 """Properties of the lockstep Euler engine over random inputs: a batch of
-paths is bit for bit the same paths stepped one at a time, the streamed
-increments are the sampler's stream, the block scan of an affine drift
-follows the step-by-step loop, each model's array branches are its scalar
-branches, each declared stepper is the generic Euler step, and replicate
-seeds never collide."""
+paths is bit for bit the same paths stepped one at a time, on any number of
+threads, the streamed increments are the sampler's stream, the block scan
+of an affine drift follows the step-by-step loop, each model's array
+branches are its scalar branches, each declared stepper is the generic
+Euler step, and replicate seeds never collide."""
 from __future__ import annotations
 
 import dataclasses
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stabledrift import simulate
 from stabledrift import (
     SdeModel,
     SimulationError,
@@ -25,7 +29,7 @@ from stabledrift import (
     simulate_paths,
 )
 from stabledrift.models import _generic_step, euler_step
-from stabledrift.simulate import _CHUNK, _PASS, _stable_blocks
+from stabledrift.simulate import _CHUNK, _PASS, _simulate_paths, _stable_blocks
 
 MODELS = {
     # lam 150 at delta 0.01 makes a = 1 - lam * delta negative in the affine scan
@@ -118,6 +122,87 @@ def test_an_explosion_in_a_later_pass_names_its_seed():
         simulate_paths(model, noise, 0.0, 200, 0.01, batch, burn_in=0)
     assert str(caught.value) == f"seed {bad}: {message}"
     assert caught.value.path_index == 217
+
+
+# the models on the affine scan, whose batches step on threads
+AFFINE = [("ou_linear", {}), ("bounded_nonlinear", {"lam": 0.0, "sigma1": 0.0})]
+
+
+@pytest.mark.parametrize("name, params", AFFINE, ids=[name for name, _ in AFFINE])
+@pytest.mark.parametrize("width", [2, 7, 24, 300])
+def test_threaded_batches_equal_single_paths_bit_for_bit(name, params, width):
+    # 4700 steps straddle a draw block; 300 seeds make groups of 150, 128
+    # and 85 seeds at 1, 2 and 3 threads.  Three threads outnumber the
+    # cores of a small host, and a short switch interval interleaves them
+    # often, so rows written by the wrong group would show.
+    model, noise = builtin_model(name, params), StableParams(1.7, 0.4)
+    assert model.sigma_constant and model.affine_drift is not None
+    batch = [derive_replicate_seed(23, index) for index in range(width)]
+    alone = [simulate_path(model, noise, 0.3, 600, 0.01, seed, burn_in=4100).x.tobytes() for seed in batch]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (1, 2, 3):
+            before = threading.active_count()
+            paths = _simulate_paths(model, noise, 0.3, 600, 0.01, batch, 4100, threads)
+            # no helper thread outlives the call, so a pool may fork after it
+            assert threading.active_count() == before
+            assert [path.seed for path in paths] == batch
+            assert [path.x.tobytes() for path in paths] == alone
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("name, params, threads", [("ou_linear", {}, 3), ("tanh_drift", {}, 1)])
+def test_a_batch_takes_a_thread_per_usable_cpu_on_the_affine_scan_only(monkeypatch, name, params, threads):
+    taken = []
+    original = simulate._thread_map
+
+    def recording(function, items, count):
+        taken.append(count)
+        return original(function, items, count)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(simulate, "_thread_map", recording)
+    simulate_paths(builtin_model(name, params), StableParams(1.5, 0.0), 0.0, 100, 0.01, range(7), burn_in=50)
+    assert taken == [threads]
+
+
+def _affine_explosions():
+    """An ou_linear model whose rare large jumps leave the state bound, 298
+    seeds that stay inside it over 200 steps, and two that leave it, the
+    first returned at a later step than the second."""
+    model, noise = builtin_model("ou_linear", {"sigma": 1e10}), StableParams(1.2, 0.0)
+    steady, failures = [], {}
+    seed = 0
+    while len(steady) < 298 or len(set(failures.values())) < 2:
+        try:
+            simulate_path(model, noise, 0.0, 200, 0.01, seed, burn_in=0)
+            steady.append(seed)
+        except SimulationError as exc:
+            failures[seed] = str(exc)
+        seed += 1
+    late, early = sorted(failures, key=lambda bad: int(failures[bad].split()[-1]), reverse=True)[:2]
+    assert failures[late] != failures[early]
+    return model, noise, steady, late, early, failures[early]
+
+
+@pytest.mark.parametrize("width, late_at, early_at", [(12, 1, 10), (300, 100, 217)])
+def test_the_earliest_failing_step_is_named_whatever_the_layout(width, late_at, early_at):
+    # the later-positioned seed fails first; at 1 thread 300 seeds step as
+    # two passes of 150, and the first pass's failure used to be named
+    model, noise, steady, late, early, message = _affine_explosions()
+    batch = steady[: width - 2]
+    batch.insert(late_at, late)
+    batch.insert(early_at, early)
+    for threads in (1, 2, 3):
+        before = threading.active_count()
+        with pytest.raises(SimulationError) as caught:
+            _simulate_paths(model, noise, 0.0, 200, 0.01, batch, 0, threads)
+        assert threading.active_count() == before
+        assert str(caught.value) == f"seed {early}: {message}"
+        assert caught.value.path_index == early_at
 
 
 def _extended_ou(gamma, lam, delta, scale, noise, x0, n, seed, burn_in):

@@ -8,6 +8,9 @@ import json
 import math
 import os
 import re
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -412,11 +415,69 @@ class TestDefaultWorkers:
         assert "default: one per CPU the process may run on" in " ".join(capsys.readouterr().out.split())
 
 
+class TestThreadedRun:
+    # a serial run steps an affine batch and fits its paths on one thread per
+    # CPU it may run on; the report must be the same bytes at any count
+    def _bias_report(self, ou, monkeypatch, cpus, out_dir):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        stepped, fitted, guarded = set(), set(), []
+
+        def recording(seen, original):
+            def wrapper(*args, **kwargs):
+                seen.add(threading.get_ident())
+                return original(*args, **kwargs)
+            return wrapper
+
+        def catch_warnings(*args, **kwargs):
+            # its filters are process-wide, so it is unsafe off the main thread
+            guarded.append(threading.current_thread() is threading.main_thread())
+            return original_catch(*args, **kwargs)
+
+        original_catch = warnings.catch_warnings
+        monkeypatch.setattr(simulate, "_euler", recording(stepped, simulate._euler))
+        monkeypatch.setattr(experiments, "kernel_sums", recording(fitted, experiments.kernel_sums))
+        monkeypatch.setattr(warnings, "catch_warnings", catch_warnings)
+        sched = Schedule(n=5_000, delta=0.01, h=0.4, alpha=1.8)
+        before = threading.active_count()
+        report = run_bias_comparison(ou, StableParams(1.8, 0.0), builtin_kernel("uniform_right"), sched,
+                                     [-0.5, 0.0, 0.5], replicates=30, master_seed=7, burn_in=1_000, workers=1)
+        assert threading.active_count() == before
+        assert all(guarded)
+        monkeypatch.undo()
+        return write_report(report, out_dir), len(stepped), len(fitted)
+
+    def test_report_bytes_do_not_depend_on_the_thread_count(self, ou, monkeypatch, tmp_path):
+        one, stepped, fitted = self._bias_report(ou, monkeypatch, 1, tmp_path / "one")
+        assert (stepped, fitted) == (1, 1)
+        two, stepped, fitted = self._bias_report(ou, monkeypatch, 2, tmp_path / "two")
+        assert (stepped, fitted) == (2, 2)
+        for key in ("records", "summary", "manifest"):
+            assert one[key].read_bytes() == two[key].read_bytes()
+
+    @pytest.mark.parametrize("workers, threads", [(1, 4), (2, 2), (3, 1)])
+    def test_each_process_takes_its_share_of_the_cpus(self, ou, noise, epan, monkeypatch, workers, threads):
+        jobs = []
+        original = experiments._replicates
+
+        def recording(job):
+            jobs.append(job)
+            return original(job)
+
+        monkeypatch.setattr(experiments, "_replicates", recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        # a thread pool stands in for the process pool, so that the jobs
+        # are recorded in this process
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", ThreadPoolExecutor)
+        _small_run("lln", ou, noise, epan, workers=workers)
+        assert {job[-1] for job in jobs} == {threads}
+
+
 class TestOracleFailure:
     def test_pooled_run_raises_the_oracle_error_and_cancels(self, ou, noise, epan, monkeypatch, tmp_path):
         oracle_log, sim_log = tmp_path / "oracle.log", tmp_path / "simulate.log"
         monkeypatch.setattr(experiments, "stationary_density_oracle", _logging(oracle_log))
-        monkeypatch.setattr(experiments, "simulate_paths", _logging(sim_log, experiments.simulate_paths))
+        monkeypatch.setattr(experiments, "_simulate_paths", _logging(sim_log, experiments._simulate_paths))
         # 40 replicates are 40 one-path batches
         with pytest.raises(NumericError, match="did not converge"):
             _small_run("clt", ou, noise, epan, workers=2, replicates=40)
@@ -447,7 +508,7 @@ class TestFailBeforeExpensiveWork:
                 return original(*args, **kwargs)
             return wrapper
 
-        for module, name in ((experiments, "stationary_density_oracle"), (experiments, "simulate_paths"),
+        for module, name in ((experiments, "stationary_density_oracle"), (experiments, "_simulate_paths"),
                              (simulate, "simulate_path")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         return calls

@@ -1,6 +1,6 @@
 """Traced peak memory of the steps whose working sets are, or were, large:
 the Fourier density oracle, the path CSV writer and reader, and a wide
-lockstep batch.
+lockstep batch, stepped on one thread or on several.
 
 Each bound sits between the peak of the code as it is and that of a version
 that holds its whole working set at once: a 2^18-point inversion grid and
@@ -8,9 +8,11 @@ its spline (40 MiB, against 21 KiB for pointwise evaluation), the whole CSV
 text built before it is written (0.6 MiB against 31 MiB), copies of the
 times and full-length spacing temporaries beside the parsed table (10.9 MiB
 against 6.4 MiB for 2e5 rows), and all 1000 seeds stepped in one pass
-(71 MiB against 215 MiB)."""
+(71 MiB against 215 MiB), or on three threads in three groups of all 1000
+(63 MiB against 150 MiB)."""
 from __future__ import annotations
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -74,6 +76,17 @@ def test_path_csv_reader_keeps_no_full_length_temporaries(tmp_path):
 def test_a_wide_batch_steps_in_bounded_passes():
     # 1000 short paths: 24 MB of recorded states, four passes of 250 seeds
     model = builtin_model("bounded_nonlinear")
+    peak = traced_peak(
+        lambda: simulate_paths(model, StableParams(1.5, 0.0), 0.0, 3000, 0.01, range(1000, 2000), 500)
+    )
+    assert peak < 100 * MIB
+
+
+def test_a_wide_batch_on_threads_steps_at_most_one_pass_of_seeds_at_once(monkeypatch):
+    # ou_linear takes the affine scan, whose groups run on one thread per
+    # usable CPU: twelve groups of about 83 seeds, three at a time
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    model = builtin_model("ou_linear")
     peak = traced_peak(
         lambda: simulate_paths(model, StableParams(1.5, 0.0), 0.0, 3000, 0.01, range(1000, 2000), 500)
     )

@@ -11,7 +11,11 @@ downstream without re-checking.
 The stationary density is exposed through a uniform interface with three
 provenance levels: closed form where one exists, pointwise numeric
 inversion of the known characteristic function for the linear model, and a
-smoothed long-path estimate for everything else.
+smoothed long-path estimate for everything else.  The inversion sums a
+convergent series near the law's centre and an asymptotic one in its
+tails, with numpy and ``math`` alone; scipy is imported only for the
+quadrature of the inversion integrals at the points neither series
+certifies.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, NumericError, ParameterError
 from .stable import StableParams, _tan_half
@@ -44,8 +46,9 @@ _STEP_TERMS = (0.3, -1.7, 0.0, 2.5e-3, -4.0, 1e-9, -0.02, 11.0, -0.6, 5.0, -2e3,
 _STEP_DELTAS = (0.01, 0.37)
 # Seed of the plug-in oracle's path; experiment configs record it.
 _PLUGIN_SEED = 853_090_411
-# Terms of the Fourier route's tail series past which it gives up.
+# Terms of the Fourier route's tail and centre series past which they give up.
 _SERIES_TERMS = 100
+_CENTER_TERMS = 1000
 
 
 @dataclass(frozen=True)
@@ -120,9 +123,11 @@ class StationaryDensity:
     ``provenance`` is one of ``"analytic"``, ``"numeric-oracle"`` (Fourier
     inversion of an exact characteristic function, evaluated at each point
     asked for), or ``"kernel-plug-in"`` (smoothed long-trajectory estimate).
-    ``grid`` is the abscissa grid the plug-in route was built on, outside
-    which its ``f`` vanishes; it is None for the other two routes, whose
-    ``f`` is positive everywhere.
+    ``grid`` is the abscissa grid the plug-in route was built on; it is None
+    for the other two routes, whose ``f`` is positive everywhere.  The
+    plug-in's ``f`` interpolates its smoothed density linearly between the
+    grid points and its ``f_prime`` the central differences of that density
+    likewise; both vanish outside the grid.
     """
 
     f: Callable
@@ -422,10 +427,12 @@ def validate_model(model: SdeModel) -> None:
         On any violated invariant.
     """
     x = _VALIDATION_GRID
-    mu = model.mu(x)
-    mu_p = model.mu_prime(x)
-    mu_pp = model.mu_double_prime(x)
-    sig = model.sigma(x)
+    # an overflow here is reported below as a value that is not finite
+    with np.errstate(all="ignore"):
+        mu = model.mu(x)
+        mu_p = model.mu_prime(x)
+        mu_pp = model.mu_double_prime(x)
+        sig = model.sigma(x)
     for label, values in (("mu", mu), ("mu_prime", mu_p), ("mu_double_prime", mu_pp), ("sigma", sig)):
         if not np.isfinite(values).all():
             raise ParameterError(f"model {model.name}: {label} is not finite on the check grid")
@@ -504,21 +511,13 @@ def builtin_model(name: str, params: dict | None = None) -> SdeModel:
     return model
 
 
-def _masked_spline(spline: CubicSpline, lo: float, hi: float, clip_nonneg: bool) -> Callable:
+def _interpolant(grid: np.ndarray, values: np.ndarray) -> Callable:
+    """The piecewise linear interpolant of ``values`` on ``grid``, zero
+    outside it, under the calling convention of ``SdeModel.mu``."""
+
     def evaluate(x):
-        x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        x_arr = np.atleast_1d(x_arr)
-        inside = (x_arr >= lo) & (x_arr <= hi)
-        out = np.zeros_like(x_arr)
-        if inside.any():
-            vals = spline(x_arr[inside])
-            if clip_nonneg:
-                vals = np.maximum(vals, 0.0)
-            out[inside] = vals
-        if scalar:
-            return float(out[0])
-        return out
+        out = np.interp(x, grid, values, left=0.0, right=0.0)
+        return float(out) if np.ndim(out) == 0 else out
 
     return evaluate
 
@@ -584,11 +583,62 @@ def _tail_series(y: float, alpha: float, skew: float) -> tuple[float, float, flo
     return None
 
 
+def _center_series(y: float, alpha: float, skew: float) -> tuple[float, float, float] | None:
+    """``g(y)``, ``g'(y)`` and an error bound of both from the convergent
+    expansion of the standardized stable density about its centre
+    (Zolotarev, 1986, section 2.4),
+    ``g(y) = (1/(pi alpha)) sum_k Re[(-i y)^k A^(-(k+1)/alpha)] Gamma((k+1)/alpha)/k!``
+    with ``A = 1 - i skew`` for ``y >= 0``, ``g'`` termwise, and by
+    reflection, ``g(y; skew) = g(-y; -skew)``, for ``y < 0``.  It is used
+    for ``|y| < 1`` only.  By Wendel's inequality the ratio of term ``k + 1``
+    to term ``k`` is at most ``y (alpha |A|)^(-1/alpha) (k+1)^(1/alpha-1)``,
+    which falls with ``k``, so the terms past ``k`` sum to at most a
+    geometric series; the sum stops once that bound falls below ``1e-16``
+    of it, and the bound, with the rounding of the terms summed, is the
+    error bound returned.  None is returned where that takes more than
+    ``_CENTER_TERMS`` terms, as next to ``alpha = 1`` without skew."""
+    if not abs(y) < 1.0:
+        return None
+    side = math.copysign(1.0, y)
+    y, skew = abs(y), side * skew
+    log_modulus = 0.5 * math.log1p(skew * skew)
+    angle = math.atan(skew)
+    ratio_bound = y * math.exp(-(math.log(alpha) + log_modulus) / alpha)
+    g = g_prime = rounding = 0.0
+    below, y_power = 0.0, 1.0  # y^(k-1) and y^k
+    for k in range(_CENTER_TERMS):
+        power = (k + 1.0) / alpha
+        log_coefficient = math.lgamma(power) - math.lgamma(k + 1.0) - power * log_modulus
+        coefficient = math.exp(log_coefficient)
+        # cos(phase - k pi/2) by the quarter turns, exact where skew = 0
+        phase = power * angle
+        cosine = (math.cos(phase), math.sin(phase), -math.cos(phase), -math.sin(phase))[k % 4]
+        # the moduli of the terms of g and g'
+        value, slope = coefficient * y_power, k * coefficient * below
+        size = value + slope
+        g += value * cosine
+        g_prime += slope * cosine
+        # the exponent, the cosine's argument and y^k are rounded
+        rounding += 1e-15 * (abs(log_coefficient) + abs(phase) + k + 1.0) * size
+        below, y_power = y_power, y_power * y
+        if k >= 1:
+            # the later terms of g and g' shrink at least by this factor each
+            shrink = (k + 1.0) / k * ratio_bound * (k + 1.0) ** (1.0 / alpha - 1.0)
+            rest = size * shrink / (1.0 - shrink) if shrink < 1.0 else math.inf
+            if rest <= 1e-16 * abs(g):
+                scale = 1.0 / (math.pi * alpha)
+                return g * scale, side * g_prime * scale, (rest + rounding) * scale
+    return None
+
+
 def _inversion_integrals(y: float, alpha: float, skew: float) -> tuple[float, float, float] | None:
     """``g(y)``, ``g'(y)`` and an error bound of both from the inversion
     integrals ``g(y) = (1/pi) int_0^inf exp(-s^alpha) cos(skew s^alpha - s y) ds``
     and ``g'(y) = (1/pi) int_0^inf s exp(-s^alpha) sin(skew s^alpha - s y) ds``,
-    by QUADPACK's adaptive rule on ``[0, inf)``; None where it warns."""
+    by QUADPACK's adaptive rule on ``[0, inf)``; None where it warns.  It
+    serves the points neither series certifies, so scipy is imported the
+    first time one is met."""
+    from scipy.integrate import IntegrationWarning, quad
 
     def integrand(s, derivative):
         decay = math.exp(-s ** alpha)
@@ -613,9 +663,10 @@ def _fourier_density(model: SdeModel, noise: StableParams) -> StationaryDensity:
     ``f(x) = g(y) / c`` and ``f'(x) = g'(y) / c^2`` at ``y = (x - m) / c``,
     where ``g`` is the standardized density of characteristic function
     ``exp(-|u|^alpha (1 - i beta sgn(u) tan(pi alpha / 2)))``.  Each point
-    takes the tail series where it converges, else the inversion integrals,
-    and a value whose error bound exceeds ``1e-9 g(y)``, for ``f`` and
-    ``f'`` alike, raises :class:`NumericError`."""
+    takes the first of the centre series (``|y| < 1``), the tail series
+    (``|y| >= 1``) and the inversion integrals whose error bound is within
+    ``1e-9 g(y)``, for ``f`` and ``f'`` alike; a point where none is raises
+    :class:`NumericError`."""
     mean, scale = _ou_margin(model, noise)
     alpha = noise.alpha
     skew = noise.beta * _tan_half(alpha)
@@ -625,7 +676,7 @@ def _fourier_density(model: SdeModel, noise: StableParams) -> StationaryDensity:
         if not math.isfinite(x):
             raise ParameterError(f"density query point must be finite, got {x}")
         y = (x - mean) / scale
-        for rule in (_tail_series, _inversion_integrals):
+        for rule in (_center_series, _tail_series, _inversion_integrals):
             value = rule(y, alpha, skew)
             if value is not None:
                 g, g_prime, error = value
@@ -675,10 +726,10 @@ def _plugin_density(model: SdeModel, noise: StableParams, seed: int) -> Stationa
         raise NumericError(
             f"plug-in density mass {total} is too far from 1; trajectory may not be stationary"
         )
-    spline = CubicSpline(centers, raw / total)
+    density = raw / total
     return StationaryDensity(
-        f=_masked_spline(spline, float(centers[0]), float(centers[-1]), clip_nonneg=True),
-        f_prime=_masked_spline(spline.derivative(), float(centers[0]), float(centers[-1]), clip_nonneg=False),
+        f=_interpolant(centers, density),
+        f_prime=_interpolant(centers, np.gradient(density, centers)),
         provenance="kernel-plug-in",
         grid=centers,
     )
@@ -707,8 +758,11 @@ def stationary_density_oracle(
         and ``"simulation"`` force a route; ``"analytic"`` forces the
         Gaussian closed form.  The Fourier route builds nothing up front:
         its ``f`` and ``f_prime`` evaluate the density at each point they
-        are called with, and raise :class:`NumericError` naming a point
-        where no rule reaches its accuracy target.
+        are called with, by series in numpy and ``math`` alone wherever
+        they converge (and by scipy's quadrature elsewhere), and raise
+        :class:`NumericError` naming a point where no rule reaches its
+        accuracy target.  The simulation route is piecewise linear between
+        the points of its ``grid`` and zero outside it.
     seed : int
         Seeds the simulation route only, a fixed design of 4e5 steps of
         0.01 after a 1e5-step burn-in.  The default is a fixed constant so

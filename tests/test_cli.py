@@ -4,7 +4,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,12 @@ def write_config(tmp_path, payload, name="config.json"):
     target = tmp_path / name
     target.write_text(json.dumps(payload))
     return str(target)
+
+
+def package_env():
+    """The environment of a subprocess that imports this package's source."""
+    source = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
 
 
 BASE = {
@@ -403,3 +413,71 @@ def test_bad_subcommand_exits_two(capsys):
         main(["transmogrify"])
     capsys.readouterr()
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("model, param, label", [
+    ("ou_linear", "lam=1e308", "mu"),
+    ("bounded_nonlinear", "c=1e308", "mu"),
+    ("tanh_drift", "a=1e308", "mu_double_prime"),
+])
+def test_a_model_that_overflows_on_the_check_grid_exits_two_with_one_error_line(model, param, label, tmp_path):
+    # numpy's overflow warning, and the source line under it, once came
+    # before the error that names the fault
+    result = subprocess.run(
+        [sys.executable, "-m", "stabledrift", "estimate", "--model", model, "--param", param,
+         "--alpha", "1.5", "--x", "0"],
+        cwd=tmp_path, env=package_env(), capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [f"error: model {model}: {label} is not finite on the check grid"]
+
+
+SCIPY_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+import stabledrift
+import stabledrift.cli
+
+out = sys.argv[1]
+loaded = {"import": scipy_modules()}
+shapes = {
+    "serial ou_linear bias, Fourier oracle": [[
+        "experiment", "--kind", "bias", "--model", "ou_linear", "--alpha", "1.8", "--kernel", "uniform_right",
+        "--n", "4000", "--delta", "0.01", "--h", "0.4", "--x", "-0.5", "--x", "0", "--x", "0.5",
+        "--replicates", "4", "--burn-in", "500", "--seed", "19", "--workers", "1", "--out-dir", out + "/bias",
+    ]],
+    "tanh_drift estimate from a path CSV": [
+        ["simulate", "--model", "tanh_drift", "--alpha", "1.7", "--n", "20000", "--delta", "0.01",
+         "--burn-in", "2000", "--seed", "5", "--out-dir", out + "/path"],
+    ] + [
+        ["estimate", "--path-csv", out + "/path/path.csv", "--model", "tanh_drift", "--alpha", "1.7",
+         "--h", "0.3", "--x", "-1", "--x", "0", "--x", "1", "--method", "both", "--kernel", kernel,
+         "--out-dir", out + "/" + kernel]
+        for kernel in ("epanechnikov", "uniform_right")
+    ],
+    "pooled bounded_nonlinear clt, plug-in oracle": [[
+        "experiment", "--kind", "clt", "--model", "bounded_nonlinear", "--alpha", "1.5", "--n", "3000",
+        "--delta", "0.01", "--h", "0.3", "--replicates", "40", "--burn-in", "500", "--seed", "17",
+        "--reference-size", "2000", "--workers", "2", "--out-dir", out + "/clt",
+    ]],
+}
+for shape, calls in shapes.items():
+    for argv in calls:
+        assert stabledrift.cli.main(argv) in (0, 1), argv
+    loaded[shape] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_the_package_and_the_benchmark_shapes_leave_scipy_unimported(tmp_path):
+    # importing scipy.integrate and scipy.interpolate took 0.70-0.81 s and
+    # lifted RSS from 27 to 85 MiB on a 2-vCPU x86-64 host; scipy is left
+    # to the inversion integrals at points that neither series certifies
+    result = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)], env=package_env(),
+                            capture_output=True, text=True, check=True)
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert loaded == dict.fromkeys(loaded, [])
+    assert len(loaded) == 4

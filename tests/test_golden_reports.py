@@ -10,8 +10,8 @@ checked at one, two and three workers.  The ``estimates.csv`` of the
 with one point far outside the path's range, where every fit is degenerate;
 so is the ``path.csv`` that ``simulate`` writes for the same configuration,
 and ``estimate --path-csv`` on that file must write the same estimates.
-The digests were produced with numpy 2.4 and scipy 1.17 on
-CPython 3.11 (x86-64); other numeric library versions may round differently.
+The digests were produced with numpy 2.4 on CPython 3.11 (x86-64), and no
+scipy routine feeds them; other numpy versions may round differently.
 """
 from __future__ import annotations
 
@@ -108,13 +108,13 @@ WIDE_RUNS = {"bias_wide": _bias_wide, "clt_wide": _clt_wide, "lln_wide": _lln_wi
 GOLDEN = {
     "bias": {
         "records": "09da3a7857de9ff25d0b25c12fbd7c7206cb0e57e66b5b3e6d514eef9b7374c3",
-        "summary": "bdd134bc007a53929ae5123e1808317cee536796542d39bd3404972a0bf36ae6",
+        "summary": "33e818e967e398626dc367c4981549210d1140ef3a7de7b99179081ac6df0ad1",
         "manifest": "795d9e7c6dd1ee1f6ca8f44e2d867607315edacff80c39a22bb07b68987119d8",
     },
     "clt": {
-        "records": "f12164860a0fc81d050e9eee5afc459b56451fab95c7603b32f1e806a3418403",
-        "summary": "0f1908ffb7c26c5fbb21ad6d1cb606eb3d0fd8f9b19308416acd83b2f589ac9c",
-        "manifest": "6d1957c6502783329027d6d5f25914e994b9eaa8c0f1aeafee1276330a439bad",
+        "records": "d195d627e3655ee9d7bd834b3cc07e57f67d5a1cecff970a53000365119ce876",
+        "summary": "fe95b00ebf9d3a06c3d25235e9e5a3f450cefdfda6f2feb345ac758ec3ea75af",
+        "manifest": "8e9e8bba730cfe81ed519ba2cc8e883030e65387801c761fe803d696323e2acd",
     },
     "consistency": {
         "records": "653a7fda9b2fbe9e30fad984bd6abfb75daffac0180285df6d2a028d8b4bd7a7",
@@ -123,26 +123,26 @@ GOLDEN = {
     },
     "bias_wide": {
         "records": "2d44f599cccfceaebc10454782d8c76280a476d9ca6062d509237c84d71ce036",
-        "summary": "b1aae6ff9dc1f7c429efe1fe8e1f53cdb30577d6bcd93384567f320501b6d90f",
+        "summary": "a828b9be93ebe4ca902a25c51d4d17e3c57c6495ab9082f8e111f34d6ba2d6d2",
         "manifest": "0bcace3b85c40d5421f407b3bb0fbf0ab6bb093bc97a2d08e039475dab1d550f",
     },
     "clt_wide": {
-        "records": "c79377da5cbfecd64a6a7e1165f9fff1923bfd057a05c76a85df3b6b72a79863",
-        "summary": "3df7b93a25d3d12f90d751c2f594b05f3207074a9b43abc9060cb5b50b80af9a",
-        "manifest": "44f90442be2d2973521ca5095495fe40baad9c65e19660eda68338a617d5dc66",
+        "records": "b0ce9d594595c3a18401d8d9dc462f34113a81635fe39b441a756d4491a9c078",
+        "summary": "dfe0200cfdd9a7fca604f571cc556ad03f2b35c5014acb2e545a26af0edd2309",
+        "manifest": "dc430e5575ec20be149416f7b09c557487aec327f5a1a3470cc95bcc1e177ccb",
     },
     "lln_wide": {
         "records": "8dcd3cd1f87587778b57fd0e8f4f96250534853f20125bb9788ce0d1719944d9",
-        "summary": "db53e144d069eb090c2787a4c6a7bbb6f9aa6e1f5f21bb0046325882f3929868",
-        "manifest": "fa2a956ff37b847463125475f7da1e9bbd653178970abe6796b1a4de367f4e60",
+        "summary": "aa364aa3335cadb864feeb0ede45c8502e4b8c09b84aacb885d67148b49f2696",
+        "manifest": "d18647613b8a46e59ecf68048c0db24d40c093b2d89cdcf7f664bc24bc2704c0",
     },
     "estimate_epanechnikov": "49ea05510a0a2bd288af3fbcb600386f1a7f20ae07f9897bc2e90ca7a733824a",
     "estimate_uniform_right": "26df22539c632e95dfb0bedbfe044f3a5612e35a15c718be9b38b1dbd02a6c7e",
     "simulate_path_csv": "0c351a517b9a441d236505d2bb81966236d63ba858aaca8125f49bafd785fe4d",
     "lln": {
         "records": "50d3d56a28d3b963cbb888e91fc381f18db4bb85e8ee182f0cb044ea1c15adaa",
-        "summary": "38ffebad103a3119bfd3216389ea54274242824767d27ddb05aee372d660c7c9",
-        "manifest": "02c4ec714949da868141051b96cf83f0e08fd1da58e351ec097818802ef6a7b0",
+        "summary": "7906f97d28e47bf8d2341212374e781a167dca7b6987e5d0b718c41692810f80",
+        "manifest": "c7f1c669e861b533ffcf1b4efd8ebcb6b909cc631471afab0b75fe8fbe380cfc",
     },
 }
 

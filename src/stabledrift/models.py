@@ -406,6 +406,14 @@ def _check_stepper(model: SdeModel) -> None:
                 )
 
 
+def _require_finite_check(model: SdeModel, label: str, deviation, tolerance) -> None:
+    # a nan or infinite tolerance fails no comparison, so it would pass the model
+    if not (np.isfinite(deviation).all() and np.isfinite(tolerance).all()):
+        raise ParameterError(
+            f"model {model.name}: the finite-difference check of {label} is not finite on the check grid"
+        )
+
+
 def validate_model(model: SdeModel) -> None:
     """Check a model's declared structure on a dense grid.
 
@@ -420,6 +428,7 @@ def validate_model(model: SdeModel) -> None:
     over the grid, floored at 1, since a pointwise relative comparison is
     meaningless at zeros of the derivative; the second-derivative check
     also allows, pointwise, the rounding error of its second difference.
+    A check whose deviation or tolerance overflows fails.
 
     Raises
     ------
@@ -460,22 +469,27 @@ def validate_model(model: SdeModel) -> None:
             )
     if model.stepper is not None:
         _check_stepper(model)
-    step1 = 1e-5 * np.maximum(1.0, np.abs(x))
-    fd1 = (model.mu(x + step1) - model.mu(x - step1)) / (2.0 * step1)
-    tol1 = 1e-6 * max(1.0, float(np.abs(mu_p).max()))
-    err1 = float(np.abs(fd1 - mu_p).max())
+    # an overflow here is reported below as a check that is not finite
+    with np.errstate(all="ignore"):
+        step1 = 1e-5 * np.maximum(1.0, np.abs(x))
+        fd1 = (model.mu(x + step1) - model.mu(x - step1)) / (2.0 * step1)
+        tol1 = 1e-6 * max(1.0, float(np.abs(mu_p).max()))
+        dev1 = np.abs(fd1 - mu_p)
+        step2 = 6e-4 * np.maximum(1.0, np.abs(x))
+        fd2 = (model.mu(x + step2) - 2.0 * mu + model.mu(x - step2)) / (step2 * step2)
+        # rounding of x +- step2 (times |mu'| <= L) and of the three drift values,
+        # amplified by 1 / step2^2: for a steep drift it exceeds 1e-6 near |x| = 1
+        rounding = 4.0 * np.finfo(float).eps * (np.abs(mu) + model.lipschitz_mu * (np.abs(x) + step2))
+        tol2 = 1e-6 * max(1.0, float(np.abs(mu_pp).max())) + rounding / (step2 * step2)
+        dev2 = np.abs(fd2 - mu_pp)
+    _require_finite_check(model, "mu_prime", dev1, tol1)
+    err1 = float(dev1.max())
     if err1 > tol1:
         raise ParameterError(
             f"model {model.name}: mu_prime disagrees with finite differences "
             f"(max abs deviation {err1}, tolerance {tol1})"
         )
-    step2 = 6e-4 * np.maximum(1.0, np.abs(x))
-    fd2 = (model.mu(x + step2) - 2.0 * mu + model.mu(x - step2)) / (step2 * step2)
-    # rounding of x +- step2 (times |mu'| <= L) and of the three drift values,
-    # amplified by 1 / step2^2: for a steep drift it exceeds 1e-6 near |x| = 1
-    rounding = 4.0 * np.finfo(float).eps * (np.abs(mu) + model.lipschitz_mu * (np.abs(x) + step2))
-    tol2 = 1e-6 * max(1.0, float(np.abs(mu_pp).max())) + rounding / (step2 * step2)
-    dev2 = np.abs(fd2 - mu_pp)
+    _require_finite_check(model, "mu_double_prime", dev2, tol2)
     worst = int(np.argmax(dev2 - tol2))
     if dev2[worst] > tol2[worst]:
         raise ParameterError(
@@ -748,9 +762,8 @@ def stationary_density_oracle(
     ----------
     model : SdeModel
     noise : StableParams
-        Must have ``alpha > 1``; heavier tails have no stationary mean
-        structure for the linear model's Fourier route and are outside the
-        estimation range anyway.
+        Its type guarantees ``alpha > 1``, which the linear model's Fourier
+        route needs for a stationary mean structure.
     method : str
         ``"auto"`` picks the best available route: closed-form Gaussian for
         the linear model at ``alpha == 2``, Fourier inversion for the linear
@@ -770,10 +783,6 @@ def stationary_density_oracle(
     """
     if not isinstance(noise, StableParams):
         raise ParameterError("noise must be a StableParams instance")
-    if noise.alpha <= 1.0:
-        raise ConfigurationError(
-            f"stationary density oracle requires alpha > 1, got {noise.alpha}"
-        )
     linear = model.name == "ou_linear" and model.sigma_constant
     if method == "auto":
         if linear and noise.alpha == 2.0:

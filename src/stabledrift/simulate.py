@@ -143,8 +143,8 @@ def simulate_path(
     ----------
     model : SdeModel
     noise : StableParams
-        Requires ``1 < alpha <= 2``; below that the drift has no stationary
-        mean structure to estimate.
+        Its type guarantees ``1 < alpha <= 2``, the range where the drift
+        has a stationary mean structure to estimate.
     x0 : float
         Starting state for the burn-in segment.
     n : int
@@ -291,8 +291,6 @@ def _check_run(model, noise, x0, n, delta, burn_in) -> None:
         raise ParameterError("model must be an SdeModel")
     if not isinstance(noise, StableParams):
         raise ParameterError("noise must be a StableParams instance")
-    if not (1.0 < noise.alpha <= 2.0):
-        raise ParameterError(f"simulation requires 1 < alpha <= 2, got {noise.alpha}")
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
     if not isinstance(burn_in, int) or burn_in < 0:

@@ -5,19 +5,16 @@ standard variate ``Z`` with stability index ``alpha`` and skewness ``beta`` as
 
     E exp(i u Z) = exp(-|u|^alpha * (1 - i beta sgn(u) tan(pi alpha / 2)))
 
-for ``alpha != 1``, and with the logarithmic correction
-
-    E exp(i u Z) = exp(-|u| * (1 + i beta (2/pi) sgn(u) log|u|))
-
-at ``alpha == 1``.  Under this convention ``alpha == 2`` is Gaussian with
-variance 2 (the skewness term vanishes identically), and the scale parameter
-of a sum of independent terms combines additively in its alpha-th power.
+over the one stability domain ``1 < alpha <= 2`` that ``StableParams``
+admits, the range where the drift estimator concentrates.  Under this
+convention ``alpha == 2`` is Gaussian with variance 2 (the skewness term
+vanishes identically), and the scale parameter of a sum of independent terms
+combines additively in its alpha-th power.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +39,9 @@ class StableParams:
     Parameters
     ----------
     alpha : float
-        Stability index in ``(0, 2]``.  Values at or below 1 are accepted by
-        the sampler but are outside the range supported by the drift
-        estimation routines, which need finite first moments.
+        Stability index in ``(1, 2]``, the range where the drift estimator
+        concentrates; the functions that take a ``StableParams`` rely on
+        this and do not check the range again.
     beta : float
         Skewness in ``[-1, 1]``.  Ignored in effect when ``alpha == 2``.
     """
@@ -53,8 +50,8 @@ class StableParams:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 2.0) or not math.isfinite(self.alpha):
-            raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
+        if not (1.0 < self.alpha <= 2.0):
+            raise ParameterError(f"alpha must lie in (1, 2], got {self.alpha}")
         if not (-1.0 <= self.beta <= 1.0):
             raise ParameterError(f"beta must lie in [-1, 1], got {self.beta}")
 
@@ -82,21 +79,6 @@ def _cms_transform(
     draws into blocks maps to the same values."""
     alpha = params.alpha
     beta = params.beta
-    if alpha == 1.0:
-        # (shifted * tan(v) - beta * log(half_pi * w * cos(v) / shifted)) / half_pi
-        half_pi = math.pi / 2.0
-        shifted = np.multiply(beta, v, out=scratch)
-        shifted += half_pi
-        w *= half_pi
-        w *= np.cos(v, out=out)
-        w /= shifted
-        np.log(w, out=w)
-        w *= beta
-        np.tan(v, out=v)
-        v *= shifted
-        np.subtract(v, w, out=out)
-        out /= half_pi
-        return out
     t = _tan_half(alpha)
     b0 = math.atan(beta * t) / alpha
     s = (1.0 + beta * beta * t * t) ** (1.0 / (2.0 * alpha))
@@ -127,7 +109,8 @@ def sample_standard_stable(
     Parameters
     ----------
     params : StableParams
-        Index and skewness of the target law.
+        Index and skewness of the target law; its type guarantees
+        ``1 < alpha <= 2``, the one domain the transform covers.
     rng : numpy.random.Generator
         Source of randomness; two draws per variate are consumed
         (one uniform angle, one unit exponential).
@@ -146,13 +129,6 @@ def sample_standard_stable(
         raise ParameterError("rng must be a numpy.random.Generator")
     v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
     w = rng.standard_exponential(size)
-    if params.alpha == 1.0:
-        warnings.warn(
-            "alpha = 1 uses the logarithmic scale convention and is outside "
-            "the range where drift estimation concentrates",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     v = np.asarray(v, dtype=float)
     x = _cms_transform(params, v, np.asarray(w, dtype=float), np.empty_like(v), np.empty_like(v))
     if size is None:
@@ -172,12 +148,8 @@ def theoretical_char_fn(params: StableParams, u):
     scalar = u_arr.ndim == 0
     u_arr = np.atleast_1d(u_arr)
     au = np.abs(u_arr)
-    if params.alpha == 1.0:
-        log_term = np.where(au > 0.0, np.log(au, where=au > 0.0, out=np.zeros_like(au)), 0.0)
-        psi = -au * (1.0 + 1j * params.beta * (2.0 / math.pi) * np.sign(u_arr) * log_term)
-    else:
-        t = _tan_half(params.alpha)
-        psi = -(au ** params.alpha) * (1.0 - 1j * params.beta * np.sign(u_arr) * t)
+    t = _tan_half(params.alpha)
+    psi = -(au ** params.alpha) * (1.0 - 1j * params.beta * np.sign(u_arr) * t)
     out = np.exp(psi)
     if scalar:
         return complex(out[0])

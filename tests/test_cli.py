@@ -419,6 +419,10 @@ def test_bad_subcommand_exits_two(capsys):
     ("ou_linear", "lam=1e308", "mu"),
     ("bounded_nonlinear", "c=1e308", "mu"),
     ("tanh_drift", "a=1e308", "mu_double_prime"),
+    # finite on the grid, but the finite differences overflow: numpy warned
+    # and then a tolerance that is not finite let the model through
+    ("ou_linear", "lam=3e306", "the finite-difference check of mu_double_prime"),
+    ("tanh_drift", "a=1e307", "the finite-difference check of mu_double_prime"),
 ])
 def test_a_model_that_overflows_on_the_check_grid_exits_two_with_one_error_line(model, param, label, tmp_path):
     # numpy's overflow warning, and the source line under it, once came
@@ -430,6 +434,19 @@ def test_a_model_that_overflows_on_the_check_grid_exits_two_with_one_error_line(
     )
     assert result.returncode == 2
     assert result.stderr.splitlines() == [f"error: model {model}: {label} is not finite on the check grid"]
+
+
+@pytest.mark.parametrize("alpha", ["1", "0.5"])
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["estimate", "--x", "0"], ["experiment", "--kind", "bias"], ["experiment", "--kind", "schedule"],
+])
+def test_an_alpha_outside_the_stability_domain_exits_two_with_one_error_line(command, alpha, tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "stabledrift", *command, "--model", "ou_linear", "--alpha", alpha],
+        cwd=tmp_path, env=package_env(), capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [f"error: alpha must lie in (1, 2], got {float(alpha)}"]
 
 
 SCIPY_PROBE = """

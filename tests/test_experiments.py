@@ -103,11 +103,6 @@ class TestSchedule:
         assert any("nDh" in note or "n*delta*h" in note or "small" in note.lower()
                    for note in small.notes)
 
-    def test_unit_alpha_note(self):
-        diag = validate_schedule(Schedule(n=1000, delta=0.01, h=0.3, alpha=1.0, kappa=2.0))
-        assert diag.rate == 1.0
-        assert any("alpha" in note.lower() for note in diag.notes)
-
 
 class TestLlnReport:
     def test_structure(self, lln_report):

@@ -409,7 +409,7 @@ class TestStationaryDensity:
 
     def test_route_validation(self):
         ou = builtin_model("ou_linear")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ParameterError):
             stationary_density_oracle(ou, StableParams(1.0, 0.0))
         with pytest.raises(ConfigurationError):
             stationary_density_oracle(ou, StableParams(1.5, 0.0), method="analytic")

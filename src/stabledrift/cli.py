@@ -70,7 +70,6 @@ class RunConfig:
     schedules: list | None = None
     k_values: list = field(default_factory=lambda: [0, 1, 2])
     reference_size: int = 100_000
-    density_method: str = "auto"
     tail_fraction: float = 0.1
     out_dir: str = "runs"
 
@@ -315,23 +314,21 @@ def cmd_experiment(config: RunConfig, workers: int | None = None) -> int:
     elif config.kind == "bias":
         report = run_bias_comparison(
             model, noise, kernel, _only(config, "schedule", schedules), config.x_points,
-            config.replicates, config.seed, x0=config.x0, burn_in=config.burn_in,
-            workers=workers, density_method=config.density_method,
+            config.replicates, config.seed, x0=config.x0, burn_in=config.burn_in, workers=workers,
         )
     elif config.kind == "clt":
         report = run_clt(
             model, noise, kernel, _only(config, "schedule", schedules),
             _only(config, "query point", config.x_points),
             config.replicates, config.seed, x0=config.x0, burn_in=config.burn_in,
-            workers=workers, reference_size=config.reference_size,
-            density_method=config.density_method, tail_fraction=config.tail_fraction,
+            workers=workers, reference_size=config.reference_size, tail_fraction=config.tail_fraction,
         )
     elif config.kind == "lln":
         report = run_lln_check(
             model, noise, kernel, _only(config, "schedule", schedules),
             _only(config, "query point", config.x_points),
             config.k_values, config.replicates, config.seed, x0=config.x0,
-            burn_in=config.burn_in, workers=workers, density_method=config.density_method,
+            burn_in=config.burn_in, workers=workers,
         )
     else:
         raise ConfigurationError(
@@ -387,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--schedule", action="append", metavar="N,DELTA,H[,KAPPA]", help="schedule entry, repeatable")
     p_exp.add_argument("--k", action="append", type=int, help="moment order for lln, repeatable")
     p_exp.add_argument("--reference-size", dest="reference_size", type=int, help="stable reference sample size for clt")
-    p_exp.add_argument("--density-method", dest="density_method", help="stationary density route: auto, analytic, fourier, simulation")
     p_exp.add_argument("--tail-fraction", dest="tail_fraction", type=float, help="tail fraction for the Hill diagnostic")
     p_exp.add_argument(
         "--workers",

@@ -82,6 +82,9 @@ _MAX_DEGENERATE_FRACTION = 0.01
 _MIN_BATCH_WIDTH = 24
 # Recorded states of one batch: 2**22 doubles, 32 MiB.
 _MAX_BATCH_STATES = 2 ** 22
+# The density route of the bias, clt and lln kinds, as their configs record
+# it: the one route valid for the model and alpha, and the plug-in's seed.
+_DENSITY = {"method": "auto", "seed": _PLUGIN_SEED}
 
 
 @dataclass(frozen=True)
@@ -588,7 +591,6 @@ def run_bias_comparison(
     x0: float = 0.0,
     burn_in: int = 100_000,
     workers: int | None = None,
-    density_method: str = "auto",
 ) -> ExperimentReport:
     """Empirical bias of both estimators at fixed schedule, with the
     second-order theory values they should track.
@@ -596,11 +598,14 @@ def run_bias_comparison(
     For each query point the summary carries, per method, the mean and
     median error with a Monte Carlo standard error, the second-order bias
     ``h^2 * Gamma``, and the first-order term ``h * K_1 * mu'(x)`` (zero for
-    the local linear estimator and for symmetric kernels).
+    the local linear estimator and for symmetric kernels).  The theory
+    values read the stationary density of :func:`stationary_density_oracle`
+    on its ``"auto"`` route, the one route valid for the model and
+    ``alpha``.
     """
     config = _config(
         "bias", model, noise, kernel, [schedule], x_points, replicates, master_seed, x0, burn_in, workers,
-        density={"method": density_method, "seed": _PLUGIN_SEED},
+        density=dict(_DENSITY),
     )
 
     def describe(density):
@@ -672,7 +677,6 @@ def run_clt(
     burn_in: int = 100_000,
     workers: int | None = None,
     reference_size: int = 100_000,
-    density_method: str = "auto",
     tail_fraction: float = 0.1,
 ) -> ExperimentReport:
     """Standardized local linear errors against direct stable draws.
@@ -681,12 +685,13 @@ def run_clt(
     error: ``method = "local_linear"`` standardizes with the oracle
     stationary density at ``x``; ``method = "local_linear_fhat"`` replaces
     it with the replicate's own kernel density estimate, which is what a
-    practitioner without the oracle would do.  The workers return only the
-    estimate, the error and the kernel density estimate of each replicate;
-    the parent builds the oracle and the limit constants while they
-    simulate, and standardizes the errors once their batches are back.  The
-    reference sample of standard stable draws uses the derived seed index
-    ``replicates``, the first one past the replicate block.
+    practitioner without the oracle would do; the oracle is
+    :func:`stationary_density_oracle` on its ``"auto"`` route.  The workers
+    return only the estimate, the error and the kernel density estimate of
+    each replicate; the parent builds the oracle and the limit constants
+    while they simulate, and standardizes the errors once their batches are
+    back.  The reference sample of standard stable draws uses the derived
+    seed index ``replicates``, the first one past the replicate block.
 
     Checks: symmetry of the standardized errors, closeness to the stable
     reference (both KS at the 1 percent level; the reference comparison is
@@ -697,7 +702,7 @@ def run_clt(
     """
     config = _config(
         "clt", model, noise, kernel, [schedule], [float(x)], replicates, master_seed, x0, burn_in, workers,
-        density={"method": density_method, "seed": _PLUGIN_SEED},
+        density=dict(_DENSITY),
     )
     if reference_size < 100:
         raise ParameterError(f"reference_size must be at least 100, got {reference_size}")
@@ -847,17 +852,17 @@ def run_lln_check(
     x0: float = 0.0,
     burn_in: int = 100_000,
     workers: int | None = None,
-    density_method: str = "auto",
 ) -> ExperimentReport:
     """Kernel moment sums ``s_nk / (n h^k)`` against ``f(x) * K_k``.
 
     Zero targets (odd moments of a symmetric kernel) are checked in
     absolute terms at 0.02; everything else relatively at 5 percent, with
-    the median over replicates as the tested statistic.
+    the median over replicates as the tested statistic.  ``f`` is
+    :func:`stationary_density_oracle` on its ``"auto"`` route.
     """
     config = _config(
         "lln", model, noise, kernel, [schedule], [float(x)], replicates, master_seed, x0, burn_in, workers,
-        density={"method": density_method, "seed": _PLUGIN_SEED},
+        density=dict(_DENSITY),
     )
     k_list = sorted(set(int(k) for k in k_values))
     if not k_list or any(k not in (0, 1, 2, 3) for k in k_list):

@@ -45,13 +45,10 @@ class Kernel:
     support : tuple of float
         Closed interval outside which the kernel vanishes.
     k1, k2, k3 : float
-        First three raw moments ``int u^k K(u) du``.
-    l2 : float
-        Squared-kernel integral ``int K(u)^2 du``.
+        First three raw moments ``int u^k K(u) du``.  A symmetric kernel has
+        ``k1 == k3 == 0``.
     peak : float
         Maximum kernel value, used for degeneracy thresholds.
-    symmetric : bool
-        True when ``K(-u) = K(u)``, which forces the odd moments to zero.
     """
 
     name: str
@@ -60,9 +57,7 @@ class Kernel:
     k1: float
     k2: float
     k3: float
-    l2: float
     peak: float
-    symmetric: bool
 
 
 def _epanechnikov(u: np.ndarray) -> np.ndarray:
@@ -93,9 +88,7 @@ _BUILTINS: dict[str, Kernel] = {
         k1=0.0,
         k2=1.0 / 5.0,
         k3=0.0,
-        l2=3.0 / 5.0,
         peak=0.75,
-        symmetric=True,
     ),
     "triangular": Kernel(
         name="triangular",
@@ -104,9 +97,7 @@ _BUILTINS: dict[str, Kernel] = {
         k1=0.0,
         k2=1.0 / 6.0,
         k3=0.0,
-        l2=2.0 / 3.0,
         peak=1.0,
-        symmetric=True,
     ),
     "uniform_sym": Kernel(
         name="uniform_sym",
@@ -115,9 +106,7 @@ _BUILTINS: dict[str, Kernel] = {
         k1=0.0,
         k2=1.0 / 3.0,
         k3=0.0,
-        l2=0.5,
         peak=0.5,
-        symmetric=True,
     ),
     "uniform_right": Kernel(
         name="uniform_right",
@@ -126,9 +115,7 @@ _BUILTINS: dict[str, Kernel] = {
         k1=0.5,
         k2=1.0 / 3.0,
         k3=0.25,
-        l2=1.0,
         peak=1.0,
-        symmetric=False,
     ),
 }
 

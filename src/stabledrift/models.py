@@ -97,7 +97,9 @@ class SdeModel:
         and the scratch arrays it writes its partial results into, as
         arrays of length ``width``: a numpy operation with a Python-float
         operand, or one that allocates its result, costs more.  None, the
-        default, takes the generic step.
+        default, takes the generic step.  Of the built-in models, tanh_drift
+        declares one, and bounded_nonlinear does when its sigma depends on
+        the state.
     """
 
     name: str
@@ -290,14 +292,12 @@ def _make_bounded_nonlinear(params: dict) -> SdeModel:
 
     bounds = (s0, s0 + s1)
 
-    # q = 1 + x^2 serves drift and diffusion alike
+    # q = 1 + x^2 serves drift and diffusion alike.  Declared only for a
+    # state-dependent sigma: with a constant one the model takes the affine
+    # scan (lam = 0) or the generic step.
     def stepper(delta, width):
         neg_lam, one, c_, s0_, s1_, dt = _operands(width, -lam, 1.0, c, s0, s1, delta)
-        constant = bounds[0] == bounds[1]
         if width is None:
-            if constant:
-                return lambda x, term: x + (neg_lam * x / (one + x * x) - c_ * x) * dt + term
-
             def float_step(x, term):
                 q = one + x * x
                 return x + (neg_lam * x / q - c_ * x) * dt + (s0_ + s1_ / q) * term
@@ -305,8 +305,8 @@ def _make_bounded_nonlinear(params: dict) -> SdeModel:
             return float_step
         q, drift = np.empty((2, width))
 
-        # x + (neg_lam * x / q - c_ * x) * dt, then + (s0_ + s1_ / q) * term,
-        # or + term with a constant sigma; out holds c_ * x meanwhile
+        # x + (neg_lam * x / q - c_ * x) * dt, then + (s0_ + s1_ / q) * term;
+        # out holds c_ * x meanwhile
         def step(x, term, out):
             np.multiply(x, x, q)
             np.add(one, q, q)
@@ -315,8 +315,6 @@ def _make_bounded_nonlinear(params: dict) -> SdeModel:
             np.subtract(drift, np.multiply(c_, x, out), drift)
             np.multiply(drift, dt, drift)
             np.add(x, drift, drift)
-            if constant:
-                return np.add(drift, term, out)
             np.divide(s1_, q, q)
             np.add(s0_, q, q)
             np.multiply(q, term, q)
@@ -335,7 +333,7 @@ def _make_bounded_nonlinear(params: dict) -> SdeModel:
         lipschitz_mu=lam + c,
         # with lam = 0 the drift is -c * x: the same value, up to the sign of zero
         affine_drift=(0.0, c) if lam == 0.0 and s1 == 0.0 else None,
-        stepper=stepper,
+        stepper=None if bounds[0] == bounds[1] else stepper,
     )
 
 

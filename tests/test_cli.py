@@ -192,12 +192,29 @@ class TestConfigErrors:
         assert code == 2
         assert "missing required field: model" in err
 
-    def test_unknown_field(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {**BASE, "bandwidth": 0.3})
-        code = main(["simulate", "--config", cfg])
+    # density_method names no setting: a config that holds it is refused,
+    # before any model is built, not run on some density route
+    @pytest.mark.parametrize("name, value", [("bandwidth", 0.3), ("density_method", "auto")],
+                             ids=["bandwidth", "density_method"])
+    def test_unknown_field(self, tmp_path, capsys, monkeypatch, name, value):
+        built = []
+        monkeypatch.setattr(cli, "builtin_model", lambda *args: built.append(args))
+        cfg = write_config(tmp_path, {**BASE, name: value})
+        for command in ("simulate", "estimate", "experiment"):
+            code = main([command, "--config", cfg])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith(f"error: unknown configuration fields ['{name}']")
+        assert built == []
+
+    def test_density_method_flag_is_an_argument_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "--kind", "bias", "--model", "ou_linear", "--alpha", "1.8",
+                  "--density-method", "auto"])
         err = capsys.readouterr().err
-        assert code == 2
-        assert "bandwidth" in err
+        assert excinfo.value.code == 2
+        assert "error: unrecognized arguments: --density-method auto" in err
+        assert "Traceback" not in err
 
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         target = tmp_path / "broken.json"
@@ -214,7 +231,7 @@ class TestConfigErrors:
         assert code == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("name", ["model", "kernel", "method", "path_csv", "kind", "density_method", "out_dir"])
+    @pytest.mark.parametrize("name", ["model", "kernel", "method", "path_csv", "kind", "out_dir"])
     def test_non_string_field_exits_two(self, tmp_path, capsys, name):
         cfg = write_config(tmp_path, {**BASE, name: []})
         for command in ("simulate", "estimate", "experiment"):

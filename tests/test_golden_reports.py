@@ -10,6 +10,9 @@ checked at one, two and three workers.  The ``estimates.csv`` of the
 with one point far outside the path's range, where every fit is degenerate;
 so is the ``path.csv`` that ``simulate`` writes for the same configuration,
 and ``estimate --path-csv`` on that file must write the same estimates.
+bounded_nonlinear with a constant sigma and a nonlinear drift (``lam=1``,
+``sigma1=0``) takes the generic Euler step; its ``simulate`` path and a
+30-seed lockstep batch are pinned to the bytes its former fused step wrote.
 The digests were produced with numpy 2.4 on CPython 3.11 (x86-64), and no
 scipy routine feeds them; other numpy versions may round differently.
 """
@@ -29,6 +32,7 @@ from stabledrift import (
     run_clt,
     run_consistency,
     run_lln_check,
+    simulate_paths,
     write_report,
 )
 from stabledrift.cli import main
@@ -139,6 +143,8 @@ GOLDEN = {
     "estimate_epanechnikov": "49ea05510a0a2bd288af3fbcb600386f1a7f20ae07f9897bc2e90ca7a733824a",
     "estimate_uniform_right": "26df22539c632e95dfb0bedbfe044f3a5612e35a15c718be9b38b1dbd02a6c7e",
     "simulate_path_csv": "0c351a517b9a441d236505d2bb81966236d63ba858aaca8125f49bafd785fe4d",
+    "constant_sigma_path_csv": "669e9dc3113b45e290df157a2bd8a247c9330935a8d1c9947da026c7e899f2a3",
+    "constant_sigma_batch": "f860c4d4e07fc7a9c72c46e8e3209599f126e5ca017894d5ae9fe6830f9c90fe",
     "lln": {
         "records": "50d3d56a28d3b963cbb888e91fc381f18db4bb85e8ee182f0cb044ea1c15adaa",
         "summary": "7906f97d28e47bf8d2341212374e781a167dca7b6987e5d0b718c41692810f80",
@@ -203,3 +209,19 @@ def test_simulated_path_csv_bytes_match_golden_and_estimate_alike(tmp_path, caps
         digest = hashlib.sha256((out / "estimates.csv").read_bytes()).hexdigest()
         assert digest == GOLDEN[f"estimate_{kernel}"]
     capsys.readouterr()
+
+
+def test_constant_sigma_bounded_nonlinear_path_csv_matches_golden(tmp_path, capsys):
+    code = main(["simulate", "--model", "bounded_nonlinear", "--param", "lam=1", "--param", "sigma1=0",
+                 "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "path.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN["constant_sigma_path_csv"]
+
+
+def test_constant_sigma_bounded_nonlinear_batch_matches_golden():
+    model = builtin_model("bounded_nonlinear", {"lam": 1.0, "sigma1": 0.0})
+    paths = simulate_paths(model, StableParams(1.5, 0.0), 0.0, 5000, 0.01, range(30), burn_in=500)
+    digest = hashlib.sha256(b"".join(path.x.tobytes() for path in paths)).hexdigest()
+    assert digest == GOLDEN["constant_sigma_batch"]

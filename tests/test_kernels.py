@@ -28,8 +28,6 @@ def test_stored_moments_match_quadrature(name):
     for power, stored in ((0, 1.0), (1, k.k1), (2, k.k2), (3, k.k3)):
         value, _ = quad(lambda u, p=power: k.evaluate(u) * u ** p, lo, hi)
         assert value == pytest.approx(stored, abs=1e-10)
-    l2, _ = quad(lambda u: k.evaluate(u) ** 2, lo, hi)
-    assert l2 == pytest.approx(k.l2, abs=1e-10)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -62,21 +60,23 @@ def test_kernel_vanishes_one_ulp_outside_its_support(name):
 
 
 def test_symmetry_flags():
+    # a kernel is symmetric exactly when its stored odd moments vanish
+    u = np.linspace(0.0, 1.5, 301)
     for name in ALL_NAMES:
         k = builtin_kernel(name)
-        assert k.symmetric == (k.k1 == 0.0 and k.k3 == 0.0)
-    assert not builtin_kernel("uniform_right").symmetric
+        symmetric = np.array_equal(k.evaluate(-u), k.evaluate(u))
+        assert symmetric == (k.k1 == 0.0 and k.k3 == 0.0) == (name != "uniform_right")
 
 
 def test_exact_moment_values():
     epan = builtin_kernel("epanechnikov")
-    assert (epan.k1, epan.k2, epan.l2, epan.peak) == (0.0, 0.2, 0.6, 0.75)
+    assert (epan.k1, epan.k2, epan.peak) == (0.0, 0.2, 0.75)
     tri = builtin_kernel("triangular")
-    assert (tri.k1, tri.k2, tri.l2) == (0.0, pytest.approx(1 / 6), pytest.approx(2 / 3))
+    assert (tri.k1, tri.k2) == (0.0, pytest.approx(1 / 6))
     usym = builtin_kernel("uniform_sym")
-    assert (usym.k2, usym.l2, usym.peak) == (pytest.approx(1 / 3), 0.5, 0.5)
+    assert (usym.k2, usym.peak) == (pytest.approx(1 / 3), 0.5)
     uright = builtin_kernel("uniform_right")
-    assert (uright.k1, uright.k2, uright.k3, uright.l2) == (0.5, pytest.approx(1 / 3), 0.25, 1.0)
+    assert (uright.k1, uright.k2, uright.k3) == (0.5, pytest.approx(1 / 3), 0.25)
     assert uright.support == (0.0, 1.0)
 
 

@@ -37,3 +37,13 @@ def read_text(source, encoding: str, error: type[ValueError]) -> str:
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start]
         raise error(f"{source}: byte 0x{bad:02x} at offset {exc.start} is not valid {encoding} text") from None
+
+
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is an ``int`` of at
+    least ``minimum``.  A bool is refused, though it is an ``int``, and so is
+    a numpy integer, which no JSON manifest can hold; the message shows the
+    value's repr, which names such a type."""
+    if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
+        wanted = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise ParameterError(f"{name} must be {wanted}, got {value!r}")

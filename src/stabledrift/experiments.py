@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError, SimulationError, read_text
+from .errors import ConfigurationError, ParameterError, SimulationError, check_int, read_text
 from .estimate import (
     asymptotic_constants,
     kernel_sums,
@@ -82,8 +82,9 @@ _MAX_DEGENERATE_FRACTION = 0.01
 _MIN_BATCH_WIDTH = 24
 # Recorded states of one batch: 2**22 doubles, 32 MiB.
 _MAX_BATCH_STATES = 2 ** 22
-# The density route of the bias, clt and lln kinds, as their configs record
-# it: the one route valid for the model and alpha, and the plug-in's seed.
+# The density entry the bias, clt and lln configs record.  The oracle has one
+# route per model and alpha, and the plug-in route one seed, so the entry is
+# a record, not a setting: a stored config with any other entry is refused.
 _DENSITY = {"method": "auto", "seed": _PLUGIN_SEED}
 
 
@@ -101,8 +102,7 @@ class Schedule:
     kappa: float = 2.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ParameterError(f"schedule n must be a positive integer, got {self.n}")
+        check_int("schedule n", self.n, 1)
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
             raise ParameterError(f"schedule delta must be positive, got {self.delta}")
         if not (self.h > 0.0 and math.isfinite(self.h)):
@@ -247,7 +247,18 @@ class ExperimentReport:
 
     def recompute_summaries(self) -> tuple[list[dict], list[Check]]:
         """Re-derive summaries and checks from the stored records; a
-        density oracle is rebuilt from the stored configuration."""
+        density oracle is rebuilt from the stored configuration.
+
+        Raises
+        ------
+        ConfigurationError
+            When the config's ``density`` entry is not the one every run
+            records: the oracle has one route per model and alpha, so such
+            a report was not made by this program's oracle.
+        """
+        density = self.config.get("density", _DENSITY)
+        if density != _DENSITY:
+            raise ConfigurationError(f"stored density entry {density!r} differs from the recorded {_DENSITY!r}")
         return _SUMMARIZERS[self.kind](self.records, self.config)
 
     def verify_integrity(self) -> bool:
@@ -275,12 +286,7 @@ def _noise_from_config(config: dict) -> StableParams:
 
 
 def _density_from_config(config: dict):
-    return stationary_density_oracle(
-        _model_from_config(config),
-        _noise_from_config(config),
-        method=config["density"]["method"],
-        seed=config["density"]["seed"],
-    )
+    return stationary_density_oracle(_model_from_config(config), _noise_from_config(config))
 
 
 def _schedules(config: dict) -> list[dict]:
@@ -310,12 +316,11 @@ def _config(
         raise ParameterError("noise must be a StableParams instance")
     if not isinstance(kernel, Kernel):
         raise ParameterError("kernel must be a Kernel instance")
-    if not isinstance(replicates, int) or replicates < 2:
-        raise ParameterError(f"replicates must be an integer >= 2, got {replicates}")
-    if not isinstance(master_seed, int):
-        raise ParameterError("master_seed must be an integer")
-    if workers is not None and workers < 1:
-        raise ParameterError(f"workers must be a positive integer, got {workers}")
+    check_int("replicates", replicates, 2)
+    check_int("master_seed", master_seed)
+    check_int("burn_in", burn_in, 0)
+    if workers is not None:
+        check_int("workers", workers, 1)
     if not schedules:
         raise ParameterError("at least one schedule is required")
     for schedule in schedules:
@@ -332,7 +337,7 @@ def _config(
         "replicates": replicates,
         "master_seed": master_seed,
         "x0": float(x0),
-        "burn_in": int(burn_in),
+        "burn_in": burn_in,
     }
     if kind == "consistency":
         config["schedules"] = [s.as_dict() for s in schedules]
@@ -599,9 +604,9 @@ def run_bias_comparison(
     median error with a Monte Carlo standard error, the second-order bias
     ``h^2 * Gamma``, and the first-order term ``h * K_1 * mu'(x)`` (zero for
     the local linear estimator and for symmetric kernels).  The theory
-    values read the stationary density of :func:`stationary_density_oracle`
-    on its ``"auto"`` route, the one route valid for the model and
-    ``alpha``.
+    values read the stationary density of :func:`stationary_density_oracle`,
+    whose one route is fixed by the model and ``alpha``; the config records
+    it as its ``density`` entry.
     """
     config = _config(
         "bias", model, noise, kernel, [schedule], x_points, replicates, master_seed, x0, burn_in, workers,
@@ -686,7 +691,8 @@ def run_clt(
     stationary density at ``x``; ``method = "local_linear_fhat"`` replaces
     it with the replicate's own kernel density estimate, which is what a
     practitioner without the oracle would do; the oracle is
-    :func:`stationary_density_oracle` on its ``"auto"`` route.  The workers
+    :func:`stationary_density_oracle`, whose one route is fixed by the model
+    and ``alpha`` and recorded as the config's ``density`` entry.  The workers
     return only the estimate, the error and the kernel density estimate of
     each replicate; the parent builds the oracle and the limit constants
     while they simulate, and standardizes the errors once their batches are
@@ -785,14 +791,20 @@ def _summarize_clt(records: list[ReplicateRecord], config: dict, density=None) -
         std = _finite([r.std_error for r in cell])
         degenerate = sum(r.degenerate for r in cell)
         count = std.size
-        if count < 2:
-            raise ParameterError(f"too few usable replicates for method {method}")
-        ks_ref = two_sample_ks(std, reference)
-        crit_ref = ks_critical_value(count, reference.size, level=0.01)
-        ks_sym = two_sample_ks(std, -std)
-        crit_sym = ks_critical_value(count, count, level=0.01)
-        tail = hill_tail_index(std, fraction=config["tail_fraction"])
-        iqr = float(np.subtract(*np.quantile(std, [0.75, 0.25])))
+        # a statistic that needs more usable replicates than remain is NaN,
+        # an empty cell, and the check that reads it fails
+        ks_ref = crit_ref = ks_sym = crit_sym = tail = scale_ratio = math.nan
+        tail_detail = f"no hill index from {count} usable replicates"
+        if count >= 2:
+            ks_ref = two_sample_ks(std, reference)
+            crit_ref = ks_critical_value(count, reference.size, level=0.01)
+            ks_sym = two_sample_ks(std, -std)
+            crit_sym = ks_critical_value(count, count, level=0.01)
+            scale_ratio = float(np.subtract(*np.quantile(std, [0.75, 0.25]))) / ref_iqr
+            try:
+                tail = hill_tail_index(std, fraction=config["tail_fraction"])
+            except ParameterError as exc:
+                tail_detail += f" ({exc})"
         summaries.append(
             {
                 "method": method,
@@ -803,33 +815,27 @@ def _summarize_clt(records: list[ReplicateRecord], config: dict, density=None) -
                 "ks_symmetry": ks_sym,
                 "ks_symmetry_critical": crit_sym,
                 "tail_index": tail,
-                "scale_ratio": iqr / ref_iqr,
+                "scale_ratio": scale_ratio,
             }
         )
         checks.append(_degenerate_check(f"degenerate-fraction-{method}", degenerate, len(cell)))
         if method == "local_linear":
             factor = 1.0 if alpha == 2.0 else 1.5
-            checks.append(
-                Check(
-                    name="clt-ks-vs-stable",
-                    passed=ks_ref <= factor * crit_ref,
-                    detail=f"ks {ks_ref:.6g} against {factor:g} * critical {crit_ref:.6g}",
-                )
-            )
-            checks.append(
-                Check(
-                    name="clt-symmetry",
-                    passed=ks_sym <= crit_sym,
-                    detail=f"ks {ks_sym:.6g} against critical {crit_sym:.6g}",
-                )
-            )
+            if count < 2:
+                ref_detail = sym_detail = f"{count} usable replicates, fewer than the 2 a KS statistic needs"
+            else:
+                ref_detail = f"ks {ks_ref:.6g} against {factor:g} * critical {crit_ref:.6g}"
+                sym_detail = f"ks {ks_sym:.6g} against critical {crit_sym:.6g}"
+            checks.append(Check(name="clt-ks-vs-stable", passed=ks_ref <= factor * crit_ref, detail=ref_detail))
+            checks.append(Check(name="clt-symmetry", passed=ks_sym <= crit_sym, detail=sym_detail))
             if alpha < 2.0:
                 lo, hi = alpha - 0.3, alpha + 0.4
+                shown = f"hill index {tail:.4g}" if math.isfinite(tail) else tail_detail
                 checks.append(
                     Check(
                         name="clt-tail-index",
                         passed=lo <= tail <= hi,
-                        detail=f"hill index {tail:.4g} against window [{lo:g}, {hi:g}]",
+                        detail=f"{shown} against window [{lo:g}, {hi:g}]",
                     )
                 )
     return summaries, checks
@@ -858,7 +864,8 @@ def run_lln_check(
     Zero targets (odd moments of a symmetric kernel) are checked in
     absolute terms at 0.02; everything else relatively at 5 percent, with
     the median over replicates as the tested statistic.  ``f`` is
-    :func:`stationary_density_oracle` on its ``"auto"`` route.
+    :func:`stationary_density_oracle`, whose one route is fixed by the model
+    and ``alpha`` and recorded as the config's ``density`` entry.
     """
     config = _config(
         "lln", model, noise, kernel, [schedule], [float(x)], replicates, master_seed, x0, burn_in, workers,

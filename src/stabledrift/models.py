@@ -122,20 +122,19 @@ class SdeModel:
 class StationaryDensity:
     """Stationary marginal density of a model, with provenance.
 
-    ``provenance`` is one of ``"analytic"``, ``"numeric-oracle"`` (Fourier
-    inversion of an exact characteristic function, evaluated at each point
-    asked for), or ``"kernel-plug-in"`` (smoothed long-trajectory estimate).
-    ``grid`` is the abscissa grid the plug-in route was built on; it is None
-    for the other two routes, whose ``f`` is positive everywhere.  The
-    plug-in's ``f`` interpolates its smoothed density linearly between the
-    grid points and its ``f_prime`` the central differences of that density
-    likewise; both vanish outside the grid.
+    ``f`` and ``f_prime`` take a float and return a float.  ``provenance``
+    is one of ``"analytic"``, ``"numeric-oracle"`` (Fourier inversion of an
+    exact characteristic function, evaluated at each point asked for), or
+    ``"kernel-plug-in"`` (smoothed long-trajectory estimate).  The plug-in's
+    ``f`` interpolates its smoothed density linearly between the points of
+    a 4096-point grid and its ``f_prime`` the central differences of that
+    density likewise; both vanish outside the grid.  The other two routes
+    are positive everywhere.
     """
 
     f: Callable
     f_prime: Callable
     provenance: str
-    grid: np.ndarray | None = None
 
 
 def _float_param(params: dict, key: str, default: float) -> float:
@@ -525,13 +524,8 @@ def builtin_model(name: str, params: dict | None = None) -> SdeModel:
 
 def _interpolant(grid: np.ndarray, values: np.ndarray) -> Callable:
     """The piecewise linear interpolant of ``values`` on ``grid``, zero
-    outside it, under the calling convention of ``SdeModel.mu``."""
-
-    def evaluate(x):
-        out = np.interp(x, grid, values, left=0.0, right=0.0)
-        return float(out) if np.ndim(out) == 0 else out
-
-    return evaluate
+    outside it, as a function of one float."""
+    return lambda x: float(np.interp(x, grid, values, left=0.0, right=0.0))
 
 
 def _ou_margin(model: SdeModel, noise: StableParams) -> tuple[float, float]:
@@ -547,17 +541,16 @@ def _gaussian_density(model: SdeModel, noise: StableParams) -> StationaryDensity
     var = 2.0 * scale * scale
     norm = 1.0 / math.sqrt(2.0 * math.pi * var)
 
+    # x as a 0-d array, so the arithmetic runs through numpy's ufuncs
     def f(x):
         x_arr = np.asarray(x, dtype=float)
-        out = norm * np.exp(-((x_arr - mean) ** 2) / (2.0 * var))
-        return float(out) if out.ndim == 0 else out
+        return float(norm * np.exp(-((x_arr - mean) ** 2) / (2.0 * var)))
 
     def f_prime(x):
         x_arr = np.asarray(x, dtype=float)
-        out = -norm * (x_arr - mean) / var * np.exp(-((x_arr - mean) ** 2) / (2.0 * var))
-        return float(out) if out.ndim == 0 else out
+        return float(-norm * (x_arr - mean) / var * np.exp(-((x_arr - mean) ** 2) / (2.0 * var)))
 
-    return StationaryDensity(f=f, f_prime=f_prime, provenance="analytic", grid=None)
+    return StationaryDensity(f=f, f_prime=f_prime, provenance="analytic")
 
 
 def _tail_series(y: float, alpha: float, skew: float) -> tuple[float, float, float] | None:
@@ -698,21 +691,20 @@ def _fourier_density(model: SdeModel, noise: StableParams) -> StationaryDensity:
             f"the stationary density at x = {x!r} cannot be evaluated to its accuracy target"
         )
 
-    def pointwise(evaluate: Callable) -> Callable:
-        vectorized = np.vectorize(evaluate, otypes=[float])
-        return lambda x: vectorized(x)[()]
-
     return StationaryDensity(
-        f=pointwise(lambda x: standardized(x)[0] / scale),
-        f_prime=pointwise(lambda x: standardized(x)[1] / (scale * scale)),
+        f=lambda x: standardized(x)[0] / scale,
+        f_prime=lambda x: standardized(x)[1] / (scale * scale),
         provenance="numeric-oracle",
     )
 
 
-def _plugin_density(model: SdeModel, noise: StableParams, seed: int) -> StationaryDensity:
+def _plugin_density(model: SdeModel, noise: StableParams) -> StationaryDensity:
+    """A smoothed density estimate from one long path of the model, a fixed
+    design of 4e5 steps of 0.01 after a 1e5-step burn-in from the fixed
+    seed ``_PLUGIN_SEED``, so the oracle is reproducible."""
     from .simulate import simulate_path
 
-    path = simulate_path(model, noise, x0=0.0, n=400_000, delta=0.01, seed=seed, burn_in=100_000)
+    path = simulate_path(model, noise, x0=0.0, n=400_000, delta=0.01, seed=_PLUGIN_SEED, burn_in=100_000)
     data = path.x
     q_lo, q1, q3, q_hi = np.quantile(data, [0.0005, 0.25, 0.75, 0.9995])
     iqr = q3 - q1
@@ -743,67 +735,29 @@ def _plugin_density(model: SdeModel, noise: StableParams, seed: int) -> Stationa
         f=_interpolant(centers, density),
         f_prime=_interpolant(centers, np.gradient(density, centers)),
         provenance="kernel-plug-in",
-        grid=centers,
     )
 
 
-def stationary_density_oracle(
-    model: SdeModel,
-    noise: StableParams,
-    method: str = "auto",
-    *,
-    seed: int = _PLUGIN_SEED,
-) -> StationaryDensity:
-    """Stationary density of a model under the given noise.
+def stationary_density_oracle(model: SdeModel, noise: StableParams) -> StationaryDensity:
+    """Stationary density of a model under the given noise, on the one
+    route the model and ``alpha`` admit.
 
-    Parameters
-    ----------
-    model : SdeModel
-    noise : StableParams
-        Its type guarantees ``alpha > 1``, which the linear model's Fourier
-        route needs for a stationary mean structure.
-    method : str
-        ``"auto"`` picks the best available route: closed-form Gaussian for
-        the linear model at ``alpha == 2``, Fourier inversion for the linear
-        model otherwise, long-trajectory plug-in for the rest.  ``"fourier"``
-        and ``"simulation"`` force a route; ``"analytic"`` forces the
-        Gaussian closed form.  The Fourier route builds nothing up front:
-        its ``f`` and ``f_prime`` evaluate the density at each point they
-        are called with, by series in numpy and ``math`` alone wherever
-        they converge (and by scipy's quadrature elsewhere), and raise
-        :class:`NumericError` naming a point where no rule reaches its
-        accuracy target.  The simulation route is piecewise linear between
-        the points of its ``grid`` and zero outside it.
-    seed : int
-        Seeds the simulation route only, a fixed design of 4e5 steps of
-        0.01 after a 1e5-step burn-in.  The default is a fixed constant so
-        the plug-in oracle is reproducible.
+    The linear model has the Gaussian closed form at ``alpha == 2`` and a
+    stable law, evaluated by Fourier inversion, below it; every other model
+    gets the long-trajectory plug-in estimate.  ``noise``'s type guarantees
+    ``alpha > 1``, which the linear model's stable law needs.  The Fourier
+    route builds nothing up front: its ``f`` and ``f_prime`` evaluate the
+    density at each point they are called with, by series in numpy and
+    ``math`` alone wherever they converge (and by scipy's quadrature
+    elsewhere), and raise :class:`NumericError` naming a point where no rule
+    reaches its accuracy target.  The plug-in route simulates one path from
+    a fixed seed, so it is reproducible, and is piecewise linear on its grid
+    and zero outside it.
     """
     if not isinstance(noise, StableParams):
         raise ParameterError("noise must be a StableParams instance")
-    linear = model.name == "ou_linear" and model.sigma_constant
-    if method == "auto":
-        if linear and noise.alpha == 2.0:
-            method = "analytic"
-        elif linear:
-            method = "fourier"
-        else:
-            method = "simulation"
-    if method == "analytic":
-        if not (linear and noise.alpha == 2.0):
-            raise ConfigurationError(
-                "analytic stationary density requires the linear model at alpha = 2"
-            )
+    if model.name != "ou_linear":
+        return _plugin_density(model, noise)
+    if noise.alpha == 2.0:
         return _gaussian_density(model, noise)
-    if method == "fourier":
-        if not linear:
-            raise ConfigurationError(
-                "Fourier inversion requires the linear model with constant sigma; "
-                f"got {model.name}"
-            )
-        return _fourier_density(model, noise)
-    if method == "simulation":
-        return _plugin_density(model, noise, seed)
-    raise ConfigurationError(
-        f"unknown density method {method!r}; expected auto, analytic, fourier, or simulation"
-    )
+    return _fourier_density(model, noise)

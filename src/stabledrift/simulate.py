@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, SimulationError, read_text
+from .errors import ParameterError, SimulationError, check_int, read_text
 from .models import SdeModel, euler_step
 from .stable import StableParams, _cms_transform
 
@@ -291,10 +291,8 @@ def _check_run(model, noise, x0, n, delta, burn_in) -> None:
         raise ParameterError("model must be an SdeModel")
     if not isinstance(noise, StableParams):
         raise ParameterError("noise must be a StableParams instance")
-    if not isinstance(n, int) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n}")
-    if not isinstance(burn_in, int) or burn_in < 0:
-        raise ParameterError(f"burn_in must be a nonnegative integer, got {burn_in}")
+    check_int("n", n, 1)
+    check_int("burn_in", burn_in, 0)
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ParameterError(f"delta must be positive and finite, got {delta}")
     if not math.isfinite(x0):
@@ -475,10 +473,8 @@ def derive_replicate_seed(master_seed: int, replicate_index: int) -> int:
     is a bijection on 64-bit integers, so for a fixed master seed distinct
     replicate indices always map to distinct seeds.
     """
-    if not isinstance(master_seed, int):
-        raise ParameterError("master_seed must be an integer")
-    if not isinstance(replicate_index, int) or replicate_index < 0:
-        raise ParameterError(f"replicate_index must be a nonnegative integer, got {replicate_index}")
+    check_int("master_seed", master_seed)
+    check_int("replicate_index", replicate_index, 0)
 
     def mix(z: int) -> int:
         z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64

@@ -10,8 +10,8 @@ from stabledrift import (
     builtin_kernel,
     builtin_model,
     simulate_path,
-    stationary_density_oracle,
 )
+from stabledrift.models import _fourier_density
 
 
 def pytest_report_header(config):
@@ -45,4 +45,4 @@ def ou_path15(ou_model, noise15):
 
 @pytest.fixture(scope="session")
 def ou_density15(ou_model, noise15):
-    return stationary_density_oracle(ou_model, noise15, method="fourier")
+    return _fourier_density(ou_model, noise15)

@@ -29,6 +29,7 @@ from stabledrift import (
     stationary_density_oracle,
     write_drift_curve_csv,
 )
+from stabledrift.models import _fourier_density
 
 
 def make_path(values, delta=1.0):
@@ -259,8 +260,7 @@ class TestAsymptoticConstants:
         # symmetric kernel: Gamma = mu'' K2 / 2
         model = builtin_model("tanh_drift")
         noise = StableParams(1.8, 0.0)
-        density = stationary_density_oracle(
-            builtin_model("ou_linear"), StableParams(1.8, 0.0), method="fourier")
+        density = _fourier_density(builtin_model("ou_linear"), StableParams(1.8, 0.0))
         epan = builtin_kernel("epanechnikov")
         consts = asymptotic_constants(model, density, noise, epan, 1.0, 10_000, 0.01, 0.5)
         expected = model.mu_double_prime(1.0) * 0.2 / 2.0
@@ -270,8 +270,7 @@ class TestAsymptoticConstants:
     def test_gamma_one_sided_kernel(self):
         model = builtin_model("tanh_drift")
         noise = StableParams(1.8, 0.0)
-        density = stationary_density_oracle(
-            builtin_model("ou_linear"), StableParams(1.8, 0.0), method="fourier")
+        density = _fourier_density(builtin_model("ou_linear"), StableParams(1.8, 0.0))
         uright = builtin_kernel("uniform_right")
         consts = asymptotic_constants(model, density, noise, uright, 1.0, 10_000, 0.01, 0.4)
         k1, k2, k3 = 0.5, 1 / 3, 0.25

@@ -282,6 +282,73 @@ class TestClt:
             run_clt(ou, noise, epan, sched, 0.0, replicates=1, master_seed=1,
                     burn_in=500, reference_size=1_000, workers=1)
 
+    def test_no_usable_replicates_fail_every_statistic_check(self, clt_report):
+        records = [dataclasses.replace(r, std_error=math.nan, degenerate=True) for r in clt_report.records]
+        summaries, checks = experiments._summarize_clt(records, clt_report.config)
+        for row in summaries:
+            for key in ("ks_vs_stable", "ks_critical", "ks_symmetry", "ks_symmetry_critical", "tail_index",
+                        "scale_ratio"):
+                assert math.isnan(row[key])
+        statistic_checks = [c for c in checks if c.name.startswith("clt-")]
+        assert len(statistic_checks) == 3
+        for check in statistic_checks:
+            assert not check.passed
+            assert "0 usable replicates" in check.detail
+
+    def test_too_few_usable_replicates_for_the_tail_write_a_failing_report(self, tmp_path, capsys):
+        # at x = 6 only 8 of the 40 fits are usable, too few for the Hill
+        # tail estimate: its cell is empty and its check fails
+        out = tmp_path / "out"
+        code = main(["experiment", "--kind", "clt", "--model", "ou_linear", "--alpha", "1.5", "--n", "3000",
+                     "--delta", "0.01", "--h", "0.05", "--x", "6", "--replicates", "40", "--burn-in", "500",
+                     "--seed", "17", "--reference-size", "2000", "--workers", "1", "--out-dir", str(out)])
+        capsys.readouterr()
+        assert code == 1
+        manifest = json.loads((out / "clt_manifest.json").read_text(encoding="ascii"))
+        report = experiments.ExperimentReport(
+            "clt", manifest["config"], read_records_csv(out / "clt_records.csv"),
+            [], [], manifest["provenance"],
+        )
+        report.summaries, report.checks = report.recompute_summaries()
+        assert report.verify_integrity()
+        assert [c.__dict__ for c in report.checks] == manifest["checks"]
+        (tail,) = [c for c in report.checks if c.name == "clt-tail-index"]
+        assert not tail.passed
+        assert tail.detail.startswith("no hill index from 8 usable replicates")
+        header, *rows = (out / "clt_summary.csv").read_text(encoding="ascii").splitlines()
+        column = header.split(",").index("tail_index")
+        assert [row.split(",")[column] for row in rows] == ["", ""]
+
+
+_BOOL_INTEGERS = {
+    "simulate_path n": lambda ou, noise, epan: simulate_path(ou, noise, 0.0, True, 0.01, 1, burn_in=10),
+    "simulate_path burn_in": lambda ou, noise, epan: simulate_path(ou, noise, 0.0, 10, 0.01, 1, burn_in=True),
+    "Schedule n": lambda ou, noise, epan: Schedule(n=True, delta=0.01, h=0.4, alpha=1.5),
+    "replicates": lambda ou, noise, epan: run_lln_check(
+        ou, noise, epan, Schedule(n=100, delta=0.01, h=0.4, alpha=1.5), 0.0, [0], replicates=True, master_seed=1),
+    "master_seed": lambda ou, noise, epan: run_lln_check(
+        ou, noise, epan, Schedule(n=100, delta=0.01, h=0.4, alpha=1.5), 0.0, [0], replicates=2, master_seed=True),
+    "burn_in": lambda ou, noise, epan: run_lln_check(
+        ou, noise, epan, Schedule(n=100, delta=0.01, h=0.4, alpha=1.5), 0.0, [0], replicates=2, master_seed=1,
+        burn_in=True),
+    "workers": lambda ou, noise, epan: run_lln_check(
+        ou, noise, epan, Schedule(n=100, delta=0.01, h=0.4, alpha=1.5), 0.0, [0], replicates=2, master_seed=1,
+        workers=True),
+    "derive_replicate_seed master_seed": lambda ou, noise, epan: derive_replicate_seed(True, 0),
+    "derive_replicate_seed replicate_index": lambda ou, noise, epan: derive_replicate_seed(1, True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BOOL_INTEGERS))
+def test_a_bool_is_refused_as_an_integer(entry, ou, noise, epan):
+    with pytest.raises(ParameterError, match=r"must be an integer.*, got True$"):
+        _BOOL_INTEGERS[entry](ou, noise, epan)
+
+
+def test_a_refused_integer_shows_its_type(ou, noise):
+    with pytest.raises(ParameterError, match=re.escape(f"n must be an integer >= 1, got {np.int64(5)!r}")):
+        simulate_path(ou, noise, 0.0, np.int64(5), 0.01, 1, burn_in=10)
+
 
 class TestConfigHash:
     def test_key_order_invariance(self):

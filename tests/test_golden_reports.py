@@ -18,12 +18,15 @@ scipy routine feeds them; other numpy versions may round differently.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from stabledrift import (
+    ConfigurationError,
+    ExperimentReport,
     Schedule,
     StableParams,
     builtin_kernel,
@@ -32,6 +35,7 @@ from stabledrift import (
     run_clt,
     run_consistency,
     run_lln_check,
+    read_records_csv,
     simulate_paths,
     write_report,
 )
@@ -167,6 +171,23 @@ def test_wide_report_bytes_match_golden(kind, workers, tmp_path):
     paths = write_report(WIDE_RUNS[kind](workers), tmp_path)
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
     assert digests == GOLDEN[kind]
+
+
+@pytest.mark.parametrize("kind", ["bias", "clt", "lln"])
+def test_report_read_back_from_disk_rewrites_the_same_bytes(kind, tmp_path):
+    written = write_report(RUNS[kind](1), tmp_path / "run")
+    manifest = json.loads(written["manifest"].read_text(encoding="ascii"))
+    report = ExperimentReport(kind, manifest["config"], read_records_csv(written["records"]), [], [],
+                              manifest["provenance"])
+    report.summaries, report.checks = report.recompute_summaries()
+    rewritten = write_report(report, tmp_path / "again")
+    for name, path in written.items():
+        assert rewritten[name].read_bytes() == path.read_bytes()
+    # the density entry is a record of the oracle's one route, not a setting
+    for key, value in (("seed", manifest["config"]["density"]["seed"] + 1), ("method", "simulation")):
+        config = dict(report.config, density={**report.config["density"], key: value})
+        with pytest.raises(ConfigurationError, match="density entry"):
+            dataclasses.replace(report, config=config).recompute_summaries()
 
 
 ESTIMATE_CONFIG = {

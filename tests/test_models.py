@@ -22,7 +22,7 @@ from stabledrift import (
     stationary_density_oracle,
     validate_model,
 )
-from stabledrift.models import _center_series
+from stabledrift.models import _center_series, _fourier_density, _gaussian_density, _plugin_density
 from stabledrift.stable import _tan_half
 
 
@@ -273,9 +273,8 @@ class TestStationaryDensity:
         # measured within 1.6e-15 relative
         m = builtin_model("ou_linear", {"gamma": 0.0, "lam": 1.0, "sigma": 1.0})
         for alpha in (1.5, 1.8):
-            d = stationary_density_oracle(m, StableParams(alpha, 0.0), method="fourier")
+            d = _fourier_density(m, StableParams(alpha, 0.0))
             assert d.provenance == "numeric-oracle"
-            assert d.grid is None
             c = (1.0 / alpha) ** (1.0 / alpha)
             expected = gamma_fn(1.0 + 1.0 / alpha) / (math.pi * c)
             assert float(d.f(0.0)) == pytest.approx(expected, rel=1e-12)
@@ -288,7 +287,7 @@ class TestStationaryDensity:
     def test_fourier_symmetry_and_normalization(self):
         m = builtin_model("ou_linear", {"gamma": 2.0, "lam": 2.0, "sigma": 1.0})
         alpha = 1.7
-        d = stationary_density_oracle(m, StableParams(alpha, 0.0), method="fourier")
+        d = _fourier_density(m, StableParams(alpha, 0.0))
         assert float(d.f(1.3)) == pytest.approx(float(d.f(0.7)), rel=1e-6)
         assert float(d.f_prime(0.5)) > 0.0 > float(d.f_prime(1.5))
         # mass over the real line, measured 1 - 1.1e-15
@@ -304,8 +303,8 @@ class TestStationaryDensity:
     def test_fourier_matches_analytic_at_endpoint(self):
         # measured within 2.3e-15 relative for f and f'
         m = builtin_model("ou_linear", {"gamma": 0.5, "lam": 1.0, "sigma": 1.0})
-        analytic = stationary_density_oracle(m, StableParams(2.0, 0.0), method="analytic")
-        fourier = stationary_density_oracle(m, StableParams(2.0, 0.0), method="fourier")
+        analytic = _gaussian_density(m, StableParams(2.0, 0.0))
+        fourier = _fourier_density(m, StableParams(2.0, 0.0))
         for x in (-1.0, 0.2, 0.5, 2.0, 3.5):
             assert float(fourier.f(x)) == pytest.approx(float(analytic.f(x)), rel=1e-12)
             assert float(fourier.f_prime(x)) == pytest.approx(float(analytic.f_prime(x)), rel=1e-12)
@@ -314,7 +313,7 @@ class TestStationaryDensity:
         # measured within 4.8e-8 of f(x), at steps of 1e-4 max(1, |x|)
         m = builtin_model("ou_linear")
         for alpha, beta in ((1.5, 0.0), (1.8, 0.5), (1.2, 1.0)):
-            d = stationary_density_oracle(m, StableParams(alpha, beta), method="fourier")
+            d = _fourier_density(m, StableParams(alpha, beta))
             for x in (-2.0, -0.7, 0.3, 1.1, 4.0, 25.0):
                 step = 1e-4 * max(1.0, abs(x))
                 slope = finite_difference(d.f, x, step)
@@ -326,8 +325,8 @@ class TestStationaryDensity:
         m = builtin_model("ou_linear", {"gamma": 2.0, "lam": 2.0, "sigma": 1.0})
         for alpha in (1.5, 1.8):
             for beta in (0.5, 1.0):
-                right = stationary_density_oracle(m, StableParams(alpha, beta), method="fourier")
-                left = stationary_density_oracle(m, StableParams(alpha, -beta), method="fourier")
+                right = _fourier_density(m, StableParams(alpha, beta))
+                left = _fourier_density(m, StableParams(alpha, -beta))
                 for offset in (0.25, 0.75, 3.0, 40.0, 4096.0):
                     assert float(right.f(1.0 + offset)) == pytest.approx(float(left.f(1.0 - offset)), rel=1e-14)
                     assert float(right.f_prime(1.0 + offset)) == pytest.approx(
@@ -344,8 +343,8 @@ class TestStationaryDensity:
             c = 1.3 * (1.0 / (2.0 * alpha)) ** (1.0 / alpha)
             law = alpha * gamma_fn(alpha) * math.sin(math.pi * alpha / 2) / math.pi
             second = -math.cos(math.pi * alpha / 2) * gamma_fn(2 * alpha + 1) / gamma_fn(alpha + 1)
-            symmetric = stationary_density_oracle(m, StableParams(alpha, 0.0), method="fourier")
-            skewed = stationary_density_oracle(m, StableParams(alpha, 1.0), method="fourier")
+            symmetric = _fourier_density(m, StableParams(alpha, 0.0))
+            skewed = _fourier_density(m, StableParams(alpha, 1.0))
             for y in (1e3, 1e4, 1e6):
                 lead = law * y ** (-1.0 - alpha)
                 for side in (1.0, -1.0):
@@ -383,20 +382,24 @@ class TestStationaryDensity:
         m = builtin_model("ou_linear")
         for noise, x in ((StableParams(1.8, 1.0), -21.0), (StableParams(1.5, -1.0), 15.0),
                          (StableParams(2.0, 0.0), 14.0)):
-            d = stationary_density_oracle(m, noise, method="fourier")
+            d = _fourier_density(m, noise)
             for evaluate in (d.f, d.f_prime):
                 with pytest.raises(NumericError, match=re.escape(f"x = {x!r}")):
                     evaluate(x)
 
     def test_simulation_route(self):
         m = builtin_model("ou_linear", {"gamma": 0.0, "lam": 1.0, "sigma": 1.0})
-        fourier = stationary_density_oracle(m, StableParams(1.5, 0.0), method="fourier")
-        sim = stationary_density_oracle(m, StableParams(1.5, 0.0), method="simulation")
+        fourier = _fourier_density(m, StableParams(1.5, 0.0))
+        sim = _plugin_density(m, StableParams(1.5, 0.0))
         assert sim.provenance == "kernel-plug-in"
         assert float(sim.f(0.0)) == pytest.approx(float(fourier.f(0.0)), rel=0.1)
-        mass = np.trapezoid(sim.f(sim.grid), sim.grid)
+        # the density vanishes past the ends of this grid, which is much
+        # finer than the plug-in's own
+        grid = np.linspace(-150.0, 150.0, 150_001)
+        assert sim.f(grid[0]) == sim.f(grid[-1]) == 0.0
+        mass = np.trapezoid([sim.f(x) for x in grid.tolist()], grid)
         assert mass == pytest.approx(1.0, abs=5e-3)
-        again = stationary_density_oracle(m, StableParams(1.5, 0.0), method="simulation")
+        again = _plugin_density(m, StableParams(1.5, 0.0))
         assert float(again.f(0.3)) == float(sim.f(0.3))
 
     def test_auto_routing(self):
@@ -411,10 +414,3 @@ class TestStationaryDensity:
         ou = builtin_model("ou_linear")
         with pytest.raises(ParameterError):
             stationary_density_oracle(ou, StableParams(1.0, 0.0))
-        with pytest.raises(ConfigurationError):
-            stationary_density_oracle(ou, StableParams(1.5, 0.0), method="analytic")
-        with pytest.raises(ConfigurationError):
-            stationary_density_oracle(builtin_model("tanh_drift"), StableParams(1.5, 0.0),
-                                      method="fourier")
-        with pytest.raises(ConfigurationError):
-            stationary_density_oracle(ou, StableParams(1.5, 0.0), method="spectral")

@@ -803,6 +803,7 @@ def _summarize_clt(records: list[ReplicateRecord], config: dict, density=None) -
             scale_ratio = float(np.subtract(*np.quantile(std, [0.75, 0.25]))) / ref_iqr
             try:
                 tail = hill_tail_index(std, fraction=config["tail_fraction"])
+                tail_detail = f"hill index {tail:.4g}"
             except ParameterError as exc:
                 tail_detail += f" ({exc})"
         summaries.append(
@@ -830,12 +831,11 @@ def _summarize_clt(records: list[ReplicateRecord], config: dict, density=None) -
             checks.append(Check(name="clt-symmetry", passed=ks_sym <= crit_sym, detail=sym_detail))
             if alpha < 2.0:
                 lo, hi = alpha - 0.3, alpha + 0.4
-                shown = f"hill index {tail:.4g}" if math.isfinite(tail) else tail_detail
                 checks.append(
                     Check(
                         name="clt-tail-index",
                         passed=lo <= tail <= hi,
-                        detail=f"{shown} against window [{lo:g}, {hi:g}]",
+                        detail=f"{tail_detail} against window [{lo:g}, {hi:g}]",
                     )
                 )
     return summaries, checks

@@ -50,7 +50,7 @@ from .estimate import (
     s_nk,
 )
 from .kernels import Kernel, builtin_kernel, lambda_weight_changes_sign
-from .models import _PLUGIN_SEED, SdeModel, builtin_model, stationary_density_oracle
+from .models import _PLUGIN_PATHS, _PLUGIN_SEED, SdeModel, builtin_model, stationary_density_oracle
 from .simulate import _simulate_paths, _thread_map, _usable_cpus, derive_replicate_seed
 from .stable import (
     StableParams,
@@ -83,9 +83,10 @@ _MIN_BATCH_WIDTH = 24
 # Recorded states of one batch: 2**22 doubles, 32 MiB.
 _MAX_BATCH_STATES = 2 ** 22
 # The density entry the bias, clt and lln configs record.  The oracle has one
-# route per model and alpha, and the plug-in route one seed, so the entry is
-# a record, not a setting: a stored config with any other entry is refused.
-_DENSITY = {"method": "auto", "seed": _PLUGIN_SEED}
+# route per model and alpha, and the plug-in route one design, a fixed count
+# of paths from seeds derived from one seed, so the entry is a record, not a
+# setting: a stored config with any other entry is refused.
+_DENSITY = {"method": "auto", "seed": _PLUGIN_SEED, "paths": _PLUGIN_PATHS}
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,11 @@ downstream without re-checking.
 The stationary density is exposed through a uniform interface with three
 provenance levels: closed form where one exists, pointwise numeric
 inversion of the known characteristic function for the linear model, and a
-smoothed long-path estimate for everything else.  The inversion sums a
-convergent series near the law's centre and an asymptotic one in its
-tails, with numpy and ``math`` alone; scipy is imported only for the
-quadrature of the inversion integrals at the points neither series
-certifies.
+smoothed estimate from 64 paths of fixed seeds, stepped in lockstep, for
+everything else.  The inversion sums a convergent series near the law's
+centre and an asymptotic one in its tails, with numpy and ``math`` alone;
+scipy is imported only for the quadrature of the inversion integrals at the
+points neither series certifies.
 """
 
 from __future__ import annotations
@@ -44,8 +44,17 @@ _VALIDATION_GRID = np.linspace(-50.0, 50.0, 10_001)
 _STEP_STATES = (-50.0, -3.5, -1.0, -0.25, -0.0, 0.0, 0.6, 1.0, 2.5, 7.0, 1e3, 1e6)
 _STEP_TERMS = (0.3, -1.7, 0.0, 2.5e-3, -4.0, 1e-9, -0.02, 11.0, -0.6, 5.0, -2e3, 0.8)
 _STEP_DELTAS = (0.01, 0.37)
-# Seed of the plug-in oracle's path; experiment configs record it.
+# The plug-in oracle's design: _PLUGIN_PATHS paths, from the seeds derived
+# from _PLUGIN_SEED, each recording _PLUGIN_STEPS steps of _PLUGIN_DELTA
+# after _PLUGIN_BURN_IN steps from 0; experiment configs record the seed and
+# the path count.  A lockstep step costs about the same at any width up to
+# about 200, so the 4e5 pooled states take 8250 vector steps, where one path
+# took 5e5 steps on floats.
 _PLUGIN_SEED = 853_090_411
+_PLUGIN_PATHS = 64
+_PLUGIN_STEPS = 6_250
+_PLUGIN_DELTA = 0.01
+_PLUGIN_BURN_IN = 2_000
 # Terms of the Fourier route's tail and centre series past which they give up.
 _SERIES_TERMS = 100
 _CENTER_TERMS = 1000
@@ -125,9 +134,10 @@ class StationaryDensity:
     ``f`` and ``f_prime`` take a float and return a float.  ``provenance``
     is one of ``"analytic"``, ``"numeric-oracle"`` (Fourier inversion of an
     exact characteristic function, evaluated at each point asked for), or
-    ``"kernel-plug-in"`` (smoothed long-trajectory estimate).  The plug-in's
-    ``f`` interpolates its smoothed density linearly between the points of
-    a 4096-point grid and its ``f_prime`` the central differences of that
+    ``"kernel-plug-in"`` (smoothed estimate from simulated paths).  The
+    plug-in's ``f`` interpolates its smoothed density linearly between the
+    centres of its histogram bins, an eighth of its bandwidth apart (at most
+    2^16 of them), and its ``f_prime`` the central differences of that
     density likewise; both vanish outside the grid.  The other two routes
     are positive everywhere.
     """
@@ -698,26 +708,39 @@ def _fourier_density(model: SdeModel, noise: StableParams) -> StationaryDensity:
     )
 
 
-def _plugin_density(model: SdeModel, noise: StableParams) -> StationaryDensity:
-    """A smoothed density estimate from one long path of the model, a fixed
-    design of 4e5 steps of 0.01 after a 1e5-step burn-in from the fixed
-    seed ``_PLUGIN_SEED``, so the oracle is reproducible."""
-    from .simulate import simulate_path
+def _plugin_sample(model: SdeModel, noise: StableParams) -> np.ndarray:
+    """The plug-in oracle's pooled states: the recorded states of its
+    ``_PLUGIN_PATHS`` paths, in the order of their seeds
+    ``derive_replicate_seed(_PLUGIN_SEED, j)``, stepped in lockstep."""
+    from .simulate import derive_replicate_seed, simulate_paths
 
-    path = simulate_path(model, noise, x0=0.0, n=400_000, delta=0.01, seed=_PLUGIN_SEED, burn_in=100_000)
-    data = path.x
+    seeds = [derive_replicate_seed(_PLUGIN_SEED, j) for j in range(_PLUGIN_PATHS)]
+    paths = simulate_paths(model, noise, 0.0, _PLUGIN_STEPS, _PLUGIN_DELTA, seeds, _PLUGIN_BURN_IN)
+    return np.concatenate([path.x for path in paths])
+
+
+def _plugin_density(model: SdeModel, noise: StableParams) -> StationaryDensity:
+    """A smoothed density estimate from the pooled states of
+    :func:`_plugin_sample`, a fixed design of 64 paths of 6250 steps of 0.01
+    after a 2000-step burn-in, from fixed seeds, so the oracle is
+    reproducible.  The histogram's bins are an eighth of the bandwidth wide,
+    unless its range would then take more than 2^16 of them."""
+    data = _plugin_sample(model, noise)
     q_lo, q1, q3, q_hi = np.quantile(data, [0.0005, 0.25, 0.75, 0.9995])
     iqr = q3 - q1
     if iqr <= 0.0:
         raise NumericError("simulated trajectory is too concentrated for a density estimate")
-    # Bandwidth from the effective sample size: consecutive observations are
-    # dependent over roughly one relaxation time of the drift.
+    # Bandwidth from the effective sample size of the pooled recorded time:
+    # consecutive observations are dependent over roughly one relaxation
+    # time of the drift.
     relaxation = 1.0 / max(model.lipschitz_mu, 1e-6)
-    n_eff = max(200.0, path.n * path.delta / (2.0 * relaxation))
+    n_eff = max(200.0, _PLUGIN_PATHS * _PLUGIN_STEPS * _PLUGIN_DELTA / (2.0 * relaxation))
     bandwidth = 0.9 * (iqr / 1.34) * n_eff ** (-0.2)
     lo = q_lo - 3.0 * bandwidth
     hi = q_hi + 3.0 * bandwidth
-    n_bins = 4096
+    # Bins from the bandwidth, so the kernel spans many of them however far
+    # the tails stretch the range.
+    n_bins = min(2 ** 16, math.ceil(8.0 * (hi - lo) / bandwidth))
     counts, edges = np.histogram(data, bins=n_bins, range=(lo, hi))
     bin_width = (hi - lo) / n_bins
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -744,15 +767,15 @@ def stationary_density_oracle(model: SdeModel, noise: StableParams) -> Stationar
 
     The linear model has the Gaussian closed form at ``alpha == 2`` and a
     stable law, evaluated by Fourier inversion, below it; every other model
-    gets the long-trajectory plug-in estimate.  ``noise``'s type guarantees
+    gets the simulated plug-in estimate.  ``noise``'s type guarantees
     ``alpha > 1``, which the linear model's stable law needs.  The Fourier
     route builds nothing up front: its ``f`` and ``f_prime`` evaluate the
     density at each point they are called with, by series in numpy and
     ``math`` alone wherever they converge (and by scipy's quadrature
     elsewhere), and raise :class:`NumericError` naming a point where no rule
-    reaches its accuracy target.  The plug-in route simulates one path from
-    a fixed seed, so it is reproducible, and is piecewise linear on its grid
-    and zero outside it.
+    reaches its accuracy target.  The plug-in route simulates 64 paths from
+    fixed seeds in one lockstep batch, so it is reproducible, and is
+    piecewise linear on its grid and zero outside it.
     """
     if not isinstance(noise, StableParams):
         raise ParameterError("noise must be a StableParams instance")

@@ -117,12 +117,12 @@ GOLDEN = {
     "bias": {
         "records": "09da3a7857de9ff25d0b25c12fbd7c7206cb0e57e66b5b3e6d514eef9b7374c3",
         "summary": "33e818e967e398626dc367c4981549210d1140ef3a7de7b99179081ac6df0ad1",
-        "manifest": "795d9e7c6dd1ee1f6ca8f44e2d867607315edacff80c39a22bb07b68987119d8",
+        "manifest": "b61d555251e3e493a09c2696171f5c684a12a26c610ce046a22d9978a3203ced",
     },
     "clt": {
-        "records": "d195d627e3655ee9d7bd834b3cc07e57f67d5a1cecff970a53000365119ce876",
-        "summary": "fe95b00ebf9d3a06c3d25235e9e5a3f450cefdfda6f2feb345ac758ec3ea75af",
-        "manifest": "8e9e8bba730cfe81ed519ba2cc8e883030e65387801c761fe803d696323e2acd",
+        "records": "04ed9e14525529ef7ec8cfe2c41b2f7768f8b66980034f45931b95881e94b7c1",
+        "summary": "a71300b1ad04bfca78ce367ab18b445a459e5992788ca77390b07b9697406d67",
+        "manifest": "bcc3f477f2344246c61c08b24f82c76122884ea6dc317480ea3b6c83e6ade7a7",
     },
     "consistency": {
         "records": "653a7fda9b2fbe9e30fad984bd6abfb75daffac0180285df6d2a028d8b4bd7a7",
@@ -132,17 +132,17 @@ GOLDEN = {
     "bias_wide": {
         "records": "2d44f599cccfceaebc10454782d8c76280a476d9ca6062d509237c84d71ce036",
         "summary": "a828b9be93ebe4ca902a25c51d4d17e3c57c6495ab9082f8e111f34d6ba2d6d2",
-        "manifest": "0bcace3b85c40d5421f407b3bb0fbf0ab6bb093bc97a2d08e039475dab1d550f",
+        "manifest": "a8dcec8c634b0b7a322f8efa247ad0caaebd2f543d46ec384e6e505036563843",
     },
     "clt_wide": {
-        "records": "b0ce9d594595c3a18401d8d9dc462f34113a81635fe39b441a756d4491a9c078",
-        "summary": "dfe0200cfdd9a7fca604f571cc556ad03f2b35c5014acb2e545a26af0edd2309",
-        "manifest": "dc430e5575ec20be149416f7b09c557487aec327f5a1a3470cc95bcc1e177ccb",
+        "records": "53b5fb4a7d25cfc2e18c12638bcbcbfb0b0e8628f005ea742a440154a7267aa1",
+        "summary": "a0a3d2c497ebb557baa0f03092028469103a578ce0af7fbc893dbd4d42b63880",
+        "manifest": "3252cd1f7a86d1186c15aee675dd01a624d1a47cd456844577ee78692a0f9f44",
     },
     "lln_wide": {
         "records": "8dcd3cd1f87587778b57fd0e8f4f96250534853f20125bb9788ce0d1719944d9",
-        "summary": "aa364aa3335cadb864feeb0ede45c8502e4b8c09b84aacb885d67148b49f2696",
-        "manifest": "d18647613b8a46e59ecf68048c0db24d40c093b2d89cdcf7f664bc24bc2704c0",
+        "summary": "87fa8c1f958b0f2257fba3f027c3b040625bbd879a1757f590d0efe6f9e62fab",
+        "manifest": "47577c42ea0c82af43176048381bd71887d6cb0b8f1850826cfe6eb2eab0cba9",
     },
     "estimate_epanechnikov": "49ea05510a0a2bd288af3fbcb600386f1a7f20ae07f9897bc2e90ca7a733824a",
     "estimate_uniform_right": "26df22539c632e95dfb0bedbfe044f3a5612e35a15c718be9b38b1dbd02a6c7e",
@@ -151,8 +151,8 @@ GOLDEN = {
     "constant_sigma_batch": "f860c4d4e07fc7a9c72c46e8e3209599f126e5ca017894d5ae9fe6830f9c90fe",
     "lln": {
         "records": "50d3d56a28d3b963cbb888e91fc381f18db4bb85e8ee182f0cb044ea1c15adaa",
-        "summary": "7906f97d28e47bf8d2341212374e781a167dca7b6987e5d0b718c41692810f80",
-        "manifest": "c7f1c669e861b533ffcf1b4efd8ebcb6b909cc631471afab0b75fe8fbe380cfc",
+        "summary": "33cfcb8a8ad053f2cb33113524b887a4b82f3758d333adf9e6c633a887e91c9e",
+        "manifest": "20adf0a167769aa8efa7313683e504f1ed3b37378a32dc66ad2dc8d182b6d4d6",
     },
 }
 
@@ -183,9 +183,13 @@ def test_report_read_back_from_disk_rewrites_the_same_bytes(kind, tmp_path):
     rewritten = write_report(report, tmp_path / "again")
     for name, path in written.items():
         assert rewritten[name].read_bytes() == path.read_bytes()
-    # the density entry is a record of the oracle's one route, not a setting
-    for key, value in (("seed", manifest["config"]["density"]["seed"] + 1), ("method", "simulation")):
-        config = dict(report.config, density={**report.config["density"], key: value})
+    # the density entry is a record of the oracle's one route, not a setting;
+    # a report of the single-path plug-in oracle recorded no path count
+    stored = report.config["density"]
+    single_path = {key: value for key, value in stored.items() if key != "paths"}
+    for density in ({**stored, "seed": stored["seed"] + 1}, {**stored, "method": "simulation"},
+                    {**stored, "paths": 1}, single_path):
+        config = dict(report.config, density=density)
         with pytest.raises(ConfigurationError, match="density entry"):
             dataclasses.replace(report, config=config).recompute_summaries()
 

@@ -1,6 +1,6 @@
 """Traced peak memory of the steps whose working sets are, or were, large:
-the Fourier density oracle, the path CSV writer and reader, and a wide
-lockstep batch, stepped on one thread or on several.
+the Fourier density oracle, the plug-in density oracle, the path CSV writer
+and reader, and a wide lockstep batch, stepped on one thread or on several.
 
 Each bound sits between the peak of the code as it is and that of a version
 that holds its whole working set at once: a 2^18-point inversion grid and
@@ -9,7 +9,10 @@ text built before it is written (0.6 MiB against 31 MiB), copies of the
 times and full-length spacing temporaries beside the parsed table (10.9 MiB
 against 6.4 MiB for 2e5 rows), and all 1000 seeds stepped in one pass
 (71 MiB against 215 MiB), or on three threads in three groups of all 1000
-(63 MiB against 150 MiB)."""
+(63 MiB against 150 MiB).  The plug-in oracle steps its 64 paths in one
+lockstep pass, whose 4096-step draw blocks dominate its 17.4 MiB, against
+about 32 MiB for the draws of every step at once (the single-path design it
+replaced peaked at 6.1 MiB)."""
 from __future__ import annotations
 
 import os
@@ -56,6 +59,12 @@ def test_fourier_oracle_evaluates_pointwise_in_bounded_memory():
             density.f_prime(x)
 
     assert traced_peak(build_and_evaluate) < 128 * 1024
+
+
+def test_plugin_oracle_steps_its_paths_in_bounded_memory():
+    model = builtin_model("bounded_nonlinear")
+    peak = traced_peak(lambda: stationary_density_oracle(model, StableParams(1.5, 0.0)))
+    assert peak < 24 * MIB
 
 
 def test_path_csv_writer_streams_its_rows(tmp_path):

@@ -15,9 +15,9 @@ from stabledrift.models import _fourier_density
 
 
 def pytest_report_header(config):
-    # numpy dispatches float64 ** to the widest SIMD routines the CPU has,
-    # and those round differently from libm, so every golden digest depends
-    # on the numpy version and on the extensions found here
+    # numpy dispatches float64 tan and ** to the widest SIMD routines the
+    # CPU has, and those round differently from libm, so every golden digest
+    # depends on the numpy version and on the extensions found here
     simd = np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found")
     return f"numpy {np.__version__}, SIMD extensions found: {simd}"
 

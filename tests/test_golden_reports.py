@@ -13,8 +13,10 @@ and ``estimate --path-csv`` on that file must write the same estimates.
 bounded_nonlinear with a constant sigma and a nonlinear drift (``lam=1``,
 ``sigma1=0``) takes the generic Euler step; its ``simulate`` path and a
 30-seed lockstep batch are pinned to the bytes its former fused step wrote.
-The digests were produced with numpy 2.4 on CPython 3.11 (x86-64), and no
-scipy routine feeds them; other numpy versions may round differently.
+The digests were produced with numpy 2.4 on CPython 3.11 (x86-64) with
+AVX-512, and no scipy routine feeds them; other numpy versions may round
+differently, and so does numpy's libm route for float64 tan and ** on a CPU
+without AVX-512.
 """
 from __future__ import annotations
 
@@ -115,43 +117,43 @@ WIDE_RUNS = {"bias_wide": _bias_wide, "clt_wide": _clt_wide, "lln_wide": _lln_wi
 
 GOLDEN = {
     "bias": {
-        "records": "09da3a7857de9ff25d0b25c12fbd7c7206cb0e57e66b5b3e6d514eef9b7374c3",
-        "summary": "33e818e967e398626dc367c4981549210d1140ef3a7de7b99179081ac6df0ad1",
+        "records": "dab6047ac0bf232e92dad4996d909ced2321f0f57a5940bb4e88bfec9b1c8fff",
+        "summary": "774b916956ca27041948cd38deeff67d9b4f7de40388993108b92a2c74204c76",
         "manifest": "b61d555251e3e493a09c2696171f5c684a12a26c610ce046a22d9978a3203ced",
     },
     "clt": {
-        "records": "04ed9e14525529ef7ec8cfe2c41b2f7768f8b66980034f45931b95881e94b7c1",
-        "summary": "a71300b1ad04bfca78ce367ab18b445a459e5992788ca77390b07b9697406d67",
+        "records": "6b6f1a27c897729009627f138b033900d15df74b1936a34d723cbf4c134643e7",
+        "summary": "c7fa311b42976cab8d8f6926714c635d087781f345c4ca59f5a481b16f6027df",
         "manifest": "bcc3f477f2344246c61c08b24f82c76122884ea6dc317480ea3b6c83e6ade7a7",
     },
     "consistency": {
-        "records": "653a7fda9b2fbe9e30fad984bd6abfb75daffac0180285df6d2a028d8b4bd7a7",
-        "summary": "c0806b76fb0f65c3097fc18e194801216208178e7edc0a7137c8c455544a3ef3",
+        "records": "178a746038f011b537ff21d66e73d3d34e2ca10c99c7ae3ed283e2e1a6dfb934",
+        "summary": "a8b8b9ce866f7042e094bc78516b04082c4c69cc35a95efaba380fcf2922d323",
         "manifest": "7942e67cbd45a62121d6f2124b11a3ad21c1d1f5b0425f4c446483f72a027eaa",
     },
     "bias_wide": {
-        "records": "2d44f599cccfceaebc10454782d8c76280a476d9ca6062d509237c84d71ce036",
-        "summary": "a828b9be93ebe4ca902a25c51d4d17e3c57c6495ab9082f8e111f34d6ba2d6d2",
+        "records": "b5e5ed94017027d4470cd059d110d5b5863e037e7b68a253b24c45502cfd00d0",
+        "summary": "d8cf40da6b4c509d8210fa5522fcbf83f14535b797a1637acdd9a3ba4e8a9413",
         "manifest": "a8dcec8c634b0b7a322f8efa247ad0caaebd2f543d46ec384e6e505036563843",
     },
     "clt_wide": {
-        "records": "53b5fb4a7d25cfc2e18c12638bcbcbfb0b0e8628f005ea742a440154a7267aa1",
-        "summary": "a0a3d2c497ebb557baa0f03092028469103a578ce0af7fbc893dbd4d42b63880",
+        "records": "6bf0f0b9e3c7ba344d9eed9258834e166e2da67f54b8d77e99d6bcdfa2208990",
+        "summary": "d7757f011ebca7ceae5f7d53cee61cf8c7d17a7b94a8c46b88d26a0f8d8860a8",
         "manifest": "3252cd1f7a86d1186c15aee675dd01a624d1a47cd456844577ee78692a0f9f44",
     },
     "lln_wide": {
-        "records": "8dcd3cd1f87587778b57fd0e8f4f96250534853f20125bb9788ce0d1719944d9",
-        "summary": "87fa8c1f958b0f2257fba3f027c3b040625bbd879a1757f590d0efe6f9e62fab",
+        "records": "0bd864fab948efba441f6999050c4f60c4f2b26c0bf3bad88724c3516ec5acdf",
+        "summary": "b146e47de624e880dcb1abf087f123107938994017df4aed27bfc21a4f729f2c",
         "manifest": "47577c42ea0c82af43176048381bd71887d6cb0b8f1850826cfe6eb2eab0cba9",
     },
-    "estimate_epanechnikov": "49ea05510a0a2bd288af3fbcb600386f1a7f20ae07f9897bc2e90ca7a733824a",
-    "estimate_uniform_right": "26df22539c632e95dfb0bedbfe044f3a5612e35a15c718be9b38b1dbd02a6c7e",
-    "simulate_path_csv": "0c351a517b9a441d236505d2bb81966236d63ba858aaca8125f49bafd785fe4d",
-    "constant_sigma_path_csv": "669e9dc3113b45e290df157a2bd8a247c9330935a8d1c9947da026c7e899f2a3",
-    "constant_sigma_batch": "f860c4d4e07fc7a9c72c46e8e3209599f126e5ca017894d5ae9fe6830f9c90fe",
+    "estimate_epanechnikov": "bde5dc986bd36ff2cd2958b375ed1ef094be163e969ae12c6eb9e033e1a21ca7",
+    "estimate_uniform_right": "a747937ae0a98149769f3f2289b4da6aed7c534b84dc6b87ca6909f53faad562",
+    "simulate_path_csv": "a97cde2d02d35b0e7e6c6ed2cea63adff17e9ec414455e6d55740f5eacbb334d",
+    "constant_sigma_path_csv": "1fcc8dbeb897b713003fb5d116c1b2bd7d01e12d5e184a03b2a0a65742435967",
+    "constant_sigma_batch": "3270e257c0d64c7d0b5baec2741ef88d99cae39edbb780029a797eae75d40b90",
     "lln": {
-        "records": "50d3d56a28d3b963cbb888e91fc381f18db4bb85e8ee182f0cb044ea1c15adaa",
-        "summary": "33cfcb8a8ad053f2cb33113524b887a4b82f3758d333adf9e6c633a887e91c9e",
+        "records": "9ade9dd8fe5225b138a132b5a29b1c9b6237dbd612df962a716d584175389743",
+        "summary": "d0b93b4997875d01eb05f8316ae224dca931dcac94e9a8ad8b310f6b5e4fcf9b",
         "manifest": "20adf0a167769aa8efa7313683e504f1ed3b37378a32dc66ad2dc8d182b6d4d6",
     },
 }

@@ -23,6 +23,7 @@ from stabledrift import (
     theoretical_char_fn,
     two_sample_ks,
 )
+from stabledrift.stable import _cms_transform, _tan_half
 
 
 class TestParams:
@@ -96,6 +97,14 @@ class TestCharFn:
         samples = np.array([math.pi, -math.pi])
         phi = np.asarray(empirical_char_fn(samples, np.array([1.0])))
         assert phi[0] == pytest.approx(-1.0 + 0.0j, abs=1e-15)
+
+    def test_empirical_is_the_mean_over_each_row_of_the_outer_product(self):
+        # one frequency at a time sums each row as the (len(u), n) matrix did
+        z = sample_standard_stable(StableParams(1.5, 0.5), np.random.default_rng(8), size=12_345)
+        u = np.linspace(-4.0, 4.0, 9).reshape(3, 3)
+        matrix = np.exp(1j * np.outer(u.ravel(), z)).mean(axis=1).reshape(u.shape)
+        assert np.asarray(empirical_char_fn(z, u)).tobytes() == matrix.tobytes()
+        assert empirical_char_fn(z, 2.0) == matrix.ravel()[6]
 
     def test_empirical_at_zero(self):
         rng = np.random.default_rng(5)
@@ -171,6 +180,54 @@ class TestSampler:
             warnings.simplefilter("error")
             z = sample_standard_stable(StableParams(1.0 + 2.0 ** -52, beta), np.random.default_rng(0), size=40_000)
         assert np.isfinite(z).all()
+
+
+# Twice the worst relative error of the sin/cos form of the map, which the
+# tan form replaced, at _accuracy_points(): one bound per alpha for each beta
+ACCURACY_BETAS = [-1.0, -0.3, 0.0, 0.5, 1.0]
+ACCURACY_BOUNDS = {
+    1.01: [8.3e-16, 2.2e-14, 6.9e-16, 2.3e-14, 8.2e-16],
+    1.2: [8.0e-16, 1.2e-15, 7.1e-16, 3.2e-15, 8.5e-16],
+    1.5: [2.0e-15, 1.5e-15, 1.8e-15, 2.2e-15, 2.0e-15],
+    1.8: [2.3e-15, 2.4e-15, 2.3e-15, 2.2e-15, 1.8e-15],
+    1.99: [3.0e-15, 2.8e-14, 1.6e-14, 1.8e-14, 2.8e-15],
+    2.0: [7.5e-16, 7.5e-16, 7.5e-16, 7.5e-16, 7.5e-16],
+}
+
+
+def _accuracy_points():
+    # uniforms in the bulk and within 1e-6 of both ends, each with four
+    # exponentials from 1e-3 to 20, mapped to angles as the sampler does
+    ends = 1e-6 * np.array([1.0, 0.5, 0.2, 0.1])
+    u = np.concatenate([np.random.default_rng(0).random(200), ends, 1.0 - ends])
+    uu, ww = np.meshgrid(u, np.array([1e-3, 0.5, 2.0, 20.0]))
+    return -math.pi / 2.0 + math.pi * uu.ravel(), ww.ravel()
+
+
+def _textbook_cms(alpha, beta, v, w):
+    # the sin/cos form in long double, from the same double angles, waits and
+    # scalars b0 and s that the map is given and computes
+    t = _tan_half(alpha)
+    b0 = math.atan(beta * t) / alpha
+    s = (1.0 + beta * beta * t * t) ** (1.0 / (2.0 * alpha))
+    a = np.longdouble(alpha)
+    v = v.astype(np.longdouble)
+    arg = a * (v + np.longdouble(b0))
+    return (np.longdouble(s) * np.sin(arg) / np.cos(v) ** (1 / a)
+            * (np.cos(v - arg) / w.astype(np.longdouble)) ** ((1 - a) / a))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant + 1 < 64,
+                    reason="long double has fewer than 64 mantissa bits on this platform")
+@pytest.mark.parametrize("alpha", sorted(ACCURACY_BOUNDS))
+@pytest.mark.parametrize("beta", ACCURACY_BETAS)
+def test_cms_map_matches_the_textbook_form_in_long_double(alpha, beta):
+    v, w = _accuracy_points()
+    exact = _textbook_cms(alpha, beta, v, w)
+    x = _cms_transform(StableParams(alpha, beta), v.copy(), w.copy(), np.empty_like(v), np.empty_like(v))
+    assert np.isfinite(exact).all()
+    worst = float(np.max(np.abs((x.astype(np.longdouble) - exact) / exact)))
+    assert worst <= ACCURACY_BOUNDS[alpha][ACCURACY_BETAS.index(beta)]
 
 
 class TestKolmogorovSmirnov:

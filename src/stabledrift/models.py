@@ -39,11 +39,18 @@ __all__ = [
 ]
 
 _VALIDATION_GRID = np.linspace(-50.0, 50.0, 10_001)
-# states, scaled increments and time steps on which a declared stepper must
-# take the generic step
+# states, scaled increments and time steps on which a declared stepper is
+# checked against the exact Euler step
 _STEP_STATES = (-50.0, -3.5, -1.0, -0.25, -0.0, 0.0, 0.6, 1.0, 2.5, 7.0, 1e3, 1e6)
 _STEP_TERMS = (0.3, -1.7, 0.0, 2.5e-3, -4.0, 1e-9, -0.02, 11.0, -0.6, 5.0, -2e3, 0.8)
 _STEP_DELTAS = (0.01, 0.37)
+# Ulps of |x| + |mu(x) delta| + |sigma(x) term| by which a step may miss the
+# exact x + mu(x) delta + sigma(x) term.  Each rounding errs by at most 2^-53
+# of its result, and no partial result exceeds that sum, so counting the
+# roundings bounds bounded_nonlinear's generic step by 8 ulps and its
+# regrouped step by 7; over 1.2e7 random steps the worst either missed by
+# was 2.7.
+_STEP_ULPS = 8
 # The plug-in oracle's design: _PLUGIN_PATHS paths, from the seeds derived
 # from _PLUGIN_SEED, each recording _PLUGIN_STEPS steps of _PLUGIN_DELTA
 # after _PLUGIN_BURN_IN steps from 0; experiment configs record the seed and
@@ -91,24 +98,35 @@ class SdeModel:
         as a linear recurrence instead of one step at a time.  None, the
         default, keeps the generic step for any drift.
     stepper : callable or None
-        ``stepper(delta, width)`` returns the model's whole Euler step from
-        state ``x`` with the scaled stable increment ``term``.  When
-        ``width`` is None it is ``step(x, term)`` on Python floats and
-        returns the next state.  Otherwise it is ``step(x, term, out)`` on
-        float64 vectors of length ``width``: it writes the next state into
-        ``out``, which overlaps neither ``x`` nor ``term``, returns ``out``
-        and leaves ``x`` and ``term`` as they were.  Either must equal the
-        generic step of :func:`euler_step` bit for bit,
-        ``x + mu(x) * delta + term`` when sigma is constant (``term`` then
-        carries sigma) and ``x + mu(x) * delta + sigma(x) * term``
-        otherwise, so it may share work between drift and diffusion but not
-        reorder any operation.  A vector step holds the model's constants,
-        and the scratch arrays it writes its partial results into, as
-        arrays of length ``width``: a numpy operation with a Python-float
-        operand, or one that allocates its result, costs more.  None, the
-        default, takes the generic step.  Of the built-in models, tanh_drift
-        declares one, and bounded_nonlinear does when its sigma depends on
-        the state.
+        ``stepper(delta, width)`` returns the model's Euler step as a block
+        stepper, ``advance(x, terms, rows)``, which steps from state ``x``
+        through each scaled stable increment of ``terms`` in turn, records
+        the state after step ``k`` as row ``k`` of ``rows`` and returns the
+        last state; the Euler engine calls it once per block of draws.
+        When ``width`` is None, ``x`` is a Python float, ``terms`` a 1-d
+        float64 array and ``rows`` a list the states are appended to.
+        Otherwise ``x`` is a float64 vector of length ``width``, which the
+        stepper does not write, and ``terms`` and ``rows`` are
+        ``(steps, width)`` arrays, both the engine's scratch: the stepper
+        may overwrite ``terms``, and steps that cannot raise may use the
+        rows not yet written.  Steps that can raise (by calling ``mu``,
+        say) write only the rows of the steps taken, since the engine
+        checks the whole block when a step raises.  The float and
+        vector forms must take the same steps bit for bit, so a batch of
+        paths steps exactly as each path alone does, and each step must
+        stay within ``_STEP_ULPS`` ulps of ``|x| + |mu(x) delta| +
+        |sigma(x) term|`` of the exact ``x + mu(x) delta + sigma(x) term``
+        (``term`` carries sigma when sigma is constant, and the step is
+        then ``x + mu(x) delta + term``), the bound the generic step of
+        :func:`euler_step` meets: it may regroup the step's operations, as
+        long as the vector form regroups them as the float form does.  A
+        vector stepper holds the model's constants, and the scratch arrays
+        it writes its partial results into, as arrays of length ``width``:
+        a numpy operation with a Python-float operand, or one that
+        allocates its result, costs more.  None, the default, takes the
+        generic step.  Of the built-in models, tanh_drift declares one, in
+        the generic step's float order, and bounded_nonlinear does when its
+        sigma depends on the state.
     """
 
     name: str
@@ -246,16 +264,26 @@ def _make_tanh_drift(params: dict) -> SdeModel:
         tanh = math.tanh
         neg_a, dt = _operands(width, -a, delta)
         if width is None:
-            return lambda x, term: x + neg_a * tanh(x) * dt + term
+            def float_block(x, terms, rows):
+                append = rows.append
+                for term in terms.tolist():
+                    x = x + neg_a * tanh(x) * dt + term
+                    append(x)
+                return x
 
-        def step(x, term, out):
-            drift = np.fromiter(map(tanh, x.tolist()), float, width)
-            np.multiply(neg_a, drift, drift)
-            np.multiply(drift, dt, drift)
-            np.add(x, drift, drift)
-            return np.add(drift, term, out)
+            return float_block
+        fromiter, multiply, add = np.fromiter, np.multiply, np.add
 
-        return step
+        def vector_block(x, terms, rows):
+            for term, row in zip(terms, rows):
+                drift = fromiter(map(tanh, x.tolist()), float, width)
+                multiply(neg_a, drift, drift)
+                multiply(drift, dt, drift)
+                add(x, drift, drift)
+                x = add(drift, term, row)
+            return x
+
+        return vector_block
 
     return SdeModel(
         name="tanh_drift",
@@ -301,35 +329,43 @@ def _make_bounded_nonlinear(params: dict) -> SdeModel:
 
     bounds = (s0, s0 + s1)
 
-    # q = 1 + x^2 serves drift and diffusion alike.  Declared only for a
-    # state-dependent sigma: with a constant one the model takes the affine
-    # scan (lam = 0) or the generic step.
+    # Declared only for a state-dependent sigma: with a constant one the
+    # model takes the affine scan (lam = 0) or the generic step.  The step
+    # x + mu(x) delta + sigma(x) term is regrouped as
+    # (1 - c delta) x + s0 term + (s1 term - lam delta x) / (1 + x^2),
+    # with s0 term and s1 term formed once per block: eight array
+    # operations a step.
     def stepper(delta, width):
-        neg_lam, one, c_, s0_, s1_, dt = _operands(width, -lam, 1.0, c, s0, s1, delta)
+        decay, pull = 1.0 - c * delta, lam * delta
         if width is None:
-            def float_step(x, term):
-                q = one + x * x
-                return x + (neg_lam * x / q - c_ * x) * dt + (s0_ + s1_ / q) * term
+            def float_block(x, terms, rows):
+                append = rows.append
+                for s0_term, s1_term in zip((s0 * terms).tolist(), (s1 * terms).tolist()):
+                    x = decay * x + s0_term + (s1_term - pull * x) / (1.0 + x * x)
+                    append(x)
+                return x
 
-            return float_step
+            return float_block
+        decay_, pull_, one = _operands(width, decay, pull, 1.0)
         q, drift = np.empty((2, width))
+        multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
 
-        # x + (neg_lam * x / q - c_ * x) * dt, then + (s0_ + s1_ / q) * term;
-        # out holds c_ * x meanwhile
-        def step(x, term, out):
-            np.multiply(x, x, q)
-            np.add(one, q, q)
-            np.multiply(neg_lam, x, drift)
-            np.divide(drift, q, drift)
-            np.subtract(drift, np.multiply(c_, x, out), drift)
-            np.multiply(drift, dt, drift)
-            np.add(x, drift, drift)
-            np.divide(s1_, q, q)
-            np.add(s0_, q, q)
-            np.multiply(q, term, q)
-            return np.add(drift, q, out)
+        # each row holds s1 term until its step has read it and writes its state
+        def vector_block(x, terms, rows):
+            multiply(terms, s1, rows)
+            multiply(terms, s0, terms)
+            for s0_term, row in zip(terms, rows):
+                multiply(x, x, q)
+                add(q, one, q)
+                multiply(pull_, x, drift)
+                subtract(row, drift, drift)
+                divide(drift, q, drift)
+                multiply(decay_, x, row)
+                add(row, s0_term, row)
+                x = add(row, drift, row)
+            return x
 
-        return step
+        return vector_block
 
     return SdeModel(
         name="bounded_nonlinear",
@@ -359,26 +395,35 @@ def model_names() -> tuple[str, ...]:
 
 
 def _generic_step(model: SdeModel, delta: float, width: int | None = None) -> Callable:
-    """The Euler step built from ``mu`` and ``sigma``, under the contract of
-    ``SdeModel.stepper``: ``step(x, term)`` on floats when ``width`` is
-    None, ``step(x, term, out)`` on vectors otherwise.  It is the reference
-    a declared stepper must equal."""
-    mu = model.mu
-    if model.sigma_constant:
-        if width is None:
-            return lambda x, term: x + mu(x) * delta + term
-        return lambda x, term, out: np.add(x + mu(x) * delta, term, out)
-    sigma = model.sigma
+    """The Euler step built from ``mu`` and ``sigma``, as a block stepper
+    under the contract of ``SdeModel.stepper``: ``x + mu(x) * delta + term``
+    when sigma is constant (``term`` then carries sigma), else
+    ``x + mu(x) * delta + sigma(x) * term``, in that float order."""
+    mu, sigma = model.mu, model.sigma
+    constant = model.sigma_constant
     if width is None:
-        return lambda x, term: x + mu(x) * delta + sigma(x) * term
-    return lambda x, term, out: np.add(x + mu(x) * delta, sigma(x) * term, out)
+        def float_block(x, terms, rows):
+            append = rows.append
+            for term in terms.tolist():
+                x = x + mu(x) * delta + (term if constant else sigma(x) * term)
+                append(x)
+            return x
+
+        return float_block
+
+    def vector_block(x, terms, rows):
+        for term, row in zip(terms, rows):
+            x = np.add(x + mu(x) * delta, term if constant else sigma(x) * term, row)
+        return x
+
+    return vector_block
 
 
 def euler_step(model: SdeModel, delta: float, width: int | None = None) -> Callable:
-    """The model's Euler step at time step ``delta``: its declared
-    ``stepper`` for a float state (``width`` None) or a vector of ``width``
-    states, else the generic step from ``mu`` and ``sigma``, under the
-    contract of ``SdeModel.stepper``.  ``term`` is the scaled stable
+    """The model's Euler step at time step ``delta`` as a block stepper: its
+    declared ``stepper`` for a float state (``width`` None) or a vector of
+    ``width`` states, else the generic step from ``mu`` and ``sigma``, under
+    the contract of ``SdeModel.stepper``.  A term is a scaled stable
     increment, ``delta^(1/alpha) * xi``, times sigma when sigma is
     constant."""
     if model.stepper is None:
@@ -386,30 +431,64 @@ def euler_step(model: SdeModel, delta: float, width: int | None = None) -> Calla
     return model.stepper(delta, width)
 
 
+def _exact_step(model: SdeModel, delta: float, x: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Euler step from each state of ``x`` with its term, evaluated in
+    long double, and ``|x| + |mu(x) delta| + |sigma(x) term|`` in double,
+    whose ulp measures a step's error.  ``mu`` and ``sigma`` take the long
+    double states, so the built-in models evaluate them in long double too,
+    except tanh_drift's ``math.tanh``."""
+    wide = np.asarray(x, dtype=np.longdouble)
+    drift = np.asarray(model.mu(wide), dtype=np.longdouble) * np.longdouble(delta)
+    noise = np.asarray(terms, dtype=np.longdouble)
+    if not model.sigma_constant:
+        noise = np.asarray(model.sigma(wide), dtype=np.longdouble) * noise
+    return wide + drift + noise, (np.abs(wide) + np.abs(drift) + np.abs(noise)).astype(float)
+
+
 def _check_stepper(model: SdeModel) -> None:
-    """Raise unless the declared stepper takes the generic step bit for bit
-    on ``_STEP_STATES``, both on floats and on one vector, and its vector
-    step writes into and returns ``out`` and leaves ``x`` and ``term`` as
-    they were."""
+    """Raise unless the declared stepper, on two-step blocks from
+    ``_STEP_STATES``, takes the same steps on floats as on one vector, bit
+    for bit, each within ``_STEP_ULPS`` ulps of the exact Euler step, and
+    returns its last state, leaving ``x`` as it was."""
     states = np.array(_STEP_STATES)
-    terms = np.array(_STEP_TERMS)
+    terms = np.array([_STEP_TERMS, _STEP_TERMS[::-1]])
+    # where long double is no wider than double, the reference carries a
+    # double step's rounding too
+    wide = np.finfo(np.longdouble).precision > np.finfo(float).precision
+    allowance = _STEP_ULPS if wide else 2 * _STEP_ULPS
     for delta in _STEP_DELTAS:
-        expected = _generic_step(model, delta)(states, terms)
-        step = model.stepper(delta, None)
-        floats = np.array([step(x, term) for x, term in zip(_STEP_STATES, _STEP_TERMS)])
-        x, term, out = states.copy(), terms.copy(), np.empty_like(states)
-        stepped = model.stepper(delta, states.size)(x, term, out)
-        if stepped is not out:
-            raise ParameterError(f"model {model.name}: stepper's vector step must return its out array")
-        if x.tobytes() != states.tobytes() or term.tobytes() != terms.tobytes():
-            raise ParameterError(f"model {model.name}: stepper's vector step must not change x or term")
-        for got in (floats, stepped):
-            if got.tobytes() != expected.tobytes():
-                at = int(np.flatnonzero(got.view(np.int64) != expected.view(np.int64))[0])
+        float_block = model.stepper(delta, None)
+        floats = []
+        for x, pair in zip(_STEP_STATES, terms.T):
+            rows: list = []
+            last = float_block(x, pair.copy(), rows)
+            if len(rows) != 2 or last != rows[-1]:
                 raise ParameterError(
-                    f"model {model.name}: stepper departs from the generic Euler step at "
-                    f"x = {_STEP_STATES[at]}, term = {_STEP_TERMS[at]}, delta = {delta} "
-                    f"({got[at]!r} against {expected[at]!r})"
+                    f"model {model.name}: stepper's float block must record each step and return its last state"
+                )
+            floats.append(rows)
+        floats = np.array(floats).T
+        x, rows = states.copy(), np.empty_like(terms)
+        last = model.stepper(delta, states.size)(x, terms.copy(), rows)
+        if x.tobytes() != states.tobytes():
+            raise ParameterError(f"model {model.name}: stepper's vector block must not change x")
+        if np.asarray(last).tobytes() != rows[-1].tobytes():
+            raise ParameterError(f"model {model.name}: stepper's vector block must return its last state")
+        if floats.tobytes() != rows.tobytes():
+            at = int(np.flatnonzero(floats.view(np.int64) != rows.view(np.int64))[0]) % states.size
+            raise ParameterError(
+                f"model {model.name}: stepper's float and vector steps differ from x = {_STEP_STATES[at]}, "
+                f"delta = {delta}"
+            )
+        for start, step, term in zip((states, rows[0]), rows, terms):
+            exact, size = _exact_step(model, delta, start, term)
+            missed = (np.abs(step - exact) / np.spacing(size)).astype(float)
+            if not missed.max() <= allowance:
+                at = int(np.argmax(~(missed <= allowance)))
+                raise ParameterError(
+                    f"model {model.name}: stepper departs from the Euler step at "
+                    f"x = {start[at]!r}, term = {term[at]!r}, delta = {delta} "
+                    f"({step[at]!r} against {float(exact[at])!r}, {missed[at]:.3g} ulps)"
                 )
 
 
@@ -429,8 +508,8 @@ def validate_model(model: SdeModel) -> None:
     declared derivatives with central finite differences, and, when
     ``affine_drift`` is declared, that sigma is constant and the drift
     equals ``gamma - lam * x`` exactly on the grid, and, when ``stepper``
-    is declared, that it takes the generic Euler step bit for bit on a
-    dozen states, on floats and on a vector.  Tolerances for
+    is declared, that it steps a dozen states within a few ulps of the
+    exact Euler step, the same on floats as on a vector.  Tolerances for
     the derivative checks are relative to the sup of the analytic derivative
     over the grid, floored at 1, since a pointwise relative comparison is
     meaningless at zeros of the derivative; the second-derivative check

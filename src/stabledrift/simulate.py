@@ -12,28 +12,32 @@ of the standard stable law).
 
 One engine steps every path.  :func:`simulate_path` steps a single path on
 plain Python floats; :func:`simulate_paths` steps a batch of seeds in
-lockstep, with the state a numpy vector holding one entry per path, through
-the same loop.  Each step is the model's own fused step when it declares a
-``stepper``, else the generic step from its drift and diffusion.  A model
-that declares an affine drift ``gamma - lam * x`` with constant sigma skips
-the loop: each block of draws is one linear recurrence, which a doubling
-scan of about a dozen array passes solves for every path at once.  Every
-operation is elementwise IEEE arithmetic, so a path's states are bit for
-bit the same in a batch of any width as alone.  Each path's stable
-increments are drawn in blocks of 4096 steps from its own seed's stream, so
-neither a full-length draw array nor a full-length list is ever built; the
-bound check runs once per block and still names the first offending step.
-A batch steps in groups of contiguous paths, and each group allocates its
-draw, scratch and state blocks once: every block of draws is mapped into
-the same buffers, and each step writes the next states into a row of the
-same state block.  The groups of a batch on the affine scan run on threads
-(:func:`simulate_paths` takes one per CPU the process may run on), since
-its array passes release the interpreter lock; the groups running at once
-hold at most 256 paths together, so a batch's working memory is that of
-one 256-path pass whatever its width and thread count.  Each group writes only its own rows and draws only
-its own seeds' streams, so the paths do not depend on the thread count.
-Every other route steps its groups one after another, because its
-per-step Python holds the lock.
+lockstep, with the state a numpy vector holding one entry per path.  Each
+path's stable increments are drawn in blocks of 4096 steps from its own
+seed's stream, so neither a full-length draw array nor a full-length list
+is ever built, and each block is stepped in one call of a block stepper,
+which runs the per-step loop inside the model's closure: the model's own
+``stepper`` when it declares one, else the generic step from its drift and
+diffusion.  A declared step may regroup the Euler step's operations, as
+bounded_nonlinear's step with a sigma(x) does, within a few ulps of the
+exact step, but its float and vector forms take the same operations, so a
+path's states are bit for bit the same in a batch of any width as alone.
+A model that declares an affine drift ``gamma - lam * x`` with constant
+sigma skips the loop: each block of draws is one linear recurrence, which
+a doubling scan of about a dozen elementwise array passes solves for every
+path at once.  The bound check runs once per block and still names the
+first offending step.  A batch steps in groups of contiguous paths, and
+each group allocates its draw, scratch and state blocks once: every block
+of draws is mapped into the same buffers, and the block stepper or the
+scan writes the block's states into the same state block.  The groups of a
+batch on the affine scan run on threads (:func:`simulate_paths` takes one
+per CPU the process may run on), since its array passes release the
+interpreter lock; the groups running at once hold at most 256 paths
+together, so a batch's working memory is that of one 256-path pass
+whatever its width and thread count.  Each group writes only its own rows
+and draws only its own seeds' streams, so the paths do not depend on the
+thread count.  Every other route steps its groups one after another,
+because its per-step Python holds the lock.
 
 Seeding is two-level: experiments hold one master seed and derive one
 independent stream per replicate through a fixed 64-bit mixing function, so
@@ -347,14 +351,18 @@ def _euler(
     ``n + 1`` row per seed.
 
     A model with ``affine_drift`` and constant sigma steps each block of
-    draws as a whole through :func:`_affine_block`.  Any other model steps
-    one state at a time through its :func:`euler_step`: one seed keeps the
-    state a Python float, which steps faster than any numpy scalar; several
-    seeds make it a vector of ``width`` states, and each step writes the
-    next state into a row of a ``(steps, width)`` block that, like the
+    draws as a whole through :func:`_affine_block`, in a rows and a scratch
+    block allocated once.  Any other model steps each block of draws in one
+    call of its block stepper, :func:`euler_step`, which runs the per-step
+    loop.  One seed keeps the state a Python float, which steps faster than
+    any numpy scalar, and the stepper appends the block's states to a list;
+    several seeds make it a vector of ``width`` states, and the stepper
+    writes them into the rows of a ``(steps, width)`` block that, like the
     block of scaled increments, is allocated once and reused for every
     block of draws.  The bound check runs once per block, on the block's
-    states.
+    states.  If a step raises, the states it did not reach are left out of
+    the check: the list holds only the states taken, and the rows it did
+    not reach hold zeros or states that passed an earlier block's check.
     """
     width = len(seeds)
     scale = delta ** (1.0 / noise.alpha)
@@ -363,43 +371,40 @@ def _euler(
         # a constant sigma folds into the increments as sigma * delta^(1/alpha)
         scale = model.sigma_bounds[0] * scale
         affine = model.affine_drift
-    step = euler_step(model, delta, None if width == 1 else width)
     state = float(x0) if width == 1 else np.full(width, float(x0))
     states[:, 0] = state  # x0, kept only when there is no burn-in
-    if width > 1 and affine is None:
-        terms, trail = np.empty((2, min(_CHUNK, burn_in + n), width))
+    chunk = min(_CHUNK, burn_in + n)
+    if affine is not None:
+        rows, scratch = np.empty((2, width, chunk))
+    else:
+        advance = euler_step(model, delta, None if width == 1 else width)
+        if width > 1:
+            terms, trail = np.empty((chunk, width)), np.zeros((chunk, width))
     done = 0
     with np.errstate(all="ignore"):
         for xi in _stable_blocks(noise, seeds, burn_in + n):
+            steps = xi.shape[1]
             failure = None
             if affine is not None:
-                block = _affine_block(xi, scale, state, affine, delta).T
+                block = _affine_block(xi, scale, state, affine, delta, rows[:, :steps], scratch[:, :steps]).T
                 state = block[-1].copy()
-            elif width == 1:
-                rows: list = []
-                append = rows.append
+            else:
+                if width == 1:
+                    block_terms, taken = xi[0] * scale, []
+                else:
+                    block_terms, taken = np.multiply(xi.T, scale, out=terms[:steps]), trail[:steps]
                 try:
-                    for term in (xi[0] * scale).tolist():
-                        state = step(state, term)
-                        append(state)
+                    state = advance(state, block_terms, taken)
                 except (ArithmeticError, ValueError) as exc:
                     # Float arithmetic (x ** 3, say) may overflow once a state
                     # has left the range, before the block's check is reached.
                     failure = exc
-                block = np.array(rows).reshape(len(rows), 1)
-            else:
-                steps = xi.shape[1]
-                np.multiply(xi.T, scale, out=terms[:steps])
-                taken = 0
-                try:
-                    for term, row in zip(terms[:steps], trail[:steps]):
-                        state = step(state, term, row)
-                        taken += 1
-                except (ArithmeticError, ValueError) as exc:
-                    failure = exc
-                block = trail[:taken]
-                # the next block's steps write over this one's rows
-                state = state.copy()
+                if width == 1:
+                    block = np.array(taken).reshape(len(taken), 1)
+                else:
+                    block = taken
+                    # the next block's steps write over this one's rows
+                    state = state.copy()
             _check_block(block, done, burn_in)
             if failure is not None:
                 raise failure
@@ -410,9 +415,14 @@ def _euler(
             done += len(block)
 
 
-def _affine_block(xi: np.ndarray, scale: float, state, affine: tuple[float, float], delta: float) -> np.ndarray:
+def _affine_block(
+    xi: np.ndarray, scale: float, state, affine: tuple[float, float], delta: float,
+    rows: np.ndarray, scratch: np.ndarray,
+) -> np.ndarray:
     """States after each step of a ``(width, steps)`` block of draws under
-    the drift ``gamma - lam * x``, one row per path, from ``state``.
+    the drift ``gamma - lam * x``, one row per path, from ``state``, written
+    into ``rows``, which is returned; ``scratch``, of the same shape, holds
+    each pass's products.
 
     Each Euler step is the linear recurrence ``x' = a x + u`` with
     ``a = 1 - lam * delta`` and ``u = gamma * delta + scale * xi``.  The
@@ -435,11 +445,14 @@ def _affine_block(xi: np.ndarray, scale: float, state, affine: tuple[float, floa
     gamma, lam = affine
     c = lam * delta
     power = 1.0 - c
-    rows = xi * scale + gamma * delta
+    np.multiply(xi, scale, out=rows)
+    rows += gamma * delta
     rows[:, 0] += power * state
+    steps = rows.shape[1]
     shift = 1
-    while shift < rows.shape[1]:
-        rows[:, shift:] += power * rows[:, :-shift]
+    while shift < steps:
+        products = np.multiply(rows[:, :-shift], power, out=scratch[:, : steps - shift])
+        rows[:, shift:] += products
         if power > 0.5:
             c = c * (2.0 - c)
             power = 1.0 - c

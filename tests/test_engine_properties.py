@@ -2,8 +2,8 @@
 paths is bit for bit the same paths stepped one at a time, on any number of
 threads, the streamed increments are the sampler's stream, the block scan
 of an affine drift follows the step-by-step loop, each model's array
-branches are its scalar branches, each declared stepper is the generic
-Euler step, and replicate seeds never collide."""
+branches are its scalar branches, each declared stepper stays within a few
+ulps of the exact Euler step, and replicate seeds never collide."""
 from __future__ import annotations
 
 import dataclasses
@@ -28,7 +28,7 @@ from stabledrift import (
     simulate_path,
     simulate_paths,
 )
-from stabledrift.models import _generic_step, euler_step
+from stabledrift.models import _STEP_ULPS, _exact_step, _generic_step, euler_step
 from stabledrift.simulate import _CHUNK, _PASS, _simulate_paths, _stable_blocks
 
 MODELS = {
@@ -386,36 +386,69 @@ def test_models_with_a_stepper_are_covered():
     assert {name for name, _ in STEPPED} == {"tanh_drift", "bounded_nonlinear"}
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    case=st.sampled_from(STEPPED),
-    delta=st.one_of(st.floats(min_value=1e-6, max_value=50.0), st.sampled_from([0.01, 0.1])),
-    pairs=big_states.flatmap(lambda xs: st.tuples(st.just(xs), st.lists(
-        st.floats(allow_nan=False, allow_infinity=False), min_size=len(xs), max_size=len(xs)))),
-)
-def test_declared_steppers_take_the_generic_step_bit_for_bit(case, delta, pairs):
+TANH = [case for case in STEPPED if case[0] == "tanh_drift"]
+step_sizes = st.one_of(st.floats(min_value=1e-6, max_value=50.0), st.sampled_from([0.01, 0.1]))
+# terms up to the float range too, where a step leaves the state bound
+state_term_pairs = big_states.flatmap(lambda xs: st.tuples(st.just(xs), st.lists(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(min_value=-10.0, max_value=10.0)),
+    min_size=len(xs), max_size=len(xs))))
+
+
+def _single_steps(block_of, delta, xs, terms):
+    """Each state stepped once with its term by the block steppers
+    ``block_of(delta, width)``, on floats and as one vector block of one
+    step; either form must return its last state."""
+    arr = np.asarray(xs, dtype=float)
+    floats = []
+    for x, term in zip(xs, terms):
+        rows: list = []
+        assert block_of(delta, None)(x, np.array([term]), rows) is rows[-1]
+        floats.append(rows[0])
+    rows = np.empty((1, arr.size))
+    last = block_of(delta, arr.size)(arr.copy(), np.array([terms], dtype=float), rows)
+    assert last.tobytes() == rows[0].tobytes()
+    return np.array(floats, dtype=float), rows[0]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).precision < 18, reason="long double is not wider than double here")
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(STEPPED), delta=step_sizes, pairs=state_term_pairs)
+def test_steps_stay_within_the_bound_of_the_exact_step(case, delta, pairs):
+    # Where |x| + |mu(x) delta| + |sigma(x) term| is finite and inside the
+    # state bound, the declared and the generic step both miss the exact
+    # step by at most _STEP_ULPS ulps of that sum; where the exact step
+    # from a state inside the bound lands more than twice the bound out,
+    # both leave the bound.  The float and vector forms agree bit for bit.
     model = builtin_model(*case)
     xs, terms = pairs
-    generic = _generic_step(model, delta)
-    step = euler_step(model, delta)
-    arr, term_arr = np.asarray(xs, dtype=float), np.asarray(terms, dtype=float)
-    before = arr.tobytes() + term_arr.tobytes()
-    out, generic_out = np.empty_like(arr), np.empty_like(arr)
+    arr = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
-        expected = np.array([generic(x, t) for x, t in zip(xs, terms)], dtype=float)
-        floats = np.array([step(x, t) for x, t in zip(xs, terms)], dtype=float)
-        vector = euler_step(model, delta, arr.size)(arr, term_arr, out)
-        generic_vector = _generic_step(model, delta, arr.size)(arr, term_arr, generic_out)
-    assert vector is out and generic_vector is generic_out
-    assert arr.tobytes() + term_arr.tobytes() == before
-    assert floats.tobytes() == expected.tobytes()
-    assert vector.tobytes() == expected.tobytes()
-    assert generic_vector.tobytes() == expected.tobytes()
+        exact, size = _exact_step(model, delta, arr, np.asarray(terms, dtype=float))
+        inside = np.isfinite(size) & (size < 1e12)
+        far_out = (np.abs(arr) < 1e12) & ~(np.abs(exact) <= 2e12)
+        for block_of in (model.stepper, lambda d, w: _generic_step(model, d, w)):
+            floats, vector = _single_steps(block_of, delta, xs, terms)
+            assert floats.tobytes() == vector.tobytes()
+            missed = (np.abs(vector - exact) / np.spacing(size)).astype(float)
+            assert np.all(missed[inside] <= _STEP_ULPS)
+            assert not np.any(np.abs(vector[far_out]) < 1e12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(TANH), delta=step_sizes, pairs=state_term_pairs)
+def test_tanh_drift_stepper_takes_the_generic_step_bit_for_bit(case, delta, pairs):
+    model = builtin_model(*case)
+    xs, terms = pairs
+    with np.errstate(all="ignore"):
+        fused = _single_steps(model.stepper, delta, xs, terms)
+        generic = _single_steps(lambda d, w: _generic_step(model, d, w), delta, xs, terms)
+    for got, expected in zip(fused, generic):
+        assert got.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=20, deadline=None)
 @given(
-    case=st.sampled_from(STEPPED),
+    case=st.sampled_from(TANH),
     noise=noises,
     batch=st.lists(seeds, min_size=1, max_size=4),
     n=lengths.filter(lambda v: v >= 1),
@@ -429,6 +462,30 @@ def test_stepper_paths_equal_generic_paths(case, noise, batch, n, burn_in, x0):
     plain = simulate_paths(generic, noise, x0, n, 0.01, batch, burn_in=burn_in)
     for a, b in zip(fused, plain):
         assert a.x.tobytes() == b.x.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 2, 97])
+@pytest.mark.parametrize("case", STEPPED + [("bounded_nonlinear", {"lam": 1.0, "sigma1": 0.0})])
+def test_float_route_equals_vector_route_across_a_block_boundary(case, width):
+    # the vector route driven block by block as the engine drives it, at
+    # width 1 too, against each path stepped alone on floats
+    model = builtin_model(*case)
+    noise, delta, total = StableParams(1.5, 0.0), 0.01, _CHUNK + 300
+    batch = [derive_replicate_seed(25, j) for j in range(width)]
+    scale = delta ** (1.0 / noise.alpha) * (model.sigma_bounds[0] if model.sigma_constant else 1.0)
+    advance = euler_step(model, delta, width)
+    state, blocks = np.zeros(width), []
+    with np.errstate(all="ignore"):
+        for xi in _stable_blocks(noise, batch, total):
+            rows = np.empty((xi.shape[1], width))
+            state = advance(state, xi.T * scale, rows).copy()
+            blocks.append(rows)
+    vector = np.concatenate(blocks).T
+    for seed, row in zip(batch, vector):
+        assert simulate_path(model, noise, 0.0, total, delta, seed, burn_in=0).x[1:].tobytes() == row.tobytes()
+    if width > 1:
+        for path, row in zip(simulate_paths(model, noise, 0.0, total, delta, batch, burn_in=0), vector):
+            assert path.x[1:].tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("case", [case for case in STEPPED if case[0] == "bounded_nonlinear"])

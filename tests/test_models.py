@@ -172,59 +172,71 @@ class TestValidateModel:
         with pytest.raises(ParameterError, match="constant sigma"):
             validate_model(dataclasses.replace(m, affine_drift=(0.0, m.params["c"])))
 
-    @pytest.mark.parametrize("departure", ["drops sigma", "splits sigma", "folds delta"])
-    def test_stepper_that_departs_from_the_generic_step_rejected(self, departure):
+    @staticmethod
+    def _stepper_of(kind):
+        """A bounded_nonlinear model whose declared stepper takes the step
+        ``kind`` on floats and on vectors, in block form."""
         m = builtin_model("bounded_nonlinear")
         mu, sigma = m.mu, m.sigma
         lam, c, s0, s1 = (m.params[key] for key in ("lam", "c", "sigma0", "sigma1"))
         steps = {
             "generic": lambda delta: lambda x, term: x + mu(x) * delta + sigma(x) * term,
-            "drops sigma": lambda delta: lambda x, term: x + mu(x) * delta + term,
             "splits sigma": lambda delta: lambda x, term: x + mu(x) * delta + (s0 * term + s1 / (1.0 + x * x) * term),
             "folds delta": lambda delta: lambda x, term: (
                 x + (-lam * delta) * x / (1.0 + x * x) - c * delta * x + sigma(x) * term
             ),
+            "drops sigma": lambda delta: lambda x, term: x + mu(x) * delta + term,
+            "flips the drift": lambda delta: lambda x, term: x - mu(x) * delta + sigma(x) * term,
         }
 
-        def stepper(kind):
-            # the float step itself, and a vector step that writes it into out
-            def make(delta, width):
-                step = steps[kind](delta)
-                if width is None:
-                    return step
+        def stepper(delta, width):
+            step = steps[kind](delta)
 
-                def vector(x, term, out):
-                    out[...] = step(x, term)
-                    return out
+            def block(x, terms, rows):
+                for k, term in enumerate(terms if width else terms.tolist()):
+                    x = step(x, term)
+                    if width:
+                        rows[k] = x
+                    else:
+                        rows.append(x)
+                return x
 
-                return vector
+            return block
 
-            return make
+        return dataclasses.replace(m, stepper=stepper)
 
-        validate_model(dataclasses.replace(m, stepper=stepper("generic")))
-        with pytest.raises(ParameterError, match="stepper departs from the generic Euler step"):
-            validate_model(dataclasses.replace(m, stepper=stepper(departure)))
+    @pytest.mark.parametrize("regrouping", ["generic", "splits sigma", "folds delta"])
+    def test_stepper_that_regroups_the_step_accepted(self, regrouping):
+        # each rounds differently from the generic step, within the bound
+        validate_model(self._stepper_of(regrouping))
+
+    @pytest.mark.parametrize("departure", ["drops sigma", "flips the drift"])
+    def test_stepper_that_departs_from_the_generic_step_rejected(self, departure):
+        with pytest.raises(ParameterError, match="stepper departs from the Euler step"):
+            validate_model(self._stepper_of(departure))
 
     @pytest.mark.parametrize("breach, message", [
-        ("returns a fresh array", "must return its out array"),
-        ("changes x", "must not change x or term"),
-        ("changes term", "must not change x or term"),
+        ("returns its first state", "vector block must return its last state"),
+        ("changes x", "vector block must not change x"),
+        ("steps one ulp off the float step", "float and vector steps differ"),
     ])
     def test_vector_step_that_breaks_the_in_place_contract_rejected(self, breach, message):
         m = builtin_model("bounded_nonlinear")
         declared = m.stepper
 
         def stepper(delta, width):
-            step = declared(delta, width)
+            block = declared(delta, width)
             if width is None:
-                return step
+                return block
 
-            def vector(x, term, out):
-                step(x, term, out)
-                if breach == "returns a fresh array":
-                    return out.copy()
-                np.copyto(x if breach == "changes x" else term, out)
-                return out
+            def vector(x, terms, rows):
+                start = x.copy()
+                block(x, terms, rows)
+                if breach == "changes x":
+                    x[0] += 1.0
+                elif breach == "steps one ulp off the float step":
+                    rows[-1, 0] = np.nextafter(rows[-1, 0], np.inf)
+                return start if breach == "returns its first state" else rows[-1]
 
             return vector
 

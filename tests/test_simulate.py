@@ -154,6 +154,22 @@ class TestGuards:
                            burn_in=0)
         assert caught.value.path_index == 0
 
+    @pytest.mark.parametrize("x0", [5.0, 0.01])
+    def test_a_step_raising_inside_a_batch_block_reports_the_first_offending_step(self, x0):
+        # This drift raises OverflowError on a vector too, a few steps after
+        # the state passes 1e12: from 5 in the first block of draws, from
+        # 0.01 in the third, over rows an earlier block wrote.
+        def mu(x):
+            return x ** 3 if isinstance(x, float) else np.array([v ** 3 for v in x.tolist()])
+
+        cubic, noise = raw_model(mu, 0.0), StableParams(1.5, 0.0)
+        with pytest.raises(SimulationError) as alone:
+            simulate_path(cubic, noise, x0=x0, n=20_000, delta=0.5, seed=9, burn_in=0)
+        with pytest.raises(SimulationError) as caught:
+            simulate_paths(cubic, noise, x0=x0, n=20_000, delta=0.5, seeds=[9, 2, 3], burn_in=0)
+        assert str(caught.value) == f"seed 9: {alone.value}"
+        assert caught.value.path_index == 0
+
     def test_batch_validation(self):
         m = builtin_model("ou_linear")
         with pytest.raises(ParameterError, match="seeds"):

@@ -54,6 +54,7 @@ from .models import _PLUGIN_PATHS, _PLUGIN_SEED, SdeModel, builtin_model, statio
 from .simulate import _simulate_paths, _thread_map, _usable_cpus, derive_replicate_seed
 from .stable import (
     StableParams,
+    _hill_tail_size,
     hill_tail_index,
     ks_critical_value,
     sample_standard_stable,
@@ -73,6 +74,7 @@ __all__ = [
     "run_lln_check",
     "write_report",
     "read_records_csv",
+    "config_hash",
 ]
 
 _PROXY_THRESHOLD = 10.0
@@ -584,6 +586,12 @@ def _summarize_consistency(records: list[ReplicateRecord], config: dict, density
 # ---------------------------------------------------------------------------
 # bias comparison
 
+# The bias kind's methods in record order, each with its limit constants (no
+# ``first_order`` field: no first-order term), called through this module's
+# names for them, which perfbench's tracer rebinds to time the calls.
+_BIAS_METHODS = (("local_linear", lambda *args: asymptotic_constants(*args)),
+                 ("nadaraya_watson", lambda *args: nw_asymptotic_constants(*args)))
+
 
 def run_bias_comparison(
     model: SdeModel,
@@ -601,10 +609,10 @@ def run_bias_comparison(
     """Empirical bias of both estimators at fixed schedule, with the
     second-order theory values they should track.
 
-    For each query point the summary carries, per method, the mean and
-    median error with a Monte Carlo standard error, the second-order bias
-    ``h^2 * Gamma``, and the first-order term ``h * K_1 * mu'(x)`` (zero for
-    the local linear estimator and for symmetric kernels).  The theory
+    For each query point the summary carries, per ``_BIAS_METHODS`` row, the
+    mean and median error with a Monte Carlo standard error, the second-order
+    bias ``h^2 * Gamma``, and the first-order term ``h * K_1 * mu'(x)`` (zero
+    for the local linear estimator and for symmetric kernels).  The theory
     values read the stationary density of :func:`stationary_density_oracle`,
     whose one route is fixed by the model and ``alpha``; the config records
     it as its ``density`` entry.
@@ -621,7 +629,7 @@ def run_bias_comparison(
             "schedule_diagnostics": asdict(validate_schedule(schedule)),
         }
 
-    return _run(config, partial(_fit_drift, methods=("local_linear", "nadaraya_watson")), workers, describe)
+    return _run(config, partial(_fit_drift, methods=tuple(m for m, _ in _BIAS_METHODS)), workers, describe)
 
 
 def _summarize_bias(records: list[ReplicateRecord], config: dict, density=None) -> tuple[list[dict], list[Check]]:
@@ -635,12 +643,8 @@ def _summarize_bias(records: list[ReplicateRecord], config: dict, density=None) 
     summaries = []
     checks = []
     for xq in config["x_points"]:
-        ll_theory = asymptotic_constants(model, density, noise, kernel, xq, n, delta, h)
-        nw_theory = nw_asymptotic_constants(model, density, noise, kernel, xq, n, delta, h)
-        for method, theory_bias, first_order in (
-            ("local_linear", ll_theory.bias_term, 0.0),
-            ("nadaraya_watson", nw_theory.bias_term, nw_theory.first_order),
-        ):
+        for method, limit_constants in _BIAS_METHODS:
+            theory = limit_constants(model, density, noise, kernel, xq, n, delta, h)
             cell = [r for r in records if r.x == xq and r.method == method]
             errors = _finite([r.error for r in cell])
             degenerate = sum(r.degenerate for r in cell)
@@ -656,8 +660,8 @@ def _summarize_bias(records: list[ReplicateRecord], config: dict, density=None) 
                     "median_error": float(np.median(errors)) if count else math.nan,
                     "mc_se": mc_se,
                     "rmse": float(np.sqrt(np.mean(errors ** 2))) if count else math.nan,
-                    "theory_bias_h2": theory_bias,
-                    "theory_first_order": first_order,
+                    "theory_bias_h2": theory.bias_term,
+                    "theory_first_order": getattr(theory, "first_order", 0.0),
                 }
             )
             checks.append(
@@ -668,6 +672,10 @@ def _summarize_bias(records: list[ReplicateRecord], config: dict, density=None) 
 
 # ---------------------------------------------------------------------------
 # clt
+
+# The clt kind's methods in record order, each saying whether it standardizes
+# by the replicate's own kernel density estimate in place of the oracle's f(x).
+_CLT_METHODS = (("local_linear", False), ("local_linear_fhat", True))
 
 
 def run_clt(
@@ -687,42 +695,44 @@ def run_clt(
 ) -> ExperimentReport:
     """Standardized local linear errors against direct stable draws.
 
-    Each replicate contributes two records with identical estimate and
-    error: ``method = "local_linear"`` standardizes with the oracle
-    stationary density at ``x``; ``method = "local_linear_fhat"`` replaces
-    it with the replicate's own kernel density estimate, which is what a
-    practitioner without the oracle would do; the oracle is
-    :func:`stationary_density_oracle`, whose one route is fixed by the model
-    and ``alpha`` and recorded as the config's ``density`` entry.  The workers
+    Each replicate contributes one record per ``_CLT_METHODS`` row, with
+    identical estimate and error: the oracle row ``"local_linear"``
+    standardizes with the oracle stationary density at ``x``; the plug-in row
+    ``"local_linear_fhat"`` replaces it with the replicate's own kernel
+    density estimate, which is what a practitioner without the oracle would
+    do; the oracle is :func:`stationary_density_oracle`, whose one route is
+    fixed by the model and ``alpha`` and recorded as the config's
+    ``density`` entry.  The workers
     return only the estimate, the error and the kernel density estimate of
     each replicate; the parent builds the oracle and the limit constants
     while they simulate, and standardizes the errors once their batches are
     back.  The reference sample of standard stable draws uses the derived
     seed index ``replicates``, the first one past the replicate block.
 
-    Checks: symmetry of the standardized errors, closeness to the stable
+    Checks: the degenerate-fraction bound of every row, and on the oracle
+    row symmetry of the standardized errors, closeness to the stable
     reference (both KS at the 1 percent level; the reference comparison is
     allowed 1.5 times the critical value except in the Gaussian control
-    ``alpha = 2``, which must pass at the critical value itself), a Hill
-    tail index compatible with ``alpha`` for heavy-tailed runs, and the
-    degenerate-fraction bound.
+    ``alpha = 2``, which must pass at the critical value itself), and a Hill
+    tail index compatible with ``alpha`` for heavy-tailed runs.
     """
     config = _config(
         "clt", model, noise, kernel, [schedule], [float(x)], replicates, master_seed, x0, burn_in, workers,
         density=dict(_DENSITY),
     )
-    if reference_size < 100:
-        raise ParameterError(f"reference_size must be at least 100, got {reference_size}")
+    check_int("reference_size", reference_size, 100)
+    if isinstance(tail_fraction, bool) or not isinstance(tail_fraction, (int, float)):
+        raise ParameterError(f"tail_fraction must be a number, got {tail_fraction!r}")
     if not (0.0 < tail_fraction < 1.0):
         raise ParameterError(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
     # the Hill estimate needs more usable replicates than its tail size
-    tail_size = max(10, int(round(tail_fraction * replicates)))
+    tail_size = _hill_tail_size(replicates, tail_fraction)
     if replicates <= tail_size:
         raise ParameterError(
             f"clt needs more than {tail_size} replicates for a Hill tail estimate "
             f"at tail_fraction {tail_fraction}, got {replicates}"
         )
-    config.update(reference_size=int(reference_size), tail_fraction=float(tail_fraction))
+    config.update(reference_size=reference_size, tail_fraction=float(tail_fraction))
 
     def describe(density):
         constants = asymptotic_constants(
@@ -753,25 +763,24 @@ def _fit_clt(model: SdeModel, kernel: Kernel, path, h: float, config: dict) -> l
 
 
 def _standardize_clt(rows: list[dict], config: dict, provenance: dict) -> list[dict]:
-    """One replicate's two clt records: its error standardized by the
-    run's limit constants, once with the oracle density ``f(x)`` and once
-    with the replicate's kernel density estimate in its place."""
+    """One replicate's clt records, one per ``_CLT_METHODS`` row: its error
+    standardized by the run's limit constants, with the oracle density
+    ``f(x)`` or, in a plug-in row, the replicate's kernel density estimate."""
     (row,) = rows
     constants, fx = provenance["constants"], provenance["density_at_x"]
     if row["degenerate"]:
         std_oracle = math.nan
     else:
         std_oracle = constants["rate"] * constants["lambda_x"] * (row["error"] - constants["bias_term"])
-    plug_degenerate = row["degenerate"] or not (row["fhat"] > 0.0)
-    if plug_degenerate:
-        std_plug = math.nan
-    else:
-        std_plug = std_oracle * (row["fhat"] / fx) ** (1.0 - 1.0 / config["noise"]["alpha"])
-    shared = {"x": row["x"], "estimate": row["estimate"], "error": row["error"]}
-    return [
-        {**shared, "method": "local_linear", "std_error": std_oracle, "degenerate": row["degenerate"]},
-        {**shared, "method": "local_linear_fhat", "std_error": std_plug, "degenerate": plug_degenerate},
-    ]
+    records = []
+    for method, plug_in in _CLT_METHODS:
+        std, degenerate = std_oracle, row["degenerate"]
+        if plug_in:
+            degenerate = degenerate or not (row["fhat"] > 0.0)
+            std = math.nan if degenerate else std * (row["fhat"] / fx) ** (1.0 - 1.0 / config["noise"]["alpha"])
+        records.append({"x": row["x"], "method": method, "estimate": row["estimate"], "error": row["error"],
+                        "std_error": std, "degenerate": degenerate})
+    return records
 
 
 def _reference_sample(config: dict) -> np.ndarray:
@@ -787,7 +796,7 @@ def _summarize_clt(records: list[ReplicateRecord], config: dict, density=None) -
     ref_iqr = float(np.subtract(*np.quantile(reference, [0.75, 0.25])))
     summaries = []
     checks = []
-    for method in ("local_linear", "local_linear_fhat"):
+    for method, plug_in in _CLT_METHODS:
         cell = [r for r in records if r.method == method]
         std = _finite([r.std_error for r in cell])
         degenerate = sum(r.degenerate for r in cell)
@@ -821,7 +830,7 @@ def _summarize_clt(records: list[ReplicateRecord], config: dict, density=None) -
             }
         )
         checks.append(_degenerate_check(f"degenerate-fraction-{method}", degenerate, len(cell)))
-        if method == "local_linear":
+        if not plug_in:
             factor = 1.0 if alpha == 2.0 else 1.5
             if count < 2:
                 ref_detail = sym_detail = f"{count} usable replicates, fewer than the 2 a KS statistic needs"
@@ -872,7 +881,10 @@ def run_lln_check(
         "lln", model, noise, kernel, [schedule], [float(x)], replicates, master_seed, x0, burn_in, workers,
         density=dict(_DENSITY),
     )
-    k_list = sorted(set(int(k) for k in k_values))
+    k_list = list(k_values)
+    for k in k_list:
+        check_int("k_values entry", k)
+    k_list = sorted(set(k_list))
     if not k_list or any(k not in (0, 1, 2, 3) for k in k_list):
         raise ParameterError(f"k_values must be a nonempty subset of {{0, 1, 2, 3}}, got {k_values}")
     config["k_values"] = k_list

@@ -230,6 +230,11 @@ def ks_critical_value(n: int, m: int, level: float = 0.01) -> float:
     return c * math.sqrt(1.0 / n + 1.0 / m)
 
 
+def _hill_tail_size(size: int, fraction: float) -> int:
+    """How many upper order statistics a Hill estimate over ``size`` points reads."""
+    return max(10, int(round(fraction * size)))
+
+
 def hill_tail_index(samples, fraction: float = 0.1) -> float:
     """Hill estimate of the tail index from the upper order statistics
     of ``|samples|``.
@@ -247,7 +252,7 @@ def hill_tail_index(samples, fraction: float = 0.1) -> float:
     if not (0.0 < fraction < 1.0):
         raise ParameterError(f"fraction must lie in (0, 1), got {fraction}")
     x = np.sort(x[x > 0.0])
-    k = max(10, int(round(fraction * x.size)))
+    k = _hill_tail_size(x.size, fraction)
     if x.size <= k:
         raise ParameterError("too few nonzero observations for a tail estimate")
     tail = x[-(k + 1):]

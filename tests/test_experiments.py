@@ -282,6 +282,34 @@ class TestClt:
             run_clt(ou, noise, epan, sched, 0.0, replicates=1, master_seed=1,
                     burn_in=500, reference_size=1_000, workers=1)
 
+    def test_standardize_rows_in_table_order(self):
+        constants = {"rate": 7.25, "lambda_x": 0.625, "gamma_x": 0.0375, "bias_term": 0.006}
+        provenance = {"constants": constants, "density_at_x": 0.3}
+        config = {"noise": {"alpha": 1.5}}
+        usable = {"x": 0.0, "estimate": 0.14, "error": 0.04, "fhat": 0.27, "degenerate": False}
+        degenerate = {"x": 0.0, "estimate": 0.0, "error": math.nan, "fhat": 0.31, "degenerate": True}
+        no_fhat = {"x": 0.0, "estimate": -0.11, "error": -0.11, "fhat": 0.0, "degenerate": False}
+        standardized = {
+            name: experiments._standardize_clt([row], config, provenance)
+            for name, row in (("usable", usable), ("degenerate", degenerate), ("no_fhat", no_fhat))
+        }
+        for records in standardized.values():
+            assert [r["method"] for r in records] == [method for method, _ in experiments._CLT_METHODS]
+            assert [r["method"] for r in records] == ["local_linear", "local_linear_fhat"]
+        flags = {name: [r["degenerate"] for r in records] for name, records in standardized.items()}
+        assert flags == {"usable": [False, False], "degenerate": [True, True], "no_fhat": [False, True]}
+
+        def oracle(row):
+            return constants["rate"] * constants["lambda_x"] * (row["error"] - constants["bias_term"])
+
+        oracle_usable, plug_usable = (r["std_error"] for r in standardized["usable"])
+        assert oracle_usable == oracle(usable)
+        assert plug_usable == oracle(usable) * (usable["fhat"] / 0.3) ** (1.0 - 1.0 / 1.5)
+        assert all(math.isnan(r["std_error"]) for r in standardized["degenerate"])
+        oracle_no_fhat, plug_no_fhat = (r["std_error"] for r in standardized["no_fhat"])
+        assert oracle_no_fhat == oracle(no_fhat)
+        assert math.isnan(plug_no_fhat)
+
     def test_no_usable_replicates_fail_every_statistic_check(self, clt_report):
         records = [dataclasses.replace(r, std_error=math.nan, degenerate=True) for r in clt_report.records]
         summaries, checks = experiments._summarize_clt(records, clt_report.config)
@@ -618,12 +646,30 @@ class TestFailBeforeExpensiveWork:
             _small_run(kind, ou, noise, epan, workers=1)
         assert expensive_calls == ["stationary_density_oracle"]
 
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, math.nan])
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, math.nan, "0.1", True])
     def test_tail_fraction_outside_unit_interval(self, ou, noise, epan, expensive_calls, fraction):
         sched = Schedule(n=3_000, delta=0.01, h=0.4, alpha=1.5)
         with pytest.raises(ParameterError, match="tail_fraction"):
             run_clt(ou, noise, epan, sched, 0.0, replicates=40, master_seed=1, burn_in=1_000,
                     reference_size=1_000, workers=1, tail_fraction=fraction)
+        assert expensive_calls == []
+
+    @pytest.mark.parametrize("size", [99, 150.7, "abc", True, np.int64(1_000)],
+                             ids=["99", "150.7", "abc", "True", "numpy-int"])
+    def test_reference_size_not_an_integer_of_at_least_100(self, ou, noise, epan, expensive_calls, size):
+        sched = Schedule(n=3_000, delta=0.01, h=0.4, alpha=1.5)
+        with pytest.raises(ParameterError, match=re.escape(f"reference_size must be an integer >= 100, got {size!r}")):
+            run_clt(ou, noise, epan, sched, 0.0, replicates=40, master_seed=1, burn_in=1_000,
+                    reference_size=size, workers=1)
+        assert expensive_calls == []
+
+    @pytest.mark.parametrize("k_values", [[], [4], [-1, 0], [1.7], [True, 2], ["2"]],
+                             ids=["empty", "4", "-1", "1.7", "True", "string"])
+    def test_k_values_not_moment_orders(self, ou, noise, epan, expensive_calls, k_values):
+        sched = Schedule(n=3_000, delta=0.01, h=0.4, alpha=1.5)
+        with pytest.raises(ParameterError, match="k_values"):
+            run_lln_check(ou, noise, epan, sched, 0.0, k_values=k_values, replicates=4, master_seed=1,
+                          burn_in=1_000, workers=1)
         assert expensive_calls == []
 
 

@@ -44,15 +44,12 @@ _VALIDATION_GRID = np.linspace(-50.0, 50.0, 10_001)
 _STEP_STATES = (-50.0, -3.5, -1.0, -0.25, -0.0, 0.0, 0.6, 1.0, 2.5, 7.0, 1e3, 1e6)
 _STEP_TERMS = (0.3, -1.7, 0.0, 2.5e-3, -4.0, 1e-9, -0.02, 11.0, -0.6, 5.0, -2e3, 0.8)
 _STEP_DELTAS = (0.01, 0.37)
-# Ulps of |x| + |mu(x) delta| + |sigma(x) term| + delta * 2^-1022 by which a
-# step may miss the exact x + mu(x) delta + sigma(x) term.  Each rounding errs
-# by at most 2^-53 of its result, and no partial result exceeds the first
-# three terms, so counting the roundings bounds bounded_nonlinear's generic
-# step by 8 ulps and its regrouped step by 7; over 1.2e7 random steps the
-# worst either missed by was 2.7.  A subnormal result errs by up to 2^-1075
-# instead, which the product with delta scales for the roundings inside
-# mu(x): the last term covers those (from x = 5e-324 at delta 17 the generic
-# step misses by 8.5 ulps of the first three).
+# Ulps of |x| + |mu(x) delta| + |sigma(x) term| by which a step may miss the
+# exact x + mu(x) delta + sigma(x) term.  Each rounding errs by at most 2^-53
+# of its result, and no partial result exceeds that sum, so counting the
+# roundings bounds bounded_nonlinear's generic step by 8 ulps and its
+# regrouped step by 7; over 1.2e7 random steps the worst either missed by
+# was 2.7.
 _STEP_ULPS = 8
 # The plug-in oracle's design: _PLUGIN_PATHS paths, from the seeds derived
 # from _PLUGIN_SEED, each recording _PLUGIN_STEPS steps of _PLUGIN_DELTA
@@ -118,8 +115,7 @@ class SdeModel:
         vector forms must take the same steps bit for bit, so a batch of
         paths steps exactly as each path alone does, and each step must
         stay within ``_STEP_ULPS`` ulps of ``|x| + |mu(x) delta| +
-        |sigma(x) term| + delta * 2^-1022`` of the exact ``x + mu(x) delta
-        + sigma(x) term``
+        |sigma(x) term|`` of the exact ``x + mu(x) delta + sigma(x) term``
         (``term`` carries sigma when sigma is constant, and the step is
         then ``x + mu(x) delta + term``), the bound the generic step of
         :func:`euler_step` meets: it may regroup the step's operations, as
@@ -437,19 +433,16 @@ def euler_step(model: SdeModel, delta: float, width: int | None = None) -> Calla
 
 def _exact_step(model: SdeModel, delta: float, x: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Euler step from each state of ``x`` with its term, evaluated in
-    long double, and ``|x| + |mu(x) delta| + |sigma(x) term| + delta *
-    2^-1022`` in double, whose ulp measures a step's error: the last term
-    covers the roundings of a subnormal ``mu(x)``, which the product with
-    delta scales.  ``mu`` and ``sigma`` take the long double states, so the
-    built-in models evaluate them in long double too, except tanh_drift's
-    ``math.tanh``."""
+    long double, and ``|x| + |mu(x) delta| + |sigma(x) term|`` in double,
+    whose ulp measures a step's error.  ``mu`` and ``sigma`` take the long
+    double states, so the built-in models evaluate them in long double too,
+    except tanh_drift's ``math.tanh``."""
     wide = np.asarray(x, dtype=np.longdouble)
     drift = np.asarray(model.mu(wide), dtype=np.longdouble) * np.longdouble(delta)
     noise = np.asarray(terms, dtype=np.longdouble)
     if not model.sigma_constant:
         noise = np.asarray(model.sigma(wide), dtype=np.longdouble) * noise
-    underflow = np.longdouble(delta) * np.longdouble(np.finfo(float).tiny)
-    return wide + drift + noise, (np.abs(wide) + np.abs(drift) + np.abs(noise) + underflow).astype(float)
+    return wide + drift + noise, (np.abs(wide) + np.abs(drift) + np.abs(noise)).astype(float)
 
 
 def _check_stepper(model: SdeModel) -> None:

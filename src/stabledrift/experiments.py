@@ -586,11 +586,9 @@ def _summarize_consistency(records: list[ReplicateRecord], config: dict, density
 # ---------------------------------------------------------------------------
 # bias comparison
 
-# The bias kind's methods in record order, each with its limit constants (no
-# ``first_order`` field: no first-order term), called through this module's
-# names for them, which perfbench's tracer rebinds to time the calls.
-_BIAS_METHODS = (("local_linear", lambda *args: asymptotic_constants(*args)),
-                 ("nadaraya_watson", lambda *args: nw_asymptotic_constants(*args)))
+# The lambdas call through this module's names, which perfbench's tracer rebinds.
+_BIAS_METHODS = (("local_linear", lambda *args: asymptotic_constants(*args), lambda theory: 0.0),
+                 ("nadaraya_watson", lambda *args: nw_asymptotic_constants(*args), lambda theory: theory.first_order))
 
 
 def run_bias_comparison(
@@ -629,7 +627,7 @@ def run_bias_comparison(
             "schedule_diagnostics": asdict(validate_schedule(schedule)),
         }
 
-    return _run(config, partial(_fit_drift, methods=tuple(m for m, _ in _BIAS_METHODS)), workers, describe)
+    return _run(config, partial(_fit_drift, methods=tuple(m for m, *_ in _BIAS_METHODS)), workers, describe)
 
 
 def _summarize_bias(records: list[ReplicateRecord], config: dict, density=None) -> tuple[list[dict], list[Check]]:
@@ -643,7 +641,7 @@ def _summarize_bias(records: list[ReplicateRecord], config: dict, density=None) 
     summaries = []
     checks = []
     for xq in config["x_points"]:
-        for method, limit_constants in _BIAS_METHODS:
+        for method, limit_constants, first_order in _BIAS_METHODS:
             theory = limit_constants(model, density, noise, kernel, xq, n, delta, h)
             cell = [r for r in records if r.x == xq and r.method == method]
             errors = _finite([r.error for r in cell])
@@ -661,7 +659,7 @@ def _summarize_bias(records: list[ReplicateRecord], config: dict, density=None) 
                     "mc_se": mc_se,
                     "rmse": float(np.sqrt(np.mean(errors ** 2))) if count else math.nan,
                     "theory_bias_h2": theory.bias_term,
-                    "theory_first_order": getattr(theory, "first_order", 0.0),
+                    "theory_first_order": first_order(theory),
                 }
             )
             checks.append(
@@ -673,9 +671,7 @@ def _summarize_bias(records: list[ReplicateRecord], config: dict, density=None) 
 # ---------------------------------------------------------------------------
 # clt
 
-# The clt kind's methods in record order, each saying whether it standardizes
-# by the replicate's own kernel density estimate in place of the oracle's f(x).
-_CLT_METHODS = (("local_linear", False), ("local_linear_fhat", True))
+_CLT_METHODS = (("local_linear", False), ("local_linear_fhat", True))  # True: the replicate's fhat replaces f(x)
 
 
 def run_clt(
@@ -699,15 +695,14 @@ def run_clt(
     identical estimate and error: the oracle row ``"local_linear"``
     standardizes with the oracle stationary density at ``x``; the plug-in row
     ``"local_linear_fhat"`` replaces it with the replicate's own kernel
-    density estimate, which is what a practitioner without the oracle would
-    do; the oracle is :func:`stationary_density_oracle`, whose one route is
-    fixed by the model and ``alpha`` and recorded as the config's
-    ``density`` entry.  The workers
-    return only the estimate, the error and the kernel density estimate of
-    each replicate; the parent builds the oracle and the limit constants
-    while they simulate, and standardizes the errors once their batches are
-    back.  The reference sample of standard stable draws uses the derived
-    seed index ``replicates``, the first one past the replicate block.
+    density estimate, as a practitioner without the oracle would; the oracle
+    is :func:`stationary_density_oracle`, whose one route is fixed by the
+    model and ``alpha`` and recorded as the config's ``density`` entry.  The
+    workers return only each replicate's estimate, error and kernel density
+    estimate; the parent builds the oracle and the limit constants while they
+    simulate, and standardizes the errors once their batches are back.  The
+    reference sample of standard stable draws uses the derived seed index
+    ``replicates``, the first one past the replicate block.
 
     Checks: the degenerate-fraction bound of every row, and on the oracle
     row symmetry of the standardized errors, closeness to the stable
@@ -768,10 +763,8 @@ def _standardize_clt(rows: list[dict], config: dict, provenance: dict) -> list[d
     ``f(x)`` or, in a plug-in row, the replicate's kernel density estimate."""
     (row,) = rows
     constants, fx = provenance["constants"], provenance["density_at_x"]
-    if row["degenerate"]:
-        std_oracle = math.nan
-    else:
-        std_oracle = constants["rate"] * constants["lambda_x"] * (row["error"] - constants["bias_term"])
+    std_oracle = (math.nan if row["degenerate"]
+                  else constants["rate"] * constants["lambda_x"] * (row["error"] - constants["bias_term"]))
     records = []
     for method, plug_in in _CLT_METHODS:
         std, degenerate = std_oracle, row["degenerate"]

@@ -294,7 +294,6 @@ class TestClt:
             for name, row in (("usable", usable), ("degenerate", degenerate), ("no_fhat", no_fhat))
         }
         for records in standardized.values():
-            assert [r["method"] for r in records] == [method for method, _ in experiments._CLT_METHODS]
             assert [r["method"] for r in records] == ["local_linear", "local_linear_fhat"]
         flags = {name: [r["degenerate"] for r in records] for name, records in standardized.items()}
         assert flags == {"usable": [False, False], "degenerate": [True, True], "no_fhat": [False, True]}

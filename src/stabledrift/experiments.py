@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache, partial
@@ -336,7 +337,7 @@ def _config(
         "model": {"name": model.name, "params": dict(model.params)},
         "noise": {"alpha": noise.alpha, "beta": noise.beta},
         "kernel": kernel.name,
-        "x_points": [float(v) for v in np.atleast_1d(np.asarray(x_points, dtype=float))],
+        "x_points": [_finite_point("x_points entry", v) for v in np.ravel(np.asarray(x_points, dtype=object))],
         "replicates": replicates,
         "master_seed": master_seed,
         "x0": float(x0),
@@ -348,6 +349,14 @@ def _config(
         config["schedule"] = schedules[0].as_dict()
     config.update(extra)
     return config
+
+
+def _finite_point(name: str, value) -> float:
+    """``value`` as a float; :class:`ParameterError` naming ``name`` unless it
+    is a finite int or float, which a bool is not taken for."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ParameterError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _batches(replicates: int, n: int, workers: int) -> list[tuple[int, int]]:
@@ -711,8 +720,9 @@ def run_clt(
     ``alpha = 2``, which must pass at the critical value itself), and a Hill
     tail index compatible with ``alpha`` for heavy-tailed runs.
     """
+    x = _finite_point("x", x)
     config = _config(
-        "clt", model, noise, kernel, [schedule], [float(x)], replicates, master_seed, x0, burn_in, workers,
+        "clt", model, noise, kernel, [schedule], [x], replicates, master_seed, x0, burn_in, workers,
         density=dict(_DENSITY),
     )
     check_int("reference_size", reference_size, 100)
@@ -731,14 +741,14 @@ def run_clt(
 
     def describe(density):
         constants = asymptotic_constants(
-            model, density, noise, kernel, float(x), schedule.n, schedule.delta, schedule.h
+            model, density, noise, kernel, x, schedule.n, schedule.delta, schedule.h
         )
         return {
             "density_provenance": density.provenance,
             "kernel_sign_change": lambda_weight_changes_sign(kernel),
             "schedule_diagnostics": asdict(validate_schedule(schedule)),
             "constants": asdict(constants),
-            "density_at_x": float(density.f(float(x))),
+            "density_at_x": float(density.f(x)),
         }
 
     return _run(config, _fit_clt, workers, describe, finish=_standardize_clt)
@@ -870,16 +880,21 @@ def run_lln_check(
     :func:`stationary_density_oracle`, whose one route is fixed by the model
     and ``alpha`` and recorded as the config's ``density`` entry.
     """
+    x = _finite_point("x", x)
     config = _config(
-        "lln", model, noise, kernel, [schedule], [float(x)], replicates, master_seed, x0, burn_in, workers,
+        "lln", model, noise, kernel, [schedule], [x], replicates, master_seed, x0, burn_in, workers,
         density=dict(_DENSITY),
     )
-    k_list = list(k_values)
+    wanted = f"k_values must be a nonempty subset of {{0, 1, 2, 3}}, got {k_values}"
+    try:
+        k_list = list(k_values)
+    except TypeError:
+        raise ParameterError(wanted) from None
     for k in k_list:
         check_int("k_values entry", k)
     k_list = sorted(set(k_list))
     if not k_list or any(k not in (0, 1, 2, 3) for k in k_list):
-        raise ParameterError(f"k_values must be a nonempty subset of {{0, 1, 2, 3}}, got {k_values}")
+        raise ParameterError(wanted)
     config["k_values"] = k_list
 
     def describe(density):

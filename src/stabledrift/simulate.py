@@ -13,19 +13,25 @@ of the standard stable law).
 One engine steps every path.  :func:`simulate_path` steps a single path on
 plain Python floats; :func:`simulate_paths` steps a batch of seeds in
 lockstep, with the state a numpy vector holding one entry per path.  Each
-path's stable increments are drawn in blocks of 4096 steps from its own
-seed's stream, so neither a full-length draw array nor a full-length list
-is ever built, and each block is stepped in one call of a block stepper,
-which runs the per-step loop inside the model's closure: the model's own
-``stepper`` when it declares one, else the generic step from its drift and
-diffusion.  A declared step may regroup the Euler step's operations, as
+path's stable increments are drawn in blocks from its own seed's stream, so
+neither a full-length draw array nor a full-length list is ever built, and
+each block is stepped in one call of a block stepper, which runs the
+per-step loop inside the model's closure: the model's own ``stepper`` when
+it declares one, else the generic step from its drift and diffusion.  A
+declared step may regroup the Euler step's operations, as
 bounded_nonlinear's step with a sigma(x) does, within a few ulps of the
 exact step, but its float and vector forms take the same operations, so a
 path's states are bit for bit the same in a batch of any width as alone.
+A block stepper carries its state exactly from one block to the next, and
+the stable map is elementwise, so its paths do not depend on where blocks
+end: a block holds at most 2^16 draws over all paths, 4096 steps up to 16
+paths and fewer steps beyond, and a wide batch's blocks stay a few MiB.
 A model that declares an affine drift ``gamma - lam * x`` with constant
 sigma skips the loop: each block of draws is one linear recurrence, which
 a doubling scan of about a dozen elementwise array passes solves for every
-path at once.  The bound check runs once per block and still names the
+path at once.  The scan's rounding depends on where its blocks end, and a
+batch's groups narrow as threads are added, so its blocks are 4096 steps
+at every width.  The bound check runs once per block and still names the
 first offending step.  A batch steps in groups of contiguous paths, and
 each group allocates its draw, scratch and state blocks once: every block
 of draws is mapped into the same buffers, and the block stepper or the
@@ -71,9 +77,13 @@ __all__ = [
 ]
 
 _STATE_BOUND = 1e12
-# Steps per block of stable draws: the draws held at once stay a few
-# hundred KiB per path, whatever the path length.
+# Steps per block of stable draws on the affine scan, and rows per block of
+# the path CSV writer: a few hundred KiB per path, whatever the path length.
 _CHUNK = 4096
+# Draws per block off the affine scan, over all paths of a group: a group
+# wider than 16 paths steps blocks shorter than _CHUNK, so its draw, term
+# and state blocks stay a few MiB, in cache, whatever its width.
+_BLOCK_DRAWS = 1 << 16
 # Seeds stepped at once: a group's draw, scratch and state blocks grow with
 # its width, so the groups running together hold at most this many seeds.
 # Much narrower groups step measurably slower on one thread.
@@ -308,9 +318,9 @@ def _check_seed(seed) -> None:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _stable_blocks(noise: StableParams, seeds: list, total: int):
+def _stable_blocks(noise: StableParams, seeds: list, total: int, block: int):
     """Yield the first ``total`` standard stable increments of every seed's
-    stream as ``(len(seeds), steps)`` blocks of at most ``_CHUNK`` steps.
+    stream as ``(len(seeds), steps)`` blocks of at most ``block`` steps.
 
     The stream is that of ``sample_standard_stable(noise, rng, size=total)``
     with ``rng = Generator(PCG64(seed))``: all ``total`` uniform angles come
@@ -326,9 +336,9 @@ def _stable_blocks(noise: StableParams, seeds: list, total: int):
     """
     angles = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     waits = [np.random.Generator(np.random.PCG64(seed).advance(total)) for seed in seeds]
-    buffers = np.empty((4, len(seeds), min(_CHUNK, total)))
-    for start in range(0, total, _CHUNK):
-        v, w, scratch, xi = buffers[:, :, : min(_CHUNK, total - start)]
+    buffers = np.empty((4, len(seeds), min(block, total)))
+    for start in range(0, total, block):
+        v, w, scratch, xi = buffers[:, :, : min(block, total - start)]
         for row, (angle, wait) in enumerate(zip(angles, waits)):
             angle.random(out=v[row])
             wait.standard_exponential(out=w[row])
@@ -351,18 +361,20 @@ def _euler(
     ``n + 1`` row per seed.
 
     A model with ``affine_drift`` and constant sigma steps each block of
-    draws as a whole through :func:`_affine_block`, in a rows and a scratch
-    block allocated once.  Any other model steps each block of draws in one
-    call of its block stepper, :func:`euler_step`, which runs the per-step
-    loop.  One seed keeps the state a Python float, which steps faster than
-    any numpy scalar, and the stepper appends the block's states to a list;
-    several seeds make it a vector of ``width`` states, and the stepper
-    writes them into the rows of a ``(steps, width)`` block that, like the
-    block of scaled increments, is allocated once and reused for every
-    block of draws.  The bound check runs once per block, on the block's
-    states.  If a step raises, the states it did not reach are left out of
-    the check: the list holds only the states taken, and the rows it did
-    not reach hold zeros or states that passed an earlier block's check.
+    ``_CHUNK`` steps as a whole through :func:`_affine_block`, in a rows and
+    a scratch block allocated once.  Any other model steps each block of
+    draws in one call of its block stepper, :func:`euler_step`, which runs
+    the per-step loop; its blocks are ``_CHUNK`` steps or ``_BLOCK_DRAWS``
+    draws over all seeds, whichever is shorter.  One seed keeps the state a
+    Python float, which steps faster than any numpy scalar, and the stepper
+    appends the block's states to a list; several seeds make it a vector of
+    ``width`` states, and the stepper writes them into the rows of a
+    ``(steps, width)`` block that, like the block of scaled increments, is
+    allocated once and reused for every block of draws.  The bound check
+    runs once per block, on the block's states.  If a step raises, the
+    states it did not reach are left out of the check: the list holds only
+    the states taken, and the rows it did not reach hold zeros or states
+    that passed an earlier block's check.
     """
     width = len(seeds)
     scale = delta ** (1.0 / noise.alpha)
@@ -373,7 +385,10 @@ def _euler(
         affine = model.affine_drift
     state = float(x0) if width == 1 else np.full(width, float(x0))
     states[:, 0] = state  # x0, kept only when there is no burn-in
-    chunk = min(_CHUNK, burn_in + n)
+    # the scan's rounding depends on where its blocks end, so they stay
+    # _CHUNK long at every width; a block stepper's states do not
+    length = _CHUNK if affine is not None else min(_CHUNK, _BLOCK_DRAWS // width)
+    chunk = min(length, burn_in + n)
     if affine is not None:
         rows, scratch = np.empty((2, width, chunk))
     else:
@@ -382,7 +397,7 @@ def _euler(
             terms, trail = np.empty((chunk, width)), np.zeros((chunk, width))
     done = 0
     with np.errstate(all="ignore"):
-        for xi in _stable_blocks(noise, seeds, burn_in + n):
+        for xi in _stable_blocks(noise, seeds, burn_in + n, length):
             steps = xi.shape[1]
             failure = None
             if affine is not None:

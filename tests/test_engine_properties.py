@@ -29,7 +29,7 @@ from stabledrift import (
     simulate_paths,
 )
 from stabledrift.models import _STEP_ULPS, _exact_step, _generic_step, euler_step
-from stabledrift.simulate import _CHUNK, _PASS, _simulate_paths, _stable_blocks
+from stabledrift.simulate import _BLOCK_DRAWS, _CHUNK, _PASS, _simulate_paths, _stable_blocks
 
 MODELS = {
     # lam 150 at delta 0.01 makes a = 1 - lam * delta negative in the affine scan
@@ -77,14 +77,17 @@ def test_batch_paths_equal_single_paths_bit_for_bit(name, variant, noise, batch,
 
 
 def test_a_batch_of_two_passes_equals_single_paths_bit_for_bit():
-    # 300 seeds step as two lockstep passes of 150 into one states array
+    # 300 seeds step as two lockstep passes of 150 into one states array, in
+    # blocks of 436 steps, so the 1100 steps straddle two block edges that
+    # the single paths, in blocks of _CHUNK, do not have
     assert _PASS < 300 <= 2 * _PASS
+    assert 2 * (_BLOCK_DRAWS // 150) < 1100 < _CHUNK
     model = builtin_model("bounded_nonlinear")
     noise = StableParams(1.5, 0.3)
     batch = [derive_replicate_seed(5, index) for index in range(300)]
-    paths = simulate_paths(model, noise, 0.5, 300, 0.01, batch, burn_in=100)
+    paths = simulate_paths(model, noise, 0.5, 1000, 0.01, batch, burn_in=100)
     for seed, path in zip(batch, paths):
-        alone = simulate_path(model, noise, 0.5, 300, 0.01, seed, burn_in=100)
+        alone = simulate_path(model, noise, 0.5, 1000, 0.01, seed, burn_in=100)
         assert path.seed == seed
         assert path.x.tobytes() == alone.x.tobytes()
 
@@ -335,17 +338,19 @@ def test_streamed_increments_are_the_sampler_stream(noise, seed, n, burn_in, wid
         beta=st.floats(min_value=-1.0, max_value=1.0),
     ),
     batch=st.lists(seeds, min_size=1, max_size=5),
-    total=st.tuples(st.integers(min_value=1, max_value=3), st.sampled_from([-1, 0, 1])).map(
-        lambda pair: pair[0] * _CHUNK + pair[1]
-    ),
+    # the affine scan's block, and the capped blocks of 96 and _PASS paths
+    length=st.sampled_from([_CHUNK, _BLOCK_DRAWS // 96, _BLOCK_DRAWS // _PASS]),
+    blocks=st.integers(min_value=1, max_value=3),
+    edge=st.sampled_from([-1, 0, 1]),
 )
-def test_reused_stream_blocks_are_the_sampler_stream(noise, batch, total):
+def test_reused_stream_blocks_are_the_sampler_stream(noise, batch, length, blocks, edge):
     # every block is drawn into the same buffers, and a short last block
     # follows full ones: each row must still be the sampler's own draws
+    total = blocks * length + edge
     rows = [[] for _ in batch]
     drawn = 0
-    for block in _stable_blocks(noise, batch, total):
-        assert block.shape == (len(batch), min(_CHUNK, total - drawn))
+    for block in _stable_blocks(noise, batch, total, length):
+        assert block.shape == (len(batch), min(length, total - drawn))
         drawn += block.shape[1]
         for row, values in zip(rows, block):
             row.append(values.copy())
@@ -467,8 +472,9 @@ def test_stepper_paths_equal_generic_paths(case, noise, batch, n, burn_in, x0):
 @pytest.mark.parametrize("width", [1, 2, 97])
 @pytest.mark.parametrize("case", STEPPED + [("bounded_nonlinear", {"lam": 1.0, "sigma1": 0.0})])
 def test_float_route_equals_vector_route_across_a_block_boundary(case, width):
-    # the vector route driven block by block as the engine drives it, at
-    # width 1 too, against each path stepped alone on floats
+    # the vector route driven in blocks of _CHUNK, at width 1 too, against
+    # each path stepped alone on floats, and against the batch, which the
+    # engine steps in blocks of 675 at width 97
     model = builtin_model(*case)
     noise, delta, total = StableParams(1.5, 0.0), 0.01, _CHUNK + 300
     batch = [derive_replicate_seed(25, j) for j in range(width)]
@@ -476,7 +482,7 @@ def test_float_route_equals_vector_route_across_a_block_boundary(case, width):
     advance = euler_step(model, delta, width)
     state, blocks = np.zeros(width), []
     with np.errstate(all="ignore"):
-        for xi in _stable_blocks(noise, batch, total):
+        for xi in _stable_blocks(noise, batch, total, _CHUNK):
             rows = np.empty((xi.shape[1], width))
             state = advance(state, xi.T * scale, rows).copy()
             blocks.append(rows)

@@ -618,6 +618,25 @@ class TestFailBeforeExpensiveWork:
                 run_lln_check(ou, noise, epan, sched, 0.0, k_values=[0], **common)
         assert expensive_calls == []
 
+    @pytest.mark.parametrize("point", [math.nan, math.inf, "0.5", True], ids=["nan", "inf", "string", "True"])
+    @pytest.mark.parametrize("kind", ["consistency", "bias", "clt", "lln"])
+    def test_query_point_not_a_finite_number(self, ou, noise, epan, expensive_calls, kind, point):
+        # "0.5" and True used to be taken as 0.5 and 1.0, and a NaN built the
+        # oracle and simulated before the fit refused it
+        sched = Schedule(n=3_000, delta=0.01, h=0.4, alpha=1.5)
+        common = dict(replicates=12, master_seed=11, burn_in=1_000, workers=1)
+        with pytest.raises(ParameterError, match=re.escape(f"must be a finite number, got {point!r}")):
+            if kind == "consistency":
+                finer = Schedule(n=6_000, delta=0.01, h=0.3, alpha=1.5)
+                run_consistency(ou, noise, epan, [sched, finer], [0.0, point], **common)
+            elif kind == "bias":
+                run_bias_comparison(ou, noise, epan, sched, [point], **common)
+            elif kind == "clt":
+                run_clt(ou, noise, epan, sched, point, reference_size=1_000, **common)
+            else:
+                run_lln_check(ou, noise, epan, sched, point, k_values=[0], **common)
+        assert expensive_calls == []
+
     def test_consistency_with_one_schedule(self, ou, noise, epan, expensive_calls):
         # one rung has no ladder to fall along; it used to simulate every
         # replicate and then fail final-rmse-below-half
@@ -662,8 +681,8 @@ class TestFailBeforeExpensiveWork:
                     reference_size=size, workers=1)
         assert expensive_calls == []
 
-    @pytest.mark.parametrize("k_values", [[], [4], [-1, 0], [1.7], [True, 2], ["2"]],
-                             ids=["empty", "4", "-1", "1.7", "True", "string"])
+    @pytest.mark.parametrize("k_values", [[], [4], [-1, 0], [1.7], [True, 2], ["2"], 3],
+                             ids=["empty", "4", "-1", "1.7", "True", "string", "not-a-list"])
     def test_k_values_not_moment_orders(self, ou, noise, epan, expensive_calls, k_values):
         sched = Schedule(n=3_000, delta=0.01, h=0.4, alpha=1.5)
         with pytest.raises(ParameterError, match="k_values"):

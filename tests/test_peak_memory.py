@@ -8,10 +8,12 @@ its spline (40 MiB, against 21 KiB for pointwise evaluation), the whole CSV
 text built before it is written (0.6 MiB against 31 MiB), copies of the
 times and full-length spacing temporaries beside the parsed table (10.9 MiB
 against 6.4 MiB for 2e5 rows), and all 1000 seeds stepped in one pass
-(71 MiB against 215 MiB), or on three threads in three groups of all 1000
-(63 MiB against 150 MiB).  The plug-in oracle steps its 64 paths in one
-lockstep pass, whose 4096-step draw blocks dominate its 17.4 MiB, against
-about 32 MiB for the draws of every step at once (the single-path design it
+(27 MiB against 215 MiB, in passes that step blocks of at most 2^16 draws
+over all their paths; blocks of 4096 steps peaked at 71 MiB), or on three
+threads in three groups of all 1000 (63 MiB against 150 MiB).  The plug-in
+oracle steps its 64 paths in one lockstep pass, in blocks of 1024 steps,
+and peaks at 7.2 MiB, against 17.4 MiB in blocks of 4096 steps and about
+32 MiB for the draws of every step at once (the single-path design it
 replaced peaked at 6.1 MiB).  The empirical characteristic function of
 criterion 1, 41 frequencies over 2e5 draws, forms one frequency at a time
 (4.7 MiB, against 250 MiB for the whole complex matrix)."""
@@ -87,12 +89,13 @@ def test_path_csv_reader_keeps_no_full_length_temporaries(tmp_path):
 
 
 def test_a_wide_batch_steps_in_bounded_passes():
-    # 1000 short paths: 24 MB of recorded states, four passes of 250 seeds
+    # 1000 short paths: 24 MB of recorded states, four passes of 250 seeds,
+    # each stepped in blocks of 262 steps
     model = builtin_model("bounded_nonlinear")
     peak = traced_peak(
         lambda: simulate_paths(model, StableParams(1.5, 0.0), 0.0, 3000, 0.01, range(1000, 2000), 500)
     )
-    assert peak < 100 * MIB
+    assert peak < 48 * MIB
 
 
 def test_a_wide_batch_on_threads_steps_at_most_one_pass_of_seeds_at_once(monkeypatch):

@@ -135,13 +135,21 @@ def _window(xs: np.ndarray, x: float, h: float, kernel: Kernel) -> tuple[np.ndar
     that covers their rounding, trimmed to exactly that interval.  Given any
     subsequence of the states that holds the whole window, the result is the
     same window with the same ``z`` floats, indexed into that subsequence.
-    Sums over it rely on ``kernel.evaluate`` being zero outside ``support``."""
+    Sums over it rely on ``kernel.evaluate`` being zero outside ``support``.
+
+    ``z`` is formed in place on the gathered states, by the same float
+    operations as ``(xs[index] - x) / h``, and the trim runs only when some
+    offset lies outside ``[a, b]``; otherwise the widened window is exact."""
     a, b = kernel.support
     lo, hi = _edges(x, x, h, kernel)
     index = np.flatnonzero((xs >= lo) & (xs <= hi))
-    z = (xs[index] - x) / h
-    inside = (z >= a) & (z <= b)
-    return index[inside], z[inside]
+    z = xs[index]
+    z -= x
+    z /= h
+    if z.size and (z.min() < a or z.max() > b):
+        inside = (z >= a) & (z <= b)
+        index, z = index[inside], z[inside]
+    return index, z
 
 
 @dataclass(frozen=True)
@@ -207,6 +215,11 @@ def kernel_sums(path: ObservedPath, grid, h: float, kernel: Kernel) -> KernelSum
     path directly.  Either way a point's window is the same states in the
     same order with the same offsets, so every sum and flag is bit for bit
     what the point alone gives, whatever the rest of the grid holds.
+
+    Each sum is one pairwise ``.sum()`` over its window's products; ``w z z``,
+    ``w Y`` and ``w z Y`` are formed in turn into one scratch array, each
+    summed before the next.  When no weight is zero, the ``two_offsets``
+    flag reads the window's offsets themselves.
     """
     points = np.asarray(grid, dtype=float).ravel()
     if points.size == 0:
@@ -240,8 +253,11 @@ def kernel_sums(path: ObservedPath, grid, h: float, kernel: Kernel) -> KernelSum
                 w = kernel.evaluate(z) / h
                 wz = w * z
                 yw = near_y[index]
-                sums[:, j] = w.sum(), wz.sum(), (wz * z).sum(), (w * yw).sum(), (wz * yw).sum()
-                weighted = z[w != 0.0]
+                product = wz * z
+                sums[:3, j] = w.sum(), wz.sum(), product.sum()
+                sums[3, j] = np.multiply(w, yw, out=product).sum()
+                sums[4, j] = np.multiply(wz, yw, out=product).sum()
+                weighted = z if w.all() else z[w != 0.0]
                 two_offsets[j] = weighted.size > 1 and weighted.min() < weighted.max()
             start = stop
     return KernelSums(points, h, path.n, _DEGENERACY_COEFF * path.n * kernel.peak / h, *sums, two_offsets)

@@ -538,9 +538,12 @@ def read_path_csv(source, *, noise: StableParams | None = None) -> ObservedPath:
     """Load a trajectory written by :func:`write_path_csv`; its model name is
     ``"external"``.
 
-    A well-formed file is parsed in one ``np.loadtxt`` pass over the open
-    file.  Any other file, or one that fails a check below, is read again
-    line by line, which names the first offending byte, header or row.
+    A well-formed file is parsed in one ``np.loadtxt`` pass, given the file
+    by name: numpy then reads it in chunks, where given an open file it
+    builds one Python string per line first.  Any other file, one that fails
+    a check below, and one whose name ends in ``.gz``, ``.bz2``, ``.xz`` or
+    ``.lzma`` (a name numpy would open through a decompressor) are read line
+    by line, which names the first offending byte, header or row.
 
     Raises
     ------
@@ -578,13 +581,22 @@ _SPLITLINES_ONLY = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 _SCAN = 1 << 20
 # Time steps compared at once by the spacing check of ``read_path_csv``.
 _SPACING_BLOCK = 1 << 16
+# File suffixes for which numpy's ``DataSource`` opens a name through a
+# decompressor; a plain path CSV so named goes to the line reader.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _load_path_table(source) -> np.ndarray | None:
-    """The ``(i, t, x)`` table of a well-formed path CSV, parsed in bulk; None
-    for a file that :func:`_read_path_lines` must read, with the same result
-    or the error that names what is wrong."""
-    with Path(source).open("rb") as handle:
+    """The ``(i, t, x)`` table of a well-formed path CSV, parsed in bulk by
+    ``np.loadtxt`` given the file's name (see :func:`read_path_csv`); None for
+    a file that :func:`_read_path_lines` must read, with the same result or
+    the error that names what is wrong: one with a compressed file suffix, a
+    byte that is not ASCII or a line break that only ``str.splitlines`` sees,
+    or a table that fails the checks below."""
+    name = Path(source)
+    if name.suffix in _COMPRESSED_SUFFIXES:
+        return None
+    with name.open("rb") as handle:
         block = handle.read(_SCAN)
         if not block.startswith((b"i,t,x\n", b"i,t,x\r")):
             return None
@@ -592,15 +604,18 @@ def _load_path_table(source) -> np.ndarray | None:
             if not block.isascii() or any(mark in block for mark in _SPLITLINES_ONLY):
                 return None
             block = handle.read(_SCAN)
-    with open(source, encoding="ascii") as handle:
-        handle.readline()
-        try:
-            with warnings.catch_warnings():
-                # a file with no rows warns; the line reader names it instead
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
+    try:
+        with warnings.catch_warnings():
+            # a file with no rows warns; the line reader names it instead
+            warnings.simplefilter("ignore", UserWarning)
+            # ``Path`` folds every ``//`` after the start of the name, so no
+            # name it gives has both a URL scheme and a network location, and
+            # numpy's ``DataSource`` opens it as a local file, never a download
+            table = np.loadtxt(
+                os.fspath(name), delimiter=",", comments=None, ndmin=2, skiprows=1, encoding="ascii"
+            )
+    except ValueError:
+        return None
     valid = (
         len(table) >= 2
         and table.shape[1] == 3

@@ -2,7 +2,8 @@
 equivariance on exactly representable designs, affine reproduction, the
 grid contract of ``kernel_sums``, its agreement and that of ``s_nk`` with a
 full-array reference on paths that crowd the kernel window's edges, the
-bit-for-bit agreement of a dense grid's sums with one-point sums, and the
+bit-for-bit agreement of a dense grid's sums with one-point sums and of
+both with the plain per-point form of the window and its sums, and the
 degeneracy flag on designs with fewer than two distinct weighted states."""
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stabledrift import (
@@ -24,7 +25,7 @@ from stabledrift import (
     nadaraya_watson_drift,
     s_nk,
 )
-from stabledrift.estimate import _edges
+from stabledrift.estimate import _edges, _window
 
 kernels = st.sampled_from(sorted(kernel_names())).map(builtin_kernel)
 METHODS = ("local_linear", "nadaraya_watson")
@@ -271,6 +272,93 @@ def test_a_grid_point_reads_exactly_as_it_does_alone(case):
         assert (alone.h, alone.n, alone.threshold) == (sums.h, sums.n, sums.threshold)
         for field in ("grid", "s0", "s1", "s2", "t0", "t1", "two_offsets"):
             assert getattr(sums, field)[j:j + 1].tobytes() == getattr(alone, field).tobytes(), field
+
+
+def plain_window(xs, x, h, kernel):
+    """The kernel window in its plain form: every state between the widened
+    edges, offsets ``(X_i - x) / h`` formed out of place, then trimmed to
+    ``[a, b]`` whether or not any offset lies outside."""
+    a, b = kernel.support
+    lo, hi = _edges(x, x, h, kernel)
+    index = np.flatnonzero((xs >= lo) & (xs <= hi))
+    z = (xs[index] - x) / h
+    inside = (z >= a) & (z <= b)
+    return index[inside], z[inside]
+
+
+def plain_sums(path, x, h, kernel):
+    """``S_0, S_1, S_2, T_0, T_1`` and the two-offsets flag at ``x`` in their
+    plain per-point form: each product formed anew and summed, and the flag
+    read from the offsets of nonzero weight."""
+    with np.errstate(all="ignore"):
+        y = np.diff(path.x) / path.delta
+        index, z = plain_window(path.x[:-1], x, h, kernel)
+        w = kernel.evaluate(z) / h
+        wz = w * z
+        yw = y[index]
+        sums = w.sum(), wz.sum(), (wz * z).sum(), (w * yw).sum(), (wz * yw).sum()
+    weighted = z[w != 0.0]
+    return sums, weighted.size > 1 and weighted.min() < weighted.max()
+
+
+def plain_s_nk(path, x, h, kernel, k):
+    """``s_nk`` over :func:`plain_window`, in the same operations."""
+    index, z = plain_window(path.x[:-1], x, h, kernel)
+    kz = kernel.evaluate(z)
+    w = kz / h
+    weighted = w != 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float((w[weighted] * (path.x[index[weighted]] - x) ** k).sum())
+    if math.isfinite(total):
+        return total
+    total = float((kz * z ** k).sum())
+    if k == 0:
+        return total / h
+    for _ in range(k - 1):
+        total *= h
+    return total
+
+
+def as_bytes(value):
+    return np.float64(value).tobytes()
+
+
+# a state one ulp below the edge -1, inside the widened window, so the trim
+# runs; epanechnikov states at z = 1 exactly, of zero weight, beside two equal
+# offsets, so the flag must skip the zero weight; states all outside the window
+TRIMMED = (builtin_kernel("uniform_sym"), 1.0, 0.5, [float(np.nextafter(-1.0, -math.inf)), 0.25, 0.5, 2.0], [0.0])
+ZERO_WEIGHT = (builtin_kernel("epanechnikov"), 1.0, 0.5, [1.0, 0.25, 0.25, -1.0, 3.0], [0.0])
+EMPTY = (builtin_kernel("triangular"), 1.0, 0.5, [5.0, 6.0, 7.0], [0.0, 0.5])
+
+
+def test_the_named_windows_reach_each_case():
+    kernel, h, _, states, grid = TRIMMED
+    xs = np.array(states[:-1])
+    lo, hi = _edges(grid[0], grid[0], h, kernel)
+    assert _window(xs, grid[0], h, kernel)[0].size < np.count_nonzero((xs >= lo) & (xs <= hi))
+    kernel, h, _, states, grid = ZERO_WEIGHT
+    _, z = _window(np.array(states[:-1]), grid[0], h, kernel)
+    assert not kernel.evaluate(z).all() and z.min() < z.max()
+    kernel, h, _, states, grid = EMPTY
+    assert all(_window(np.array(states[:-1]), x, h, kernel)[0].size == 0 for x in grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dense_grids(), crowded_windows()))
+@example(TRIMMED)
+@example(ZERO_WEIGHT)
+@example(EMPTY)
+def test_kernel_sums_and_s_nk_match_the_plain_per_point_form(case):
+    kernel, h, delta, states, grid = case
+    path = make_path(states, delta)
+    sums = kernel_sums(path, grid, h, kernel)
+    for j, x in enumerate(grid):
+        plain, two_offsets = plain_sums(path, x, h, kernel)
+        for field, value in zip(("s0", "s1", "s2", "t0", "t1"), plain):
+            assert getattr(sums, field)[j:j + 1].tobytes() == as_bytes(value), field
+        assert bool(sums.two_offsets[j]) == two_offsets
+        for k in range(4):
+            assert as_bytes(s_nk(path, x, h, kernel, k)) == as_bytes(plain_s_nk(path, x, h, kernel, k)), k
 
 
 def test_a_single_weighted_state_is_degenerate_when_n_h_is_tiny():

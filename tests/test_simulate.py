@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import urllib.request
 import warnings
 from pathlib import Path
 
@@ -362,6 +363,36 @@ class TestCsvRoundTrip:
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="observation times are not equally spaced"):
                 read_path_csv(bad)
+
+    @pytest.mark.parametrize("name", ["path.csv.gz", "path.csv.bz2", "path.csv.xz", "path.csv.lzma"])
+    def test_a_plain_file_with_a_compressed_suffix_reads_back_exactly(self, tmp_path, name):
+        # numpy's loadtxt opens a name with one of these suffixes through a
+        # decompressor, so the bulk parse leaves such a file to the line reader
+        path = simulate_path(builtin_model("tanh_drift"), StableParams(1.7, 0.0), x0=0.0,
+                             n=300, delta=0.01, seed=5, burn_in=20)
+        target = tmp_path / name
+        write_path_csv(path, target)
+        loaded = read_path_csv(target)
+        assert np.array_equal(loaded.x.view(np.uint64), path.x.view(np.uint64))
+        assert loaded.delta == path.delta
+
+    def test_a_name_that_reads_as_a_url_is_opened_as_a_local_file(self, tmp_path, monkeypatch):
+        # given "http://host/p.csv", numpy's loadtxt would try a download;
+        # the bulk parse hands it the name as Path spells it, "http:/host/p.csv"
+        def refuse(*args, **kwargs):
+            raise AssertionError("reading a path CSV tried to open a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        path = simulate_path(builtin_model("tanh_drift"), StableParams(1.7, 0.0), x0=0.0,
+                             n=300, delta=0.01, seed=5, burn_in=20)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        write_path_csv(path, tmp_path / "http:" / "host" / "p.csv")
+        monkeypatch.chdir(tmp_path)
+        for source in (tmp_path / "http:" / "host" / "p.csv", "http://host/p.csv"):
+            assert simulate._load_path_table(source) is not None
+            loaded = read_path_csv(source)
+            assert np.array_equal(loaded.x.view(np.uint64), path.x.view(np.uint64))
+            assert loaded.delta == path.delta
 
     def test_row_parser_matches_bulk_parse(self, tmp_path):
         # the row-by-row parser, which names bad rows, is the reference for

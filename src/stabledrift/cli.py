@@ -18,12 +18,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigurationError, NumericError, ParameterError, SimulationError, read_text
+from .errors import ConfigurationError, NumericError, ParameterError, SimulationError, check_number, read_text
 from .estimate import kernel_sums, write_drift_curve_csv
 from .experiments import (
     Schedule,
@@ -93,10 +92,10 @@ class RunConfig:
                 setattr(self, f.name, _SCALAR_PARSERS[f.type](f.name, getattr(self, f.name)))
         if not isinstance(self.model_params, dict):
             raise ConfigurationError("model_params must be an object of numbers")
-        self.model_params = {k: _as_float(f"model_params.{k}", v) for k, v in self.model_params.items()}
+        self.model_params = {k: check_number(f"model_params.{k}", v, ConfigurationError) for k, v in self.model_params.items()}
         if not isinstance(self.x_points, list) or not self.x_points:
             raise ConfigurationError("x_points must be a nonempty list of numbers")
-        self.x_points = [_as_float("x_points", v) for v in self.x_points]
+        self.x_points = [check_number("x_points", v, ConfigurationError) for v in self.x_points]
         if not isinstance(self.k_values, list) or not self.k_values:
             raise ConfigurationError("k_values must be a nonempty list of integers")
         self.k_values = [_as_int("k_values", v) for v in self.k_values]
@@ -114,9 +113,9 @@ class RunConfig:
                 cleaned.append(
                     {
                         "n": _as_int("schedules.n", entry.get("n", self.n)),
-                        "delta": _as_float("schedules.delta", entry.get("delta", self.delta)),
-                        "h": _as_float("schedules.h", entry.get("h", self.h)),
-                        "kappa": _as_float("schedules.kappa", entry.get("kappa", self.kappa)),
+                        "delta": check_number("schedules.delta", entry.get("delta", self.delta), ConfigurationError),
+                        "h": check_number("schedules.h", entry.get("h", self.h), ConfigurationError),
+                        "kappa": check_number("schedules.kappa", entry.get("kappa", self.kappa), ConfigurationError),
                     }
                 )
             self.schedules = cleaned
@@ -132,15 +131,6 @@ def _as_int(name: str, value) -> int:
     raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
-def _as_float(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{name} must be finite, got {value}")
-    return value
-
-
 def _as_str(name: str, value) -> str:
     if not isinstance(value, str):
         raise ConfigurationError(f"{name} must be a string, got {value!r}")
@@ -150,7 +140,7 @@ def _as_str(name: str, value) -> str:
 # The parser of each scalar config field, picked by its annotation.
 _SCALAR_PARSERS = {
     "int": _as_int,
-    "float": _as_float,
+    "float": lambda name, value: check_number(name, value, ConfigurationError),
     "str": _as_str,
     "str | None": lambda name, value: None if value is None else _as_str(name, value),
 }

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, check_int, check_number
 from .kernels import Kernel, lambda_fractional_integral, nw_fractional_integral
 from .models import SdeModel, StationaryDensity
 from .simulate import ObservedPath
@@ -109,11 +109,8 @@ class KernelRatioConstants(AsymptoticConstants):
     first_order: float
 
 
-def _check_point(x: float, h: float) -> None:
-    if not math.isfinite(x):
-        raise ParameterError(f"query point must be finite, got {x}")
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ParameterError(f"bandwidth h must be positive and finite, got {h}")
+def _check_point(x: float, h: float) -> tuple[float, float]:
+    return check_number("query point", x), check_number("bandwidth h", h, positive=True)
 
 
 def _edges(first: float, last: float, h: float, kernel: Kernel) -> tuple[float, float]:
@@ -221,12 +218,15 @@ def kernel_sums(path: ObservedPath, grid, h: float, kernel: Kernel) -> KernelSum
     summed before the next.  When no weight is zero, the ``two_offsets``
     flag reads the window's offsets themselves.
     """
+    if np.asarray(grid).dtype.kind not in "iuf":
+        raise ParameterError(f"grid must be an array of numbers, got one of dtype {np.asarray(grid).dtype}")
     points = np.asarray(grid, dtype=float).ravel()
     if points.size == 0:
         raise ParameterError("grid must be nonempty")
     values = points.tolist()
     for x in values:
-        _check_point(x, h)
+        check_number("query point", x)
+    h = check_number("bandwidth h", h, positive=True)
     a, b = kernel.support
     width = (b - a) * h
     order = sorted(range(len(values)), key=values.__getitem__)
@@ -274,7 +274,7 @@ def s_nk(path: ObservedPath, x: float, h: float, kernel: Kernel, k: int) -> floa
     """
     if k not in (0, 1, 2, 3):
         raise ParameterError(f"k must be one of 0, 1, 2, 3, got {k}")
-    _check_point(x, h)
+    x, h = _check_point(x, h)
     index, z = _window(path.x[:-1], x, h, kernel)
     kz = kernel.evaluate(z)
     w = kz / h
@@ -328,7 +328,7 @@ def local_linear_drift_ratio(path: ObservedPath, x: float, h: float, kernel: Ker
     kept as an independent cross-check of the solver algebra.  Returns NaN
     when the denominator is exactly zero.
     """
-    _check_point(x, h)
+    x, h = _check_point(x, h)
     d = path.x[:-1] - x
     w = kernel.evaluate(d / h) / h
     s1 = float((w * d).sum())
@@ -365,9 +365,9 @@ def _limit_inputs(model, density, noise, x, n, delta, h) -> tuple[float, float, 
     if not isinstance(noise, StableParams):
         raise ParameterError("noise must be a StableParams instance")
     alpha = noise.alpha
-    _check_point(x, h)
-    if not (n >= 1 and delta > 0.0):
-        raise ParameterError("n must be positive and delta > 0")
+    x, h = _check_point(x, h)
+    check_int("n", n, 1)
+    check_number("delta", delta, positive=True)
     fx = float(density.f(float(x)))
     if not (fx > 0.0):
         raise ParameterError(f"stationary density vanishes at x = {x}; constants are undefined there")

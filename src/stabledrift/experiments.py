@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache, partial
@@ -43,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError, SimulationError, check_int, read_text
+from .errors import ConfigurationError, ParameterError, SimulationError, check_int, check_number, read_text
 from .estimate import (
     asymptotic_constants,
     kernel_sums,
@@ -107,13 +106,11 @@ class Schedule:
 
     def __post_init__(self) -> None:
         check_int("schedule n", self.n, 1)
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ParameterError(f"schedule delta must be positive, got {self.delta}")
-        if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise ParameterError(f"schedule h must be positive, got {self.h}")
-        if not (1.0 < self.alpha <= 2.0):
+        check_number("schedule delta", self.delta, positive=True)
+        check_number("schedule h", self.h, positive=True)
+        if not (1.0 < check_number("schedule alpha", self.alpha) <= 2.0):
             raise ParameterError(f"schedule alpha must lie in (1, 2], got {self.alpha}")
-        if not (self.kappa > self.alpha):
+        if not (check_number("schedule kappa", self.kappa) > self.alpha):
             raise ParameterError(
                 f"schedule kappa must exceed alpha, got kappa={self.kappa}, alpha={self.alpha}"
             )
@@ -337,10 +334,10 @@ def _config(
         "model": {"name": model.name, "params": dict(model.params)},
         "noise": {"alpha": noise.alpha, "beta": noise.beta},
         "kernel": kernel.name,
-        "x_points": [_finite_point("x_points entry", v) for v in np.ravel(np.asarray(x_points, dtype=object))],
+        "x_points": [check_number("x_points entry", v) for v in np.ravel(np.asarray(x_points, dtype=object))],
         "replicates": replicates,
         "master_seed": master_seed,
-        "x0": float(x0),
+        "x0": check_number("x0", x0),
         "burn_in": burn_in,
     }
     if kind == "consistency":
@@ -349,14 +346,6 @@ def _config(
         config["schedule"] = schedules[0].as_dict()
     config.update(extra)
     return config
-
-
-def _finite_point(name: str, value) -> float:
-    """``value`` as a float; :class:`ParameterError` naming ``name`` unless it
-    is a finite int or float, which a bool is not taken for."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ParameterError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _batches(replicates: int, n: int, workers: int) -> list[tuple[int, int]]:
@@ -720,15 +709,13 @@ def run_clt(
     ``alpha = 2``, which must pass at the critical value itself), and a Hill
     tail index compatible with ``alpha`` for heavy-tailed runs.
     """
-    x = _finite_point("x", x)
+    x = check_number("x", x)
     config = _config(
         "clt", model, noise, kernel, [schedule], [x], replicates, master_seed, x0, burn_in, workers,
         density=dict(_DENSITY),
     )
     check_int("reference_size", reference_size, 100)
-    if isinstance(tail_fraction, bool) or not isinstance(tail_fraction, (int, float)):
-        raise ParameterError(f"tail_fraction must be a number, got {tail_fraction!r}")
-    if not (0.0 < tail_fraction < 1.0):
+    if not (0.0 < check_number("tail_fraction", tail_fraction) < 1.0):
         raise ParameterError(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
     # the Hill estimate needs more usable replicates than its tail size
     tail_size = _hill_tail_size(replicates, tail_fraction)
@@ -880,7 +867,7 @@ def run_lln_check(
     :func:`stationary_density_oracle`, whose one route is fixed by the model
     and ``alpha`` and recorded as the config's ``density`` entry.
     """
-    x = _finite_point("x", x)
+    x = check_number("x", x)
     config = _config(
         "lln", model, noise, kernel, [schedule], [x], replicates, master_seed, x0, burn_in, workers,
         density=dict(_DENSITY),

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ParameterError
+from .errors import ConfigurationError, NumericError, ParameterError, check_number
 
 __all__ = [
     "Kernel",
@@ -141,7 +141,7 @@ def builtin_kernel(name: str) -> Kernel:
 
 
 def _check_alpha_power(alpha: float) -> None:
-    if not (1.0 <= alpha <= 2.0):
+    if not (1.0 <= check_number("alpha", alpha) <= 2.0):
         raise ParameterError(f"alpha must lie in [1, 2], got {alpha}")
 
 

@@ -10,12 +10,12 @@ downstream without re-checking.
 
 The stationary density is exposed through a uniform interface with three
 provenance levels: closed form where one exists, pointwise numeric
-inversion of the known characteristic function for the linear model, and a
-smoothed estimate from 64 paths of fixed seeds, stepped in lockstep, for
-everything else.  The inversion sums a convergent series near the law's
-centre and an asymptotic one in its tails, with numpy and ``math`` alone;
-scipy is imported only for the quadrature of the inversion integrals at the
-points neither series certifies.
+inversion of the known characteristic function for a model with an affine
+drift and constant sigma, and a smoothed estimate from 64 paths of fixed
+seeds, stepped in lockstep, for everything else.  The inversion sums a
+convergent series near the law's centre and an asymptotic one in its tails,
+with numpy and ``math`` alone; scipy is imported only for the quadrature of
+the inversion integrals at the points neither series certifies.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ParameterError
+from .errors import ConfigurationError, NumericError, ParameterError, check_number
 from .stable import StableParams, _tan_half
 
 __all__ = [
@@ -44,13 +44,17 @@ _VALIDATION_GRID = np.linspace(-50.0, 50.0, 10_001)
 _STEP_STATES = (-50.0, -3.5, -1.0, -0.25, -0.0, 0.0, 0.6, 1.0, 2.5, 7.0, 1e3, 1e6)
 _STEP_TERMS = (0.3, -1.7, 0.0, 2.5e-3, -4.0, 1e-9, -0.02, 11.0, -0.6, 5.0, -2e3, 0.8)
 _STEP_DELTAS = (0.01, 0.37)
-# Ulps of |x| + |mu(x) delta| + |sigma(x) term| by which a step may miss the
-# exact x + mu(x) delta + sigma(x) term.  Each rounding errs by at most 2^-53
-# of its result, and no partial result exceeds that sum, so counting the
-# roundings bounds bounded_nonlinear's generic step by 8 ulps and its
-# regrouped step by 7; over 1.2e7 random steps the worst either missed by
-# was 2.7.
+# A step may miss the exact x + mu(x) delta + sigma(x) term by _STEP_ULPS
+# ulps of |x| + |mu(x) delta| + |sigma(x) term| plus _STEP_UNDERFLOW * delta
+# * 2^-1074.  A rounding errs by at most 2^-53 of its result, or 2^-1075 below
+# 2^-1022: under one ulp of that sum, so counting roundings bounds
+# bounded_nonlinear's generic step by 8 ulps and its regrouped one by 7 (over
+# 1.2e7 random steps the worst missed by 2.7).  But delta scales mu(x)'s own
+# 2^-1075s: the second term counts them, three at most in the built-in drifts
+# (bounded_nonlinear's lam x, its quotient and c x), each as a whole 2^-1074.
+# It is below one ulp of any sum of at least _STEP_UNDERFLOW * delta * 2^-1021.
 _STEP_ULPS = 8
+_STEP_UNDERFLOW = 3
 # The plug-in oracle's design: _PLUGIN_PATHS paths, from the seeds derived
 # from _PLUGIN_SEED, each recording _PLUGIN_STEPS steps of _PLUGIN_DELTA
 # after _PLUGIN_BURN_IN steps from 0; experiment configs record the seed and
@@ -115,9 +119,11 @@ class SdeModel:
         vector forms must take the same steps bit for bit, so a batch of
         paths steps exactly as each path alone does, and each step must
         stay within ``_STEP_ULPS`` ulps of ``|x| + |mu(x) delta| +
-        |sigma(x) term|`` of the exact ``x + mu(x) delta + sigma(x) term``
-        (``term`` carries sigma when sigma is constant, and the step is
-        then ``x + mu(x) delta + term``), the bound the generic step of
+        |sigma(x) term|``, plus the underflow term ``_STEP_UNDERFLOW *
+        delta * 2^-1074`` for the roundings of ``mu(x)`` below 2^-1022, of
+        the exact ``x + mu(x) delta + sigma(x) term`` (``term`` carries
+        sigma when sigma is constant, and the step is then ``x + mu(x)
+        delta + term``), the bound the generic step of
         :func:`euler_step` meets: it may regroup the step's operations, as
         long as the vector form regroups them as the float form does.  A
         vector stepper holds the model's constants, and the scratch arrays
@@ -166,14 +172,7 @@ class StationaryDensity:
 
 
 def _float_param(params: dict, key: str, default: float) -> float:
-    value = params.get(key, default)
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"model parameter {key!r} must be a number, got {value!r}") from None
-    if not math.isfinite(value):
-        raise ConfigurationError(f"model parameter {key!r} must be finite, got {value}")
-    return value
+    return check_number(f"model parameter {key!r}", params.get(key, default), ConfigurationError)
 
 
 def _reject_unknown(params: dict, allowed: tuple[str, ...]) -> None:
@@ -445,11 +444,18 @@ def _exact_step(model: SdeModel, delta: float, x: np.ndarray, terms: np.ndarray)
     return wide + drift + noise, (np.abs(wide) + np.abs(drift) + np.abs(noise)).astype(float)
 
 
+def _missed_ulps(step, exact, size, delta: float) -> np.ndarray:
+    """Ulps of ``size`` by which ``step`` misses ``exact`` (both as from
+    :func:`_exact_step`) beyond ``_STEP_UNDERFLOW * delta * 2^-1074``."""
+    underflow = np.longdouble(_STEP_UNDERFLOW) * np.longdouble(delta) * np.longdouble(2.0 ** -1074)
+    return (np.maximum(np.abs(step - exact) - underflow, 0.0) / np.spacing(size)).astype(float)
+
+
 def _check_stepper(model: SdeModel) -> None:
     """Raise unless the declared stepper, on two-step blocks from
     ``_STEP_STATES``, takes the same steps on floats as on one vector, bit
-    for bit, each within ``_STEP_ULPS`` ulps of the exact Euler step, and
-    returns its last state, leaving ``x`` as it was."""
+    for bit, each within the bound of ``SdeModel.stepper`` of the exact
+    Euler step, and returns its last state, leaving ``x`` as it was."""
     states = np.array(_STEP_STATES)
     terms = np.array([_STEP_TERMS, _STEP_TERMS[::-1]])
     # where long double is no wider than double, the reference carries a
@@ -482,7 +488,7 @@ def _check_stepper(model: SdeModel) -> None:
             )
         for start, step, term in zip((states, rows[0]), rows, terms):
             exact, size = _exact_step(model, delta, start, term)
-            missed = (np.abs(step - exact) / np.spacing(size)).astype(float)
+            missed = _missed_ulps(step, exact, size, delta)
             if not missed.max() <= allowance:
                 at = int(np.argmax(~(missed <= allowance)))
                 raise ParameterError(
@@ -618,10 +624,8 @@ def _interpolant(grid: np.ndarray, values: np.ndarray) -> Callable:
 
 
 def _ou_margin(model: SdeModel, noise: StableParams) -> tuple[float, float]:
-    lam = model.params["lam"]
-    gamma = model.params["gamma"]
-    sigma0 = model.params["sigma"]
-    scale = sigma0 * (1.0 / (noise.alpha * lam)) ** (1.0 / noise.alpha)
+    gamma, lam = model.affine_drift
+    scale = model.sigma_bounds[0] * (1.0 / (noise.alpha * lam)) ** (1.0 / noise.alpha)
     return gamma / lam, scale
 
 
@@ -752,10 +756,11 @@ def _inversion_integrals(y: float, alpha: float, skew: float) -> tuple[float, fl
 
 
 def _fourier_density(model: SdeModel, noise: StableParams) -> StationaryDensity:
-    """The stationary law of the linear model, a stable law of location
-    ``gamma / lam`` and scale ``c``, evaluated pointwise:
-    ``f(x) = g(y) / c`` and ``f'(x) = g'(y) / c^2`` at ``y = (x - m) / c``,
-    where ``g`` is the standardized density of characteristic function
+    """The stationary law of a model with an affine drift ``gamma - lam * x``
+    and constant sigma, a stable law of location ``gamma / lam`` and scale
+    ``c``, evaluated pointwise: ``f(x) = g(y) / c`` and ``f'(x) = g'(y) /
+    c^2`` at ``y = (x - m) / c``, where ``g`` is the standardized density of
+    characteristic function
     ``exp(-|u|^alpha (1 - i beta sgn(u) tan(pi alpha / 2)))``.  Each point
     takes the first of the centre series (``|y| < 1``), the tail series
     (``|y| >= 1``) and the inversion integrals whose error bound is within
@@ -766,9 +771,7 @@ def _fourier_density(model: SdeModel, noise: StableParams) -> StationaryDensity:
     skew = noise.beta * _tan_half(alpha)
 
     def standardized(x) -> tuple[float, float]:
-        x = float(x)
-        if not math.isfinite(x):
-            raise ParameterError(f"density query point must be finite, got {x}")
+        x = check_number("density query point", x)
         y = (x - mean) / scale
         for rule in (_center_series, _tail_series, _inversion_integrals):
             value = rule(y, alpha, skew)
@@ -844,21 +847,22 @@ def stationary_density_oracle(model: SdeModel, noise: StableParams) -> Stationar
     """Stationary density of a model under the given noise, on the one
     route the model and ``alpha`` admit.
 
-    The linear model has the Gaussian closed form at ``alpha == 2`` and a
-    stable law, evaluated by Fourier inversion, below it; every other model
-    gets the simulated plug-in estimate.  ``noise``'s type guarantees
-    ``alpha > 1``, which the linear model's stable law needs.  The Fourier
-    route builds nothing up front: its ``f`` and ``f_prime`` evaluate the
-    density at each point they are called with, by series in numpy and
-    ``math`` alone wherever they converge (and by scipy's quadrature
-    elsewhere), and raise :class:`NumericError` naming a point where no rule
-    reaches its accuracy target.  The plug-in route simulates 64 paths from
-    fixed seeds in one lockstep batch, so it is reproducible, and is
-    piecewise linear on its grid and zero outside it.
+    A model with an affine drift and constant sigma (its ``affine_drift``,
+    which :func:`validate_model` allows only with a constant sigma) has the
+    Gaussian closed form at ``alpha == 2`` and a stable law, evaluated by
+    Fourier inversion, below it; every other model gets the simulated
+    plug-in estimate.  ``noise``'s type guarantees ``alpha > 1``, which that
+    stable law needs.  The Fourier route builds nothing up front: its ``f``
+    and ``f_prime`` evaluate the density at each point they are called with,
+    by series in numpy and ``math`` alone wherever they converge (and by
+    scipy's quadrature elsewhere), and raise :class:`NumericError` naming a
+    point where no rule reaches its accuracy target.  The plug-in route
+    simulates 64 paths from fixed seeds in one lockstep batch, so it is
+    reproducible, and is piecewise linear on its grid and zero outside it.
     """
     if not isinstance(noise, StableParams):
         raise ParameterError("noise must be a StableParams instance")
-    if model.name != "ou_linear":
+    if model.affine_drift is None:
         return _plugin_density(model, noise)
     if noise.alpha == 2.0:
         return _gaussian_density(model, noise)

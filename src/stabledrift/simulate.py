@@ -62,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, SimulationError, check_int, read_text
+from .errors import ParameterError, SimulationError, check_int, check_number, read_text
 from .models import SdeModel, euler_step
 from .stable import StableParams, _cms_transform
 
@@ -128,8 +128,7 @@ class ObservedPath:
             raise ParameterError("path contains non-finite values")
         if self.n != x.size - 1:
             raise ParameterError(f"n = {self.n} does not match {x.size} observations")
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ParameterError(f"delta must be positive and finite, got {self.delta}")
+        check_number("delta", self.delta, positive=True)
 
     def times(self) -> np.ndarray:
         """Observation times ``i * delta``."""
@@ -307,10 +306,8 @@ def _check_run(model, noise, x0, n, delta, burn_in) -> None:
         raise ParameterError("noise must be a StableParams instance")
     check_int("n", n, 1)
     check_int("burn_in", burn_in, 0)
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise ParameterError(f"delta must be positive and finite, got {delta}")
-    if not math.isfinite(x0):
-        raise ParameterError(f"x0 must be finite, got {x0}")
+    check_number("delta", delta, positive=True)
+    check_number("x0", x0)
 
 
 def _check_seed(seed) -> None:
@@ -540,10 +537,11 @@ def read_path_csv(source, *, noise: StableParams | None = None) -> ObservedPath:
 
     A well-formed file is parsed in one ``np.loadtxt`` pass, given the file
     by name: numpy then reads it in chunks, where given an open file it
-    builds one Python string per line first.  Any other file, one that fails
-    a check below, and one whose name ends in ``.gz``, ``.bz2``, ``.xz`` or
-    ``.lzma`` (a name numpy would open through a decompressor) are read line
-    by line, which names the first offending byte, header or row.
+    builds one Python string per line first.  A name that ends in ``.gz``,
+    ``.bz2``, ``.xz`` or ``.lzma``, which numpy would open through a
+    decompressor, takes the same parse on the open file instead.  A file
+    that fails a check below is read line by line, which names the first
+    offending byte, header or row.
 
     Raises
     ------
@@ -582,20 +580,19 @@ _SCAN = 1 << 20
 # Time steps compared at once by the spacing check of ``read_path_csv``.
 _SPACING_BLOCK = 1 << 16
 # File suffixes for which numpy's ``DataSource`` opens a name through a
-# decompressor; a plain path CSV so named goes to the line reader.
+# decompressor; a plain path CSV so named is parsed from its open file.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _load_path_table(source) -> np.ndarray | None:
     """The ``(i, t, x)`` table of a well-formed path CSV, parsed in bulk by
-    ``np.loadtxt`` given the file's name (see :func:`read_path_csv`); None for
-    a file that :func:`_read_path_lines` must read, with the same result or
-    the error that names what is wrong: one with a compressed file suffix, a
-    byte that is not ASCII or a line break that only ``str.splitlines`` sees,
-    or a table that fails the checks below."""
+    ``np.loadtxt`` given the file's name, or its open file for a name with a
+    compressed file suffix (see :func:`read_path_csv`); None for a file that
+    :func:`_read_path_lines` must read, with the same result or the error
+    that names what is wrong: one with a byte that is not ASCII or a line
+    break that only ``str.splitlines`` sees, or a table that fails the
+    checks below."""
     name = Path(source)
-    if name.suffix in _COMPRESSED_SUFFIXES:
-        return None
     with name.open("rb") as handle:
         block = handle.read(_SCAN)
         if not block.startswith((b"i,t,x\n", b"i,t,x\r")):
@@ -610,10 +607,13 @@ def _load_path_table(source) -> np.ndarray | None:
             warnings.simplefilter("ignore", UserWarning)
             # ``Path`` folds every ``//`` after the start of the name, so no
             # name it gives has both a URL scheme and a network location, and
-            # numpy's ``DataSource`` opens it as a local file, never a download
-            table = np.loadtxt(
-                os.fspath(name), delimiter=",", comments=None, ndmin=2, skiprows=1, encoding="ascii"
-            )
+            # numpy's ``DataSource`` opens it as a local file, never a download;
+            # a name it would open through a decompressor is handed over open
+            with name.open(encoding="ascii") as text:
+                table = np.loadtxt(
+                    text if name.suffix in _COMPRESSED_SUFFIXES else os.fspath(name),
+                    delimiter=",", comments=None, ndmin=2, skiprows=1, encoding="ascii",
+                )
     except ValueError:
         return None
     valid = (
@@ -664,7 +664,7 @@ def increment_diagnostics(path: ObservedPath, sigma_scale: float) -> dict:
     """
     increments = np.diff(path.x)
     alpha = path.noise.alpha if path.noise is not None else 2.0
-    threshold = 10.0 * sigma_scale * path.delta ** (1.0 / alpha)
+    threshold = 10.0 * check_number("sigma_scale", sigma_scale) * path.delta ** (1.0 / alpha)
     abs_inc = np.abs(increments)
     exceed = int(np.count_nonzero(abs_inc > threshold))
     return {

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int, check_number
 
 __all__ = [
     "StableParams",
@@ -50,9 +50,9 @@ class StableParams:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (1.0 < self.alpha <= 2.0):
+        if not (1.0 < check_number("alpha", self.alpha) <= 2.0):
             raise ParameterError(f"alpha must lie in (1, 2], got {self.alpha}")
-        if not (-1.0 <= self.beta <= 1.0):
+        if not (-1.0 <= check_number("beta", self.beta) <= 1.0):
             raise ParameterError(f"beta must lie in [-1, 1], got {self.beta}")
 
 
@@ -222,9 +222,9 @@ def ks_critical_value(n: int, m: int, level: float = 0.01) -> float:
     Uses ``c(level) * sqrt(1/n + 1/m)`` with
     ``c(level) = sqrt(-log(level / 2) / 2)``.
     """
-    if n < 1 or m < 1:
-        raise ParameterError("sample sizes must be positive")
-    if not (0.0 < level < 1.0):
+    check_int("n", n, 1)
+    check_int("m", m, 1)
+    if not (0.0 < check_number("level", level) < 1.0):
         raise ParameterError(f"level must lie in (0, 1), got {level}")
     c = math.sqrt(-0.5 * math.log(level / 2.0))
     return c * math.sqrt(1.0 / n + 1.0 / m)
@@ -249,7 +249,7 @@ def hill_tail_index(samples, fraction: float = 0.1) -> float:
         samples of a few hundred points or more.
     """
     x = np.abs(np.asarray(samples, dtype=float).ravel())
-    if not (0.0 < fraction < 1.0):
+    if not (0.0 < check_number("fraction", fraction) < 1.0):
         raise ParameterError(f"fraction must lie in (0, 1), got {fraction}")
     x = np.sort(x[x > 0.0])
     k = _hill_tail_size(x.size, fraction)

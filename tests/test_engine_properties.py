@@ -28,7 +28,7 @@ from stabledrift import (
     simulate_path,
     simulate_paths,
 )
-from stabledrift.models import _STEP_ULPS, _exact_step, _generic_step, euler_step
+from stabledrift.models import _STEP_ULPS, _exact_step, _generic_step, _missed_ulps, euler_step
 from stabledrift.simulate import _BLOCK_DRAWS, _CHUNK, _PASS, _simulate_paths, _stable_blocks
 
 MODELS = {
@@ -418,10 +418,13 @@ def _single_steps(block_of, delta, xs, terms):
 @pytest.mark.skipif(np.finfo(np.longdouble).precision < 18, reason="long double is not wider than double here")
 @settings(max_examples=150, deadline=None)
 @given(case=st.sampled_from(STEPPED), delta=step_sizes, pairs=state_term_pairs)
+# subnormal states, where the product with delta scales mu(x)'s rounding
+@example(case=("bounded_nonlinear", {}), delta=17.0, pairs=([5e-324, 1e-310], [0.0, 0.0]))
 def test_steps_stay_within_the_bound_of_the_exact_step(case, delta, pairs):
     # Where |x| + |mu(x) delta| + |sigma(x) term| is finite and inside the
     # state bound, the declared and the generic step both miss the exact
-    # step by at most _STEP_ULPS ulps of that sum; where the exact step
+    # step by at most _STEP_ULPS ulps of that sum plus the underflow term
+    # _STEP_UNDERFLOW * delta * 2^-1074; where the exact step
     # from a state inside the bound lands more than twice the bound out,
     # both leave the bound.  The float and vector forms agree bit for bit.
     model = builtin_model(*case)
@@ -434,7 +437,7 @@ def test_steps_stay_within_the_bound_of_the_exact_step(case, delta, pairs):
         for block_of in (model.stepper, lambda d, w: _generic_step(model, d, w)):
             floats, vector = _single_steps(block_of, delta, xs, terms)
             assert floats.tobytes() == vector.tobytes()
-            missed = (np.abs(vector - exact) / np.spacing(size)).astype(float)
+            missed = _missed_ulps(vector, exact, size, delta)
             assert np.all(missed[inside] <= _STEP_ULPS)
             assert not np.any(np.abs(vector[far_out]) < 1e12)
 

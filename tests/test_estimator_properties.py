@@ -127,13 +127,13 @@ def test_kernel_sums_keeps_grid_order_and_length(states, grid, h, kernel):
 )
 def test_kernel_sums_rejects_a_non_finite_grid_point(grid, bad, position):
     grid.insert(min(position, len(grid)), bad)
-    with pytest.raises(ParameterError, match="query point must be finite"):
+    with pytest.raises(ParameterError, match="query point must be a finite number"):
         kernel_sums(make_path([0.0, 0.5, -0.25]), grid, 1.0, builtin_kernel("epanechnikov"))
 
 
 @pytest.mark.parametrize("h", [0.0, -1.0, math.inf, math.nan])
 def test_kernel_sums_rejects_a_bad_bandwidth(h):
-    with pytest.raises(ParameterError, match="bandwidth h must be positive and finite"):
+    with pytest.raises(ParameterError, match="bandwidth h must be a positive finite number"):
         kernel_sums(make_path([0.0, 0.5, -0.25]), [0.0, 0.1], h, builtin_kernel("epanechnikov"))
 
 

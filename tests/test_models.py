@@ -91,6 +91,10 @@ class TestBuiltinModels:
             builtin_model("tanh_drift", {"sigma": -1.0})
         with pytest.raises(ConfigurationError):
             builtin_model("geometric", {})
+        # float() used to read both as 2.0 and 1.0
+        for bad in ("2", True):
+            with pytest.raises(ConfigurationError, match=f"^model parameter 'lam' must be a finite number, got {bad!r}$"):
+                builtin_model("ou_linear", {"lam": bad})
 
     @pytest.mark.parametrize("name", ["ou_linear", "tanh_drift", "bounded_nonlinear"])
     @pytest.mark.parametrize("fn", ["mu", "mu_prime", "mu_double_prime", "sigma"])
@@ -469,6 +473,18 @@ class TestStationaryDensity:
         tanh_m = builtin_model("tanh_drift")
         d = stationary_density_oracle(tanh_m, StableParams(1.8, 0.0))
         assert d.provenance == "kernel-plug-in"
+
+    @pytest.mark.parametrize("alpha, provenance", [(1.5, "numeric-oracle"), (2.0, "analytic")])
+    def test_an_affine_bounded_nonlinear_takes_the_exact_law(self, alpha, provenance):
+        # at lam 0 and sigma1 0 the drift is -c x and sigma is sigma0: ou_linear's
+        # law with lam c and sigma sigma0, not the plug-in estimate
+        affine = builtin_model("bounded_nonlinear", {"lam": 0.0, "c": 0.7, "sigma0": 0.4, "sigma1": 0.0})
+        linear = builtin_model("ou_linear", {"gamma": 0.0, "lam": 0.7, "sigma": 0.4})
+        noise = StableParams(alpha, 0.0)
+        got, expected = stationary_density_oracle(affine, noise), stationary_density_oracle(linear, noise)
+        assert got.provenance == expected.provenance == provenance
+        for x in (-2.5, -0.3, 0.0, 0.8, 4.0):
+            assert got.f(x) == expected.f(x) and got.f_prime(x) == expected.f_prime(x)
 
     def test_route_validation(self):
         ou = builtin_model("ou_linear")

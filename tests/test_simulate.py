@@ -367,11 +367,12 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("name", ["path.csv.gz", "path.csv.bz2", "path.csv.xz", "path.csv.lzma"])
     def test_a_plain_file_with_a_compressed_suffix_reads_back_exactly(self, tmp_path, name):
         # numpy's loadtxt opens a name with one of these suffixes through a
-        # decompressor, so the bulk parse leaves such a file to the line reader
+        # decompressor, so the bulk parse hands it the open file instead
         path = simulate_path(builtin_model("tanh_drift"), StableParams(1.7, 0.0), x0=0.0,
                              n=300, delta=0.01, seed=5, burn_in=20)
         target = tmp_path / name
         write_path_csv(path, target)
+        assert simulate._load_path_table(target) is not None
         loaded = read_path_csv(target)
         assert np.array_equal(loaded.x.view(np.uint64), path.x.view(np.uint64))
         assert loaded.delta == path.delta

@@ -218,14 +218,10 @@ def kernel_sums(path: ObservedPath, grid, h: float, kernel: Kernel) -> KernelSum
     summed before the next.  When no weight is zero, the ``two_offsets``
     flag reads the window's offsets themselves.
     """
-    if np.asarray(grid).dtype.kind not in "iuf":
-        raise ParameterError(f"grid must be an array of numbers, got one of dtype {np.asarray(grid).dtype}")
-    points = np.asarray(grid, dtype=float).ravel()
-    if points.size == 0:
+    values = [check_number("query point", x) for x in np.ravel(np.asarray(grid, dtype=object))]
+    if not values:
         raise ParameterError("grid must be nonempty")
-    values = points.tolist()
-    for x in values:
-        check_number("query point", x)
+    points = np.array(values)
     h = check_number("bandwidth h", h, positive=True)
     a, b = kernel.support
     width = (b - a) * h

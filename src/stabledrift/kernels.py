@@ -7,7 +7,8 @@ bottom of the module are the only quantities that require quadrature: both
 raise the kernel to a non-integer power ``alpha``, which is how the stable
 noise index enters the limit constants.  They are taken by the tanh-sinh
 rule (Takahasi and Mori, 1974) on the pieces between the integrand's kinks,
-whose endpoint singularities it absorbs.
+whose endpoint singularities it absorbs; :mod:`stabledrift.models` takes the
+stable density's inversion integrals by the same rule.
 """
 
 from __future__ import annotations
@@ -152,41 +153,44 @@ _NODE_SPAN = 4.0
 _LEVELS = 10
 
 
-def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
-    """``int_a^b f`` by the tanh-sinh rule, and the change of the last
-    halving of its step: ``u = c + r tanh((pi/2) sinh t)`` maps the line onto
-    ``(a, b)``, and the trapezoidal sum in ``t`` with step ``2^-level`` takes
-    the new nodes of each level only, until two levels agree to ``1e-14``."""
+def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float | complex, float]:
+    """``int_a^b f`` by the tanh-sinh rule, and an error bound: ``u = c + r
+    tanh((pi/2) sinh t)`` maps the line onto ``(a, b)``, and the trapezoidal
+    sum in ``t`` with step ``2^-level`` takes the new nodes of each level
+    only, until two levels agree to ``1e-14``.  The bound is the change of
+    the last halving of the step plus ``1e-15 int_a^b |f|`` for the rounding
+    of the integrand's values and of their sum.  ``f`` may be complex, to
+    take two real integrals at once."""
     centre, radius = 0.5 * (a + b), 0.5 * (b - a)
 
-    def weighted_sum(t: np.ndarray) -> float:
+    def weighted_sums(t: np.ndarray) -> np.ndarray:
         s = 0.5 * math.pi * np.sinh(t)
         u = np.clip(centre + radius * np.tanh(s), a, b)
         weights = radius * 0.5 * math.pi * np.cosh(t) / np.cosh(s) ** 2
-        return float(np.dot(f(u), weights))
+        values = f(u)
+        return np.array([np.dot(values, weights), np.dot(np.abs(values), weights)])
 
-    total = weighted_sum(np.arange(-_NODE_SPAN, _NODE_SPAN + 1.0))
-    estimate, change = total, math.inf
+    totals = weighted_sums(np.arange(-_NODE_SPAN, _NODE_SPAN + 1.0))
+    estimate, change = totals[0], math.inf
     for level in range(1, _LEVELS + 1):
         step = 2.0 ** -level
-        total += weighted_sum(np.arange(step, _NODE_SPAN, 2.0 * step)) + weighted_sum(
-            np.arange(-step, -_NODE_SPAN, -2.0 * step)
-        )
-        refined = total * step
+        nodes = np.arange(step, _NODE_SPAN, 2.0 * step)
+        totals += weighted_sums(nodes) + weighted_sums(-nodes)
+        refined = totals[0] * step
         change = abs(refined - estimate)
         estimate = refined
         if change <= 1e-14 * abs(estimate):
             break
-    return estimate, change
+    return estimate.item(), float(change + 1e-15 * totals[1].real * step)
 
 
 def _quad_with_kinks(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, kinks: list[float]) -> float:
     edges = [a, *sorted(p for p in kinks if a < p < b), b]
     val = error = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        piece, change = _tanh_sinh(f, lo, hi)
+        piece, bound = _tanh_sinh(f, lo, hi)
         val += piece
-        error += change
+        error += bound
     if error > max(1e-10, 1e-8 * abs(val)):
         raise NumericError(
             f"quadrature did not converge: value {val!r}, error estimate {error!r}"

@@ -14,20 +14,20 @@ inversion of the known characteristic function for a model with an affine
 drift and constant sigma, and a smoothed estimate from 64 paths of fixed
 seeds, stepped in lockstep, for everything else.  The inversion sums a
 convergent series near the law's centre and an asymptotic one in its tails,
-with numpy and ``math`` alone; scipy is imported only for the quadrature of
-the inversion integrals at the points neither series certifies.
+and takes the inversion integrals by the package's tanh-sinh rule at the
+points neither series certifies, with numpy and ``math`` alone.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, ParameterError, check_number
+from .kernels import _tanh_sinh
 from .stable import StableParams, _tan_half
 
 __all__ = [
@@ -69,6 +69,8 @@ _PLUGIN_BURN_IN = 2_000
 # Terms of the Fourier route's tail and centre series past which they give up.
 _SERIES_TERMS = 100
 _CENTER_TERMS = 1000
+# The inversion integrals stop at s^alpha = _CUT, where exp(-s^alpha) < 6e-19.
+_CUT = 42.0
 
 
 @dataclass(frozen=True)
@@ -625,6 +627,8 @@ def _interpolant(grid: np.ndarray, values: np.ndarray) -> Callable:
 
 def _ou_margin(model: SdeModel, noise: StableParams) -> tuple[float, float]:
     gamma, lam = model.affine_drift
+    if not lam > 0.0:
+        raise ParameterError(f"model {model.name}: an affine drift needs lam > 0 for a stationary law, got {lam!r}")
     scale = model.sigma_bounds[0] * (1.0 / (noise.alpha * lam)) ** (1.0 / noise.alpha)
     return gamma / lam, scale
 
@@ -729,30 +733,25 @@ def _center_series(y: float, alpha: float, skew: float) -> tuple[float, float, f
     return None
 
 
-def _inversion_integrals(y: float, alpha: float, skew: float) -> tuple[float, float, float] | None:
+def _inversion_integrals(y: float, alpha: float, skew: float) -> tuple[float, float, float]:
     """``g(y)``, ``g'(y)`` and an error bound of both from the inversion
     integrals ``g(y) = (1/pi) int_0^inf exp(-s^alpha) cos(skew s^alpha - s y) ds``
     and ``g'(y) = (1/pi) int_0^inf s exp(-s^alpha) sin(skew s^alpha - s y) ds``,
-    by QUADPACK's adaptive rule on ``[0, inf)``; None where it warns.  It
-    serves the points neither series certifies, so scipy is imported the
-    first time one is met."""
-    from scipy.integrate import IntegrationWarning, quad
+    cut at ``s_max = _CUT^(1/alpha)`` and taken on ``[0, s_max]`` by the
+    tanh-sinh rule of :mod:`stabledrift.kernels`, as the real and imaginary
+    parts of one integral.  Past the cut ``s^alpha >= _CUT s / s_max``, so the
+    tails of both together are at most ``int (1 + s) exp(-_CUT s / s_max) ds``
+    from ``s_max``, which the bound adds to the rule's."""
 
-    def integrand(s, derivative):
-        decay = math.exp(-s ** alpha)
-        phase = skew * s ** alpha - s * y
-        return s * decay * math.sin(phase) if derivative else decay * math.cos(phase)
+    def integrand(s: np.ndarray) -> np.ndarray:
+        power = s ** alpha
+        phase = skew * power - s * y
+        return np.exp(-power) * (np.cos(phase) + 1j * s * np.sin(phase))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            (g, g_error), (g_prime, g_prime_error) = [
-                quad(integrand, 0.0, math.inf, args=(derivative,), epsabs=1e-14, epsrel=1e-12, limit=500)
-                for derivative in (False, True)
-            ]
-        except IntegrationWarning:
-            return None
-    return g / math.pi, g_prime / math.pi, max(g_error, g_prime_error) / math.pi
+    s_max = _CUT ** (1.0 / alpha)
+    value, error = _tanh_sinh(integrand, 0.0, s_max)
+    error += math.exp(-_CUT) * s_max / _CUT * (1.0 + s_max * (1.0 + 1.0 / _CUT))
+    return value.real / math.pi, value.imag / math.pi, error / math.pi
 
 
 def _fourier_density(model: SdeModel, noise: StableParams) -> StationaryDensity:
@@ -854,8 +853,8 @@ def stationary_density_oracle(model: SdeModel, noise: StableParams) -> Stationar
     plug-in estimate.  ``noise``'s type guarantees ``alpha > 1``, which that
     stable law needs.  The Fourier route builds nothing up front: its ``f``
     and ``f_prime`` evaluate the density at each point they are called with,
-    by series in numpy and ``math`` alone wherever they converge (and by
-    scipy's quadrature elsewhere), and raise :class:`NumericError` naming a
+    by series wherever they converge and by the tanh-sinh rule elsewhere,
+    with numpy and ``math`` alone, and raise :class:`NumericError` naming a
     point where no rule reaches its accuracy target.  The plug-in route
     simulates 64 paths from fixed seeds in one lockstep batch, so it is
     reproducible, and is piecewise linear on its grid and zero outside it.

@@ -469,8 +469,21 @@ def test_an_alpha_outside_the_stability_domain_exits_two_with_one_error_line(com
 SCIPY_PROBE = """
 import json, sys
 
+class BlockScipy:
+    # every import of scipy fails and is recorded, so code that caught the
+    # ImportError would still fail the test
+    attempts = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            self.attempts.append(name)
+            raise ImportError(f"scipy is blocked in this probe: {name}")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+
 def scipy_modules():
-    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+    return sorted(set(BlockScipy.attempts) | {name for name in sys.modules if name.split(".")[0] == "scipy"})
 
 import stabledrift
 import stabledrift.cli
@@ -478,6 +491,14 @@ import stabledrift.cli
 out = sys.argv[1]
 loaded = {"import": scipy_modules()}
 shapes = {
+    # at alpha 1.5 the points 1 and 2 lie at |y| = 1.3 and 2.6 of the
+    # stationary law, where neither series certifies the density, so the
+    # constants take the inversion integrals
+    "serial ou_linear bias, inversion integrals": [[
+        "experiment", "--kind", "bias", "--model", "ou_linear", "--alpha", "1.5",
+        "--n", "4000", "--delta", "0.01", "--h", "0.4", "--x", "1", "--x", "2",
+        "--replicates", "4", "--burn-in", "500", "--seed", "19", "--workers", "1", "--out-dir", out + "/band",
+    ]],
     "serial ou_linear bias, Fourier oracle": [[
         "experiment", "--kind", "bias", "--model", "ou_linear", "--alpha", "1.8", "--kernel", "uniform_right",
         "--n", "4000", "--delta", "0.01", "--h", "0.4", "--x", "-0.5", "--x", "0", "--x", "0.5",
@@ -508,10 +529,11 @@ print(json.dumps(loaded))
 
 def test_the_package_and_the_benchmark_shapes_leave_scipy_unimported(tmp_path):
     # importing scipy.integrate and scipy.interpolate took 0.70-0.81 s and
-    # lifted RSS from 27 to 85 MiB on a 2-vCPU x86-64 host; scipy is left
-    # to the inversion integrals at points that neither series certifies
+    # lifted RSS from 27 to 85 MiB on a 2-vCPU x86-64 host; the package needs
+    # numpy alone, the density oracle's inversion integrals included, so
+    # each shape runs with scipy unimportable
     result = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)], env=package_env(),
                             capture_output=True, text=True, check=True)
     loaded = json.loads(result.stdout.splitlines()[-1])
     assert loaded == dict.fromkeys(loaded, [])
-    assert len(loaded) == 4
+    assert len(loaded) == 5

@@ -78,9 +78,13 @@ ENTRIES = {
         lambda: run_bias_comparison(OU, NOISE, EPAN, Schedule(**SCHEDULE), [0.0], 2, 1, x0=True, burn_in=0, workers=1),
         "x0",
     ),
-    "kernel_sums grid True": (lambda: kernel_sums(PATH, True, 1.0, EPAN), "grid"),
-    "kernel_sums grid strings": (lambda: kernel_sums(PATH, ["0.5"], 1.0, EPAN), "grid"),
-    "local_linear_drift x string": (lambda: local_linear_drift(PATH, "0.5", 1.0, EPAN), "grid"),
+    "kernel_sums grid True": (lambda: kernel_sums(PATH, True, 1.0, EPAN), "query point"),
+    "kernel_sums grid strings": (lambda: kernel_sums(PATH, ["0.5"], 1.0, EPAN), "query point"),
+    # a grid refused by its array's dtype read a bool among floats as 1.0
+    "kernel_sums grid bool among floats": (lambda: kernel_sums(PATH, [0.0, True], 1.0, EPAN), "query point"),
+    "kernel_sums grid numpy bools": (lambda: kernel_sums(PATH, np.array([False, True]), 1.0, EPAN), "query point"),
+    "kernel_sums grid string among floats": (lambda: kernel_sums(PATH, [0.0, "1"], 1.0, EPAN), "query point"),
+    "local_linear_drift x string": (lambda: local_linear_drift(PATH, "0.5", 1.0, EPAN), "query point"),
     "s_nk h True": (lambda: s_nk(PATH, 0.0, True, EPAN, 0), "bandwidth h"),
     "s_nk x string": (lambda: s_nk(PATH, "0.5", 1.0, EPAN, 0), "query point"),
     "simulate_path delta string": (lambda: simulate_path(OU, NOISE, x0=0.0, **{**RUN, "delta": "0.01"}), "delta"),

@@ -378,8 +378,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument(
         "--workers",
         type=int,
-        help="worker processes (default: one per CPU the process may run on); each one steps affine batches "
-        "and fits on its share of the usable CPUs; results are unchanged",
+        help="worker processes (default: one per CPU the process may run on); at most that many are "
+        "started, and each one steps affine batches and fits on its share of the usable CPUs; "
+        "results are unchanged",
     )
 
     return parser
@@ -398,8 +399,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigurationError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, SimulationError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+    except (NumericError, SimulationError, MemoryError) as exc:
+        print(f"run failed: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,9 @@ __all__ = [
     "SimulationError",
 ]
 
+# The most doubles one numpy array can hold: its byte count must fit an intp.
+MAX_DOUBLES = np.iinfo(np.intp).max // 8
+
 
 class ParameterError(ValueError):
     """A function argument is outside its documented domain."""
@@ -44,14 +47,16 @@ def read_text(source, encoding: str, error: type[ValueError]) -> str:
         raise error(f"{source}: byte 0x{bad:02x} at offset {exc.start} is not valid {encoding} text") from None
 
 
-def check_int(name: str, value, minimum: int | None = None) -> None:
+def check_int(name: str, value, minimum: int | None = None, maximum: int | None = None) -> None:
     """Raise :class:`ParameterError` unless ``value`` is an ``int`` of at
-    least ``minimum``.  A bool is refused, though it is an ``int``, and so is
-    a numpy integer, which no JSON manifest can hold; the message shows the
-    value's repr, which names such a type."""
+    least ``minimum`` and at most ``maximum``.  A bool is refused, though it
+    is an ``int``, and so is a numpy integer, which no JSON manifest can
+    hold; the message shows the value's repr, which names such a type."""
     if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
         wanted = "an integer" if minimum is None else f"an integer >= {minimum}"
         raise ParameterError(f"{name} must be {wanted}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ParameterError(f"{name} must be at most {maximum}, got {value!r}")
 
 
 def check_number(name: str, value, error: type[ValueError] = ParameterError, positive: bool = False) -> float:

@@ -21,7 +21,8 @@ are stepped (on the affine scan) and fitted on threads; results are folded
 in replicate order, which makes the reports byte-identical for any worker
 or thread count.
 
-Four experiment kinds are provided:
+Four experiment kinds are provided, with :func:`validate_schedule` to
+classify a sampling schedule before any is run:
 
 - ``consistency``: local linear RMSE across a ladder of sampling schedules.
 - ``bias``: local linear against the kernel-ratio estimator at fixed
@@ -42,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError, SimulationError, check_int, check_number, read_text
+from .errors import MAX_DOUBLES, ConfigurationError, ParameterError, SimulationError, check_int, check_number, read_text
 from .estimate import (
     asymptotic_constants,
     kernel_sums,
@@ -105,7 +106,7 @@ class Schedule:
     kappa: float = 2.0
 
     def __post_init__(self) -> None:
-        check_int("schedule n", self.n, 1)
+        check_int("schedule n", self.n, 1, MAX_DOUBLES - 1)
         check_number("schedule delta", self.delta, positive=True)
         check_number("schedule h", self.h, positive=True)
         if not (1.0 < check_number("schedule alpha", self.alpha) <= 2.0):
@@ -412,7 +413,8 @@ def _run(config: dict, fit, workers: int | None, describe, finish=None) -> Exper
     oracle failure costs no simulation.  A pooled run submits every batch
     first and builds the oracle while the workers simulate; if the oracle
     fails, the pending batches are cancelled and its error is raised.
-    ``workers`` None takes one worker per CPU the process may run on.
+    ``workers`` None takes one worker per CPU the process may run on, and
+    the pool starts no more processes than that; the batches follow ``workers``.
 
     Each process of the run, the parent of a serial run or each pool
     worker, steps affine batches and fits their paths on its share of the
@@ -422,15 +424,16 @@ def _run(config: dict, fit, workers: int | None, describe, finish=None) -> Exper
     returns, so the pool forks no thread's state, and the records are
     folded in replicate order whatever the thread count.
     """
+    cpus = _usable_cpus()
     if workers is None:
-        workers = _usable_cpus()
+        workers = cpus
     batches = [
         (s_idx, first, count)
         for s_idx, schedule in enumerate(_schedules(config))
         for first, count in _batches(config["replicates"], schedule["n"], workers)
     ]
-    processes = min(workers, len(batches))
-    threads = max(1, _usable_cpus() // processes)
+    processes = min(workers, len(batches), cpus)
+    threads = max(1, cpus // processes)
     jobs = [(fit, config, *batch, threads) for batch in batches]
 
     def oracle():
@@ -714,7 +717,7 @@ def run_clt(
         "clt", model, noise, kernel, [schedule], [x], replicates, master_seed, x0, burn_in, workers,
         density=dict(_DENSITY),
     )
-    check_int("reference_size", reference_size, 100)
+    check_int("reference_size", reference_size, 100, MAX_DOUBLES)
     if not (0.0 < check_number("tail_fraction", tail_fraction) < 1.0):
         raise ParameterError(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
     # the Hill estimate needs more usable replicates than its tail size

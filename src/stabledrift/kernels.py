@@ -1,9 +1,10 @@
 """Compactly supported smoothing kernels and the constants they feed into
 the asymptotic theory of the drift estimators.
 
-Each kernel carries closed-form moments ``K_k = int u^k K(u) du`` for
-``k = 1, 2, 3`` alongside its evaluator.  The two fractional integrals at the
-bottom of the module are the only quantities that require quadrature: both
+Each kernel (``epanechnikov``, ``triangular``, ``uniform_sym`` and
+``uniform_right``) carries closed-form moments ``K_k = int u^k K(u) du``
+for ``k = 1, 2, 3``.  The two fractional integrals at the bottom of the
+module are the only quantities that require quadrature: both
 raise the kernel to a non-integer power ``alpha``, which is how the stable
 noise index enters the limit constants.  They are taken by the tanh-sinh
 rule (Takahasi and Mori, 1974) on the pieces between the integrand's kinks,

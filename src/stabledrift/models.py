@@ -35,6 +35,7 @@ __all__ = [
     "StationaryDensity",
     "builtin_model",
     "model_names",
+    "validate_model",
     "stationary_density_oracle",
 ]
 
@@ -854,8 +855,8 @@ def stationary_density_oracle(model: SdeModel, noise: StableParams) -> Stationar
     stable law needs.  The Fourier route builds nothing up front: its ``f``
     and ``f_prime`` evaluate the density at each point they are called with,
     by series wherever they converge and by the tanh-sinh rule elsewhere,
-    with numpy and ``math`` alone, and raise :class:`NumericError` naming a
-    point where no rule reaches its accuracy target.  The plug-in route
+    with numpy and ``math`` alone, to within 1e-9 of the density, and raise
+    :class:`NumericError` naming a point where no rule reaches that.  The plug-in route
     simulates 64 paths from fixed seeds in one lockstep batch, so it is
     reproducible, and is piecewise linear on its grid and zero outside it.
     """

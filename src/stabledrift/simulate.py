@@ -1,4 +1,5 @@
-"""Euler discretization of stable-driven SDEs and reproducible seeding.
+"""Euler discretization of stable-driven SDEs, reproducible seeding, and
+the path CSV round trip and jump diagnostics of an :class:`ObservedPath`.
 
 The sampling scheme for ``dX_t = mu(X_t) dt + sigma(X_t-) dZ_t`` observed at
 ``t_i = i * delta`` is the explicit Euler recursion
@@ -62,7 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, SimulationError, check_int, check_number, read_text
+from .errors import MAX_DOUBLES, ParameterError, SimulationError, check_int, check_number, read_text
 from .models import SdeModel, euler_step
 from .stable import StableParams, _cms_transform
 
@@ -304,7 +305,8 @@ def _check_run(model, noise, x0, n, delta, burn_in) -> None:
         raise ParameterError("model must be an SdeModel")
     if not isinstance(noise, StableParams):
         raise ParameterError("noise must be a StableParams instance")
-    check_int("n", n, 1)
+    # a path's n + 1 states are one array
+    check_int("n", n, 1, MAX_DOUBLES - 1)
     check_int("burn_in", burn_in, 0)
     check_number("delta", delta, positive=True)
     check_number("x0", x0)

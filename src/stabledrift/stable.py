@@ -1,4 +1,6 @@
-"""Standard alpha-stable variates and distribution-level diagnostics.
+"""Standard alpha-stable variates, drawn by the Chambers-Mallows-Stuck map,
+and diagnostics against the law: characteristic functions, two-sample
+Kolmogorov-Smirnov tests and a Hill tail-index estimate.
 
 The scale convention used throughout fixes the characteristic function of a
 standard variate ``Z`` with stability index ``alpha`` and skewness ``beta`` as

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stabledrift import cli
+from stabledrift import cli, simulate
 from stabledrift.cli import RunConfig, main
 
 
@@ -464,6 +464,53 @@ def test_an_alpha_outside_the_stability_domain_exits_two_with_one_error_line(com
     )
     assert result.returncode == 2
     assert result.stderr.splitlines() == [f"error: alpha must lie in (1, 2], got {float(alpha)}"]
+
+
+# sizes no 64-bit address space can map: 1e20 doubles are more than any
+# array's byte count can hold, and 2^58 doubles (2 EiB) an allocation the
+# machine must refuse
+NO_ARRAY, UNMAPPABLE = "100000000000000000000", str(2**58)
+SMALL_CLT = ["experiment", "--kind", "clt", "--model", "ou_linear", "--n", "2000", "--burn-in", "10",
+             "--replicates", "40", "--workers", "1"]
+
+
+@pytest.mark.parametrize("command, label", [
+    (["simulate", "--model", "ou_linear", "--n", NO_ARRAY], "n"),
+    (["estimate", "--model", "tanh_drift", "--n", NO_ARRAY, "--x", "0"], "n"),
+    (["experiment", "--kind", "bias", "--model", "ou_linear", "--n", NO_ARRAY], "schedule n"),
+    ([*SMALL_CLT, "--reference-size", NO_ARRAY], "reference_size"),
+])
+def test_a_size_no_array_can_hold_exits_two_before_simulating(command, label, tmp_path, monkeypatch, capsys):
+    def no_euler(*args, **kwargs):
+        raise AssertionError("a path was simulated")
+
+    monkeypatch.setattr(simulate, "_euler", no_euler)
+    assert main([*command, "--out-dir", str(tmp_path)]) == 2
+    # the most doubles whose byte count fits an intp, less the initial
+    # state a path of n steps records beside them
+    most = np.iinfo(np.intp).max // 8
+    bound = most if label == "reference_size" else most - 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {label} must be at most {bound}, got {NO_ARRAY}"]
+
+
+@pytest.mark.parametrize("command, shape", [
+    (["simulate", "--model", "ou_linear", "--n", UNMAPPABLE, "--burn-in", "0"], f"(1, {2**58 + 1})"),
+    ([*SMALL_CLT, "--reference-size", UNMAPPABLE], f"({UNMAPPABLE},)"),
+])
+def test_a_refused_allocation_exits_one_with_one_error_line(command, shape, tmp_path, capsys):
+    assert main([*command, "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"run failed: Unable to allocate 2.00 EiB for an array with shape {shape} and data type float64"
+    ]
+
+
+def test_a_memory_error_without_a_message_still_names_its_cause(monkeypatch, capsys):
+    def refused(config):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_simulate", refused)
+    assert main(["simulate", "--model", "ou_linear"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["run failed: out of memory"]
 
 
 SCIPY_PROBE = """

@@ -501,7 +501,28 @@ class TestDefaultWorkers:
     def test_help_names_the_default(self, capsys):
         with pytest.raises(SystemExit):
             main(["experiment", "--help"])
-        assert "default: one per CPU the process may run on" in " ".join(capsys.readouterr().out.split())
+        shown = " ".join(capsys.readouterr().out.split())
+        assert "default: one per CPU the process may run on); at most that many are started" in shown
+
+    def test_the_pool_starts_no_more_processes_than_cpus(self, ou, noise, epan, monkeypatch, tmp_path):
+        # 50 workers make 50 one-path batches; a thread pool that records
+        # its size stands in for the process pool, so no process starts
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        reports = [
+            write_report(_small_run("lln", ou, noise, epan, workers=workers, replicates=50), tmp_path / str(workers))
+            for workers in (50, 2)
+        ]
+        assert sizes == [2, 2]
+        for key in ("records", "summary", "manifest"):
+            assert reports[0][key].read_bytes() == reports[1][key].read_bytes()
 
 
 class TestThreadedRun:
